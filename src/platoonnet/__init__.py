@@ -7,10 +7,8 @@ distributions, for platooned (1D Matern cluster) and non-platooned
 counterparts of every analytical quantity.
 """
 
-from .geometry import (NetworkParams, PointPattern, VoronoiCell1D,
-                       sample_mcp, sample_mcp_palm, sample_ppp,
-                       voronoi_1d)
-from .mcp_counts import DiscretePMF, pmf_S, pmf_S_certified
+from .geometry import NetworkParams
+from .mcp_counts import DiscretePMF, pmf_S
 from .load import (LoadMoments, moments_tagged_npts, moments_tagged_pts,
                    moments_typical_npts, moments_typical_pts,
                    operational_metrics, pmf_tagged_npts, pmf_tagged_pts,
@@ -25,10 +23,9 @@ from .montecarlo import (SimConfig, SimEstimate, sim_connectivity,
 __version__ = "0.1.0"
 
 __all__ = [
-    "NetworkParams", "PointPattern", "VoronoiCell1D", "sample_ppp",
-    "sample_mcp", "sample_mcp_palm", "voronoi_1d", "DiscretePMF",
-    "pmf_S", "pmf_S_certified", "LoadMoments", "pmf_typical_pts",
-    "pmf_typical_npts", "pmf_tagged_pts", "pmf_tagged_npts",
+    "NetworkParams", "DiscretePMF", "pmf_S", "LoadMoments",
+    "pmf_typical_pts", "pmf_typical_npts", "pmf_tagged_pts",
+    "pmf_tagged_npts",
     "moments_typical_pts", "moments_typical_npts", "moments_tagged_pts",
     "moments_tagged_npts", "operational_metrics", "V2VParams",
     "pmf_degree_pts", "pmf_degree_npts", "RadioParams", "CoverageMeta",

@@ -396,8 +396,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, help="master RNG seed")
     p.add_argument("--reps", type=int, help="Monte Carlo replications")
     p.add_argument("--out", help="output CSV path ('-' for stdout)")
-    p.add_argument("--tolerance", type=float, default=0.02,
-                   help="validation tolerance (TV / absolute gap)")
 
 
 def build_parser():
@@ -420,6 +418,8 @@ def build_parser():
     v = sub.add_parser("validate",
                        help="analytical-vs-simulation cross-check suite")
     _add_common(v)
+    v.add_argument("--tolerance", type=float, default=0.02,
+                   help="validation tolerance (TV / absolute gap)")
     return ap
 
 

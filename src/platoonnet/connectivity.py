@@ -15,8 +15,7 @@ import numpy as np
 from scipy import special
 
 from .geometry import NetworkParams
-from .mcp_counts import DiscretePMF, TAIL_TOL, choose_truncation, g_of, \
-    pmf_S
+from .mcp_counts import DiscretePMF, TAIL_TOL, certified, g_of, pmf_S
 from .numerics import intersection_length
 
 
@@ -103,9 +102,7 @@ def pmf_degree_pts(K, v2v: V2VParams) -> DiscretePMF:
 def pmf_degree_certified(traffic, v2v: V2VParams,
                          tail_tol=TAIL_TOL) -> DiscretePMF:
     fn = pmf_degree_pts if traffic == "PTS" else pmf_degree_npts
-    _, masses = choose_truncation(lambda K: fn(K, v2v).masses,
-                                  tail_tol=tail_tol)
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return certified(lambda K: fn(K, v2v), tail_tol)
 
 
 def prob_degree_exceeds(k, pmf: DiscretePMF):

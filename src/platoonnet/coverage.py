@@ -20,11 +20,11 @@ import numpy as np
 from scipy import integrate
 
 from .geometry import NetworkParams
-from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified, \
-    pmf_typical_npts_certified, pmf_typical_pts_certified
+from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
+from .mcp_counts import g_of
 from .numerics import QuadratureSpec, gil_pelaez_invert, hyp2f1_real
 
-TRAFFICS = ("PTS", "NPTS")
+MD_SPEC = QuadratureSpec(1e-4, 1e-6, 400)  # Gil-Pelaez tolerances of md()
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,12 @@ def active_prob(traffic, params: NetworkParams):
     lr = params.lambda_r
 
     def f(t):
-        return math.exp(g_of_zero(t / 2.0, params)) \
+        return math.exp(g_of(0.0, t / 2.0, params)) \
             * 4 * lr**2 * t * math.exp(-2 * lr * t)
 
     p0, _ = integrate.quad(f, 0, np.inf, epsabs=1e-12, epsrel=1e-10,
                            limit=200)
     return 1.0 - p0
-
-
-def g_of_zero(r, params):
-    from .mcp_counts import g_of
-    return g_of(0.0, r, params)
 
 
 def laplace_interference(s, r, p_active, lambda_r, radio: RadioParams):
@@ -317,16 +312,16 @@ class CoverageMeta:
             ** (1.0 / self.radio.alpha)
         return -math.expm1(-2 * self.params.lambda_r * r_star)
 
-    def md(self, x, spec=QuadratureSpec(1e-4, 1e-6, 400)):
+    def md(self, x):
         """Meta distribution P[conditional CP > x].
 
         Inverted by Gil-Pelaez and clamped by the noise-only bound, which
         also short-circuits the deep-threshold regime where the phase of
         ln CP is too fast for any quadrature to track."""
         bound = self.md_noise_bound(x)
-        if bound < spec.abs_tol / 10:
+        if bound < MD_SPEC.abs_tol / 10:
             return bound
-        return min(bound, gil_pelaez_invert(self.moment_it, x, spec=spec))
+        return min(bound, gil_pelaez_invert(self.moment_it, x, spec=MD_SPEC))
 
 
 def moment_Mq(q, tau, traffic, params, radio):
@@ -339,10 +334,9 @@ def moment_Mq(q, tau, traffic, params, radio):
     return CoverageMeta(tau, traffic, params, radio).moment(q)
 
 
-def md_coverage(tau, x, traffic, params, radio,
-                spec=QuadratureSpec(1e-4, 1e-6, 400)):
+def md_coverage(tau, x, traffic, params, radio):
     """Meta distribution of the coverage probability at level x."""
-    return CoverageMeta(tau, traffic, params, radio).md(x, spec=spec)
+    return CoverageMeta(tau, traffic, params, radio).md(x)
 
 
 def _tagged_pmf(traffic, params):
@@ -369,8 +363,7 @@ def rate_coverage(tau_rate, traffic, params, radio: RadioParams):
     return total
 
 
-def md_rate(tau_rate, x, traffic, params, radio: RadioParams,
-            spec=QuadratureSpec(1e-4, 1e-6, 400)):
+def md_rate(tau_rate, x, traffic, params, radio: RadioParams):
     """Meta distribution of the rate coverage at level x."""
     if tau_rate <= 0:
         raise ValueError("tau_rate must be positive")
@@ -381,7 +374,7 @@ def md_rate(tau_rate, x, traffic, params, radio: RadioParams,
     for k, pk in enumerate(pmf.masses):
         thr = 2.0 ** (tau_rate * (k + 1) / radio.bandwidth) - 1.0
         meta = CoverageMeta(thr, traffic, params, radio, p_active=p)
-        md = meta.md(x, spec=spec)
+        md = meta.md(x)
         total += pk * md
         remaining -= pk
         # md is decreasing in k, so the unsummed tail is below this

@@ -1,10 +1,9 @@
-"""Network parameterization, 1D point-process samplers and Voronoi cells.
+"""Network parameterization, replication RNG streams and the cell-length
+laws of the 1D Poisson Voronoi tessellation.
 
-All densities are per meter.  Samplers are pure functions of their seed:
-the same (params, window, seed) triple always yields the same pattern.
-Windows are dilated internally before sampling so that clusters and cells
-near the analysis region are unbiased (the analysis lives on the infinite
-line).
+All densities are per meter.  Point patterns are sampled by the Monte
+Carlo engine (`montecarlo`), which draws every replication from its own
+`replication_rng` stream.
 """
 
 from __future__ import annotations
@@ -47,147 +46,9 @@ class NetworkParams:
                    None if lam is None else lam / 1e3)
 
 
-@dataclass(frozen=True)
-class PointPattern:
-    """Sorted finite point pattern on a window [lo, hi] (meters)."""
-
-    positions: np.ndarray
-    window: tuple
-    typical_index: int = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        pos = np.sort(np.asarray(self.positions, dtype=float))
-        object.__setattr__(self, "positions", pos)
-        lo, hi = self.window
-        if pos.size and (pos[0] < lo or pos[-1] > hi):
-            raise ValueError("positions must lie inside the window")
-
-    def __len__(self):
-        return self.positions.size
-
-    @property
-    def length(self):
-        return self.window[1] - self.window[0]
-
-    def count_in(self, lo, hi):
-        """Number of points with lo <= x <= hi."""
-        return int(np.searchsorted(self.positions, hi, side="right")
-                   - np.searchsorted(self.positions, lo, side="left"))
-
-    def to_csv(self, path_or_buf):
-        """One position per line, window bounds in the header."""
-        header = f"# window {self.window[0]} {self.window[1]}\nposition\n"
-        body = "".join(f"{float(p)!r}\n" for p in self.positions)
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(header + body)
-        else:
-            with open(path_or_buf, "w") as fh:
-                fh.write(header + body)
-
-    @classmethod
-    def from_csv(cls, path_or_buf):
-        fh = path_or_buf if hasattr(path_or_buf, "read") else open(path_or_buf)
-        try:
-            first = fh.readline().strip()
-            if not first.startswith("# window"):
-                raise ValueError("missing window header")
-            _, _, lo, hi = first.split()
-            fh.readline()  # column header
-            pos = [float(line) for line in fh if line.strip()]
-        finally:
-            if fh is not path_or_buf:
-                fh.close()
-        return cls(np.asarray(pos), (float(lo), float(hi)))
-
-
-@dataclass(frozen=True)
-class VoronoiCell1D:
-    center: float
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.center <= self.hi:
-            raise ValueError("cell center must lie inside the cell")
-
-    @property
-    def length(self):
-        return self.hi - self.lo
-
-
-def _rng(seed):
-    return seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
-
-
 def replication_rng(master_seed, rep):
     """Independent, reproducible stream for replication `rep`."""
     return np.random.default_rng([int(master_seed), int(rep)])
-
-
-def sample_ppp(rate, window, rng_seed):
-    """Homogeneous 1D Poisson process on the window."""
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    lo, hi = window
-    if hi <= lo:
-        raise ValueError("window must be nonempty")
-    rng = _rng(rng_seed)
-    n = rng.poisson(rate * (hi - lo))
-    return PointPattern(rng.uniform(lo, hi, n), (lo, hi))
-
-
-def _mcp_points(params, lo, hi, rng):
-    """MCP daughters on [lo, hi]; parents sampled on the a-dilated window."""
-    n_par = rng.poisson(params.lambda_p * (hi - lo + 2 * params.a))
-    parents = rng.uniform(lo - params.a, hi + params.a, n_par)
-    counts = rng.poisson(params.m, n_par)
-    reps = np.repeat(parents, counts)
-    pts = reps + rng.uniform(-params.a, params.a, reps.size)
-    return pts[(pts >= lo) & (pts <= hi)]
-
-
-def sample_mcp(params: NetworkParams, window, rng_seed):
-    """1D Matern cluster process: PPP parents, Poisson(m) daughters
-    scattered uniformly within +-a of each parent."""
-    lo, hi = window
-    if hi <= lo:
-        raise ValueError("window must be nonempty")
-    rng = _rng(rng_seed)
-    return PointPattern(_mcp_points(params, lo, hi, rng), (lo, hi))
-
-
-def sample_mcp_palm(params: NetworkParams, window, rng_seed):
-    """Palm version of the MCP with the typical VU at the origin.
-
-    Returns the union of a fresh MCP and the typical VU's own cluster,
-    whose parent x0 is uniform on [-a, a]; the typical point itself is
-    included and flagged via `typical_index`.
-    """
-    lo, hi = window
-    if not lo <= 0 <= hi:
-        raise ValueError("window must contain the origin")
-    rng = _rng(rng_seed)
-    background = _mcp_points(params, lo, hi, rng)
-    x0 = rng.uniform(-params.a, params.a)
-    sibs = x0 + rng.uniform(-params.a, params.a, rng.poisson(params.m))
-    sibs = sibs[(sibs >= lo) & (sibs <= hi)]
-    pts = np.concatenate([background, sibs, [0.0]])
-    order = np.argsort(pts)
-    return PointPattern(pts[order], (lo, hi),
-                        typical_index=int(np.nonzero(order == pts.size - 1)[0][0]))
-
-
-def voronoi_1d(pattern: PointPattern):
-    """Voronoi cells of a 1D pattern; boundaries at midpoints, window
-    endpoints close the extreme cells."""
-    if len(pattern) == 0:
-        raise ValueError("cannot tessellate an empty pattern")
-    pos = pattern.positions
-    mids = 0.5 * (pos[:-1] + pos[1:])
-    los = np.concatenate([[pattern.window[0]], mids])
-    his = np.concatenate([mids, [pattern.window[1]]])
-    return [VoronoiCell1D(c, lo, hi) for c, lo, hi in zip(pos, los, his)]
 
 
 # cell-length laws of the stationary 1D Poisson Voronoi tessellation

@@ -22,11 +22,9 @@ from scipy import special
 
 from .geometry import NetworkParams, cell_quantile, pdf_tagged_cell, \
     pdf_typical_cell
-from .mcp_counts import DiscretePMF, TAIL_TOL, choose_truncation, \
-    g_of, kappa, I_moment, I_tilde_moment, pmf_S
+from .mcp_counts import DiscretePMF, TAIL_TOL, certified, g_of, kappa, \
+    I_moment, I_tilde_moment, pmf_S
 from .numerics import NumericsError, func_F, func_G
-
-_S1_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,12 +39,15 @@ class LoadMoments:
                  - self.mean**3) / self.variance**1.5)
 
 
-def _mixture_nodes(params, tagged, n_panels=60, order=10):
+_MIX_PANELS, _MIX_ORDER = 60, 10  # Gauss-Legendre panels and their order
+
+
+def _mixture_nodes(params, tagged):
     """Composite Gauss-Legendre nodes/weights on [0, T] with T at the
     1 - 1e-8 quantile of the relevant cell-length law."""
     T = cell_quantile(1 - 1e-8, params.lambda_r, tagged=tagged)
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, T, n_panels + 1)
+    x, w = np.polynomial.legendre.leggauss(_MIX_ORDER)
+    edges = np.linspace(0.0, T, _MIX_PANELS + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -69,9 +70,7 @@ def pmf_typical_pts(K, params: NetworkParams) -> DiscretePMF:
 
 
 def pmf_typical_pts_certified(params, tail_tol=TAIL_TOL) -> DiscretePMF:
-    _, masses = choose_truncation(
-        lambda K: pmf_typical_pts(K, params).masses, tail_tol=tail_tol)
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return certified(lambda K: pmf_typical_pts(K, params), tail_tol)
 
 
 def _kappa_cross_moment(params):
@@ -116,9 +115,7 @@ def pmf_typical_npts(K, params: NetworkParams) -> DiscretePMF:
 
 
 def pmf_typical_npts_certified(params, tail_tol=TAIL_TOL) -> DiscretePMF:
-    _, masses = choose_truncation(
-        lambda K: pmf_typical_npts(K, params).masses, tail_tol=tail_tol)
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return certified(lambda K: pmf_typical_npts(K, params), tail_tol)
 
 
 def moments_typical_npts(params: NetworkParams) -> LoadMoments:
@@ -228,9 +225,7 @@ def pmf_tagged_pts(K, params: NetworkParams) -> DiscretePMF:
 
 
 def pmf_tagged_pts_certified(params, tail_tol=TAIL_TOL) -> DiscretePMF:
-    _, masses = choose_truncation(
-        lambda K: pmf_tagged_pts(K, params).masses, tail_tol=tail_tol)
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return certified(lambda K: pmf_tagged_pts(K, params), tail_tol)
 
 
 def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
@@ -267,9 +262,7 @@ def pmf_tagged_npts(K, params: NetworkParams) -> DiscretePMF:
 
 
 def pmf_tagged_npts_certified(params, tail_tol=TAIL_TOL) -> DiscretePMF:
-    _, masses = choose_truncation(
-        lambda K: pmf_tagged_npts(K, params).masses, tail_tol=tail_tol)
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return certified(lambda K: pmf_tagged_npts(K, params), tail_tol)
 
 
 def moments_tagged_npts(params: NetworkParams) -> LoadMoments:

@@ -66,19 +66,6 @@ class DiscretePMF:
             return 1.0
         return float(1.0 - self.masses[: k + 1].sum())
 
-    def to_csv(self, path_or_buf, meta=""):
-        lines = [f"# tail_mass {self.tail_mass!r}"]
-        if meta:
-            lines.append(f"# {meta}")
-        lines.append("k,mass")
-        lines += [f"{k},{p!r}" for k, p in enumerate(self.masses)]
-        text = "\n".join(lines) + "\n"
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(text)
-        else:
-            with open(path_or_buf, "w") as fh:
-                fh.write(text)
-
 
 def beta_bar(r, a):
     """min(r, a) / a, the normalized full-overlap length."""
@@ -171,11 +158,13 @@ def choose_truncation(mass_at, start=8, tail_tol=TAIL_TOL, cap=K_CAP):
     raise NumericsError(f"PMF tail not certified below K={cap}")
 
 
-def pmf_S_certified(r, params: NetworkParams,
-                    tail_tol=TAIL_TOL) -> DiscretePMF:
-    """pmf_S with K grown automatically until the tail is certified."""
-    _, masses = choose_truncation(
-        lambda K: pmf_S(K, r, params).masses, tail_tol=tail_tol)
+def certified(pmf_at, tail_tol=TAIL_TOL) -> DiscretePMF:
+    """PMF with K grown automatically until the tail is certified.
+
+    pmf_at(K) must return the DiscretePMF truncated at K.
+    """
+    _, masses = choose_truncation(lambda K: pmf_at(K).masses,
+                                  tail_tol=tail_tol)
     return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
 
 

@@ -4,6 +4,12 @@ Every estimator samples full point patterns per replication (Slivnyak or
 Palm conditioning as appropriate) and reduces them with order-independent
 accumulators, so results are bit-reproducible for a fixed master seed and
 replication count regardless of scheduling.
+
+The samplers live here: RSUs are a 1D Poisson process (`_rsus`), VUs
+either a Poisson process (N-PTS) or a Matern cluster process of platoons
+(PTS, `_mcp_points`), optionally with the typical VU's own platoon added
+under Palm conditioning (`_vus`).  Each replication draws from its own
+`replication_rng` stream in a fixed order: RSUs first, then VUs.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NetworkParams, _mcp_points, replication_rng
+from .geometry import NetworkParams, replication_rng
 from .mcp_counts import DiscretePMF
 from .coverage import RadioParams
 
@@ -74,6 +80,22 @@ def _nearest_cell(rsus, half):
     return i, lo, hi
 
 
+def _rsus(params, half, rng):
+    """Sorted RSU positions of a Poisson process on [-half, half]."""
+    return np.sort(rng.uniform(-half, half,
+                               rng.poisson(params.lambda_r * 2 * half)))
+
+
+def _mcp_points(params, lo, hi, rng):
+    """MCP daughters on [lo, hi]; parents sampled on the a-dilated window."""
+    n_par = rng.poisson(params.lambda_p * (hi - lo + 2 * params.a))
+    parents = rng.uniform(lo - params.a, hi + params.a, n_par)
+    counts = rng.poisson(params.m, n_par)
+    reps = np.repeat(parents, counts)
+    pts = reps + rng.uniform(-params.a, params.a, reps.size)
+    return pts[(pts >= lo) & (pts <= hi)]
+
+
 def _vus(traffic, params, half, rng, palm):
     """VU positions; under Palm conditioning the typical VU at the origin
     is excluded from the returned array (its own platoon is included)."""
@@ -100,15 +122,13 @@ def sim_load(kind, traffic, params: NetworkParams, cfg: SimConfig):
     counts = np.empty(cfg.replications, dtype=np.int64)
     for rep in range(cfg.replications):
         rng = replication_rng(cfg.master_seed, rep)
-        n_r = rng.poisson(params.lambda_r * 2 * half)
-        rsus = np.sort(rng.uniform(-half, half, n_r))
+        rsus = _rsus(params, half, rng)
         if kind == "typical":
             lo, hi = _origin_cell(rsus, half)
             vus = _vus(traffic, params, half, rng, palm=False)
         elif kind == "tagged":
             while rsus.size == 0:  # vanishing probability at sane windows
-                rsus = np.sort(rng.uniform(-half, half, rng.poisson(
-                    params.lambda_r * 2 * half)))
+                rsus = _rsus(params, half, rng)
             _, lo, hi = _nearest_cell(rsus, half)
             vus = _vus(traffic, params, half, rng, palm=traffic == "PTS")
         else:
@@ -159,11 +179,9 @@ def _conditional_success(thr, r_serv, dists, sigma2, p_t, alpha, rng,
 def _coverage_geometry(traffic, params, radio, rng, half, rate_tau=None):
     """One geometry replication: serving distance, interferer distances
     and (in rate mode) the load-mapped SINR threshold."""
-    n_r = rng.poisson(params.lambda_r * 2 * half)
-    rsus = np.sort(rng.uniform(-half, half, n_r))
+    rsus = _rsus(params, half, rng)
     while rsus.size == 0:
-        rsus = np.sort(rng.uniform(-half, half,
-                                   rng.poisson(params.lambda_r * 2 * half)))
+        rsus = _rsus(params, half, rng)
     vus = _vus(traffic, params, half, rng, palm=traffic == "PTS")
     # nearest-RSU association via midpoint boundaries
     bounds = 0.5 * (rsus[:-1] + rsus[1:])

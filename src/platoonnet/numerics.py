@@ -38,9 +38,6 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must be >= 1")
 
 
-DEFAULT_QUAD = QuadratureSpec()
-
-
 def gamma_upper(a, x):
     """Upper incomplete gamma integral of t^(a-1) exp(-t) on [x, inf).
 
@@ -107,43 +104,11 @@ def func_G(m, k, a):
     return gamma_upper(k + 1, 2.0 * m * a) / m ** (k + 1)
 
 
-def ramp(x, a):
-    """(x - a) for x > a, else 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x > a, x - a, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def unit_step(x):
-    """1 for x >= 0, else 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= 0, 1.0, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def integrate_adaptive(f: Callable[[float], float], lo: float, hi: float,
-                       spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Adaptive quadrature of f on (lo, hi); hi may be +inf.
-
-    Integrable endpoint singularities (e.g. y^-eta with eta < 2 at 0) are
-    handled by the underlying QAGS machinery.  Raises NumericsError when
-    the requested tolerance is not certified.
-    """
-    val, err = integrate.quad(f, lo, hi, epsabs=spec.abs_tol,
-                              epsrel=spec.rel_tol,
-                              limit=spec.max_subdivisions)
-    tol = spec.abs_tol + spec.rel_tol * abs(val)
-    if not np.isfinite(val):
-        raise NumericsError("quadrature returned a non-finite value")
-    if err > max(tol, 1e3 * spec.abs_tol):
-        raise NumericsError(
-            f"quadrature tolerance not met (estimate {val}, error {err})")
-    return val
+GP_MAX_PANELS = 24  # dyadic panels tried before the integrand must decay
 
 
 def gil_pelaez_invert(moment_fn: Callable[[float], complex], x: float,
-                      spec: QuadratureSpec = QuadratureSpec(1e-4, 1e-4, 400),
-                      max_panels: int = 24) -> float:
+                      spec=QuadratureSpec(1e-4, 1e-4, 400)) -> float:
     """CCDF P[P > x] of a (0, 1]-valued RV from its imaginary moments.
 
     moment_fn(t) must return M_it = E[P^(it)], the characteristic function
@@ -163,7 +128,7 @@ def gil_pelaez_invert(moment_fn: Callable[[float], complex], x: float,
     total = 0.0
     lo, hi = 0.0, 1.0
     quiet = 0
-    for _ in range(max_panels):
+    for _ in range(GP_MAX_PANELS):
         # oscillation count in the panel sets the subdivision budget;
         # capped because QAGS extrapolation converges long before the
         # naive per-cycle budget on the wide outer panels

@@ -1,16 +1,13 @@
-import io
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from platoonnet.geometry import (NetworkParams, PointPattern, VoronoiCell1D,
-                                 cell_quantile, mgf_L, mgf_L0,
+from platoonnet.geometry import (NetworkParams, cell_quantile, mgf_L, mgf_L0,
                                  pdf_serving_distance, pdf_tagged_cell,
-                                 pdf_typical_cell, replication_rng,
-                                 sample_mcp, sample_mcp_palm, sample_ppp,
-                                 voronoi_1d)
+                                 pdf_typical_cell, replication_rng)
+from platoonnet.montecarlo import _mcp_points, _rsus, _vus
 
 LR = 0.002  # 2 RSU/km in per-meter units
 
@@ -42,79 +39,55 @@ class TestNetworkParams:
             NetworkParams(**kwargs)
 
 
-class TestPointPattern:
-    def test_sorted_and_count(self):
-        pat = PointPattern(np.array([3.0, -1.0, 2.0]), (-5.0, 5.0))
-        assert np.all(np.diff(pat.positions) >= 0)
-        assert pat.count_in(-1.0, 2.5) == 2
-        assert len(pat) == 3
-
-    def test_outside_window_rejected(self):
-        with pytest.raises(ValueError):
-            PointPattern(np.array([10.0]), (-5.0, 5.0))
-
-    def test_csv_roundtrip(self):
-        pat = PointPattern(np.array([-2.0, 0.5, 4.25]), (-5.0, 5.0))
-        buf = io.StringIO()
-        pat.to_csv(buf)
-        buf.seek(0)
-        back = PointPattern.from_csv(buf)
-        assert back.window == pat.window
-        assert np.array_equal(back.positions, pat.positions)
-
-
 class TestSamplers:
+    """The point-process samplers of the Monte Carlo engine."""
+
     def test_ppp_reproducible(self):
-        a = sample_ppp(0.01, (-1000, 1000), 42)
-        b = sample_ppp(0.01, (-1000, 1000), 42)
-        assert np.array_equal(a.positions, b.positions)
+        p = NetworkParams(0.01, 0.001, 5.0, 100.0)
+        for traffic, palm in (("NPTS", False), ("PTS", False), ("PTS", True)):
+            a, b = (_vus(traffic, p, 1000.0, replication_rng(42, 0), palm)
+                    for _ in range(2))
+            assert np.array_equal(a, b)
+        assert np.array_equal(_rsus(p, 1000.0, replication_rng(42, 0)),
+                              _rsus(p, 1000.0, replication_rng(42, 0)))
 
     def test_ppp_mean_count(self):
-        counts = [len(sample_ppp(0.01, (0, 10000), replication_rng(1, i)))
-                  for i in range(400)]
-        assert np.mean(counts) == pytest.approx(100.0, rel=0.05)
+        p = NetworkParams(0.01, 0.001, 5.0, 100.0, lam=0.01)
+        rsus = [_rsus(p, 5000.0, replication_rng(1, i)) for i in range(400)]
+        assert all(np.all(np.diff(r) >= 0) for r in rsus)
+        assert np.mean([r.size for r in rsus]) == pytest.approx(100.0,
+                                                                rel=0.05)
+        vus = [_vus("NPTS", p, 5000.0, replication_rng(1, i), palm=False).size
+               for i in range(400)]
+        assert np.mean(vus) == pytest.approx(100.0, rel=0.05)
 
     def test_mcp_mean_count(self):
         p = NetworkParams(LR, 0.001, 5.0, 100.0)
-        counts = [len(sample_mcp(p, (0, 10000), replication_rng(2, i)))
+        counts = [_mcp_points(p, 0, 10000, replication_rng(2, i)).size
                   for i in range(400)]
         # effective density m * lambda_p = 5/km over 10 km
         assert np.mean(counts) == pytest.approx(50.0, rel=0.06)
 
     def test_palm_typical_point_at_origin(self):
-        p = NetworkParams(LR, 0.001, 5.0, 100.0)
-        pat = sample_mcp_palm(p, (-2000, 2000), 7)
-        assert pat.positions[pat.typical_index] == 0.0
+        # the typical VU sits at the origin, so its own platoon (the
+        # points Palm sampling adds) lies within 2a of it
+        p = NetworkParams(LR, 0.001, 20.0, 100.0)
+        for i in range(50):
+            bg = _vus("PTS", p, 2000.0, replication_rng(7, i), palm=False)
+            pts = _vus("PTS", p, 2000.0, replication_rng(7, i), palm=True)
+            assert np.array_equal(pts[: bg.size], bg)
+            assert np.all(np.abs(pts[bg.size:]) <= 2 * p.a)
 
     def test_palm_has_extra_cluster(self):
         p = NetworkParams(LR, 0.001, 20.0, 100.0)
-        extra = [len(sample_mcp_palm(p, (-500, 500), replication_rng(3, i)))
-                 - len(sample_mcp(p, (-500, 500), replication_rng(3, i)))
-                 for i in range(300)]
-        # typical point plus on average ~m platoon siblings
-        assert np.mean(extra) > 10
 
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            sample_ppp(-1.0, (0, 1), 0)
-        with pytest.raises(ValueError):
-            sample_ppp(1.0, (1, 0), 0)
-
-
-class TestVoronoi:
-    def test_cells_partition_window(self):
-        pat = sample_ppp(0.01, (-1000, 1000), 5)
-        cells = voronoi_1d(pat)
-        assert cells[0].lo == -1000
-        assert cells[-1].hi == 1000
-        for left, right in zip(cells, cells[1:]):
-            assert left.hi == pytest.approx(right.lo)
-        for cell in cells:
-            assert cell.lo <= cell.center <= cell.hi
-
-    def test_center_must_be_inside(self):
-        with pytest.raises(ValueError):
-            VoronoiCell1D(5.0, 0.0, 1.0)
+        def count(i, palm):
+            return _vus("PTS", p, 500.0, replication_rng(3, i), palm).size
+        extra = [count(i, True) - count(i, False) for i in range(300)]
+        # the same seed draws the same background, so the difference is
+        # the sibling count exactly: Poisson(m), the typical VU excluded
+        assert min(extra) >= 0
+        assert np.mean(extra) == pytest.approx(p.m, rel=0.1)
 
 
 class TestCellLengthLaws:

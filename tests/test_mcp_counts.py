@@ -8,9 +8,9 @@ from scipy import integrate
 from platoonnet.geometry import NetworkParams, pdf_tagged_cell, \
     pdf_typical_cell
 from platoonnet.mcp_counts import (DiscretePMF, I_moment, I_tilde_moment,
-                                   NumericsError, beta_bar,
+                                   NumericsError, beta_bar, certified,
                                    choose_truncation, g_deriv_at_zero, g_of,
-                                   kappa, pgf_S, pmf_S, pmf_S_certified)
+                                   kappa, pgf_S, pmf_S)
 
 PARAMS = NetworkParams(0.002, 0.001, 5.0, 100.0)
 
@@ -129,12 +129,12 @@ class TestPmfS:
 
     @pytest.mark.parametrize("r", [40.0, 100.0, 250.0])
     def test_mean_is_first_kappa(self, r):
-        pmf = pmf_S_certified(r, PARAMS, tail_tol=1e-10)
+        pmf = certified(lambda K: pmf_S(K, r, PARAMS), tail_tol=1e-10)
         assert pmf.mean() == pytest.approx(kappa(r, 1, PARAMS), rel=1e-6)
 
     @pytest.mark.parametrize("r", [40.0, 250.0])
     def test_factorial_moments(self, r):
-        pmf = pmf_S_certified(r, PARAMS, tail_tol=1e-10)
+        pmf = certified(lambda K: pmf_S(K, r, PARAMS), tail_tol=1e-10)
         k = pmf.support.astype(float)
         fact2 = float(np.dot(k * (k - 1), pmf.masses))
         assert fact2 == pytest.approx(

@@ -8,8 +8,7 @@ from scipy import integrate, special
 from platoonnet.numerics import (NumericsError, QuadratureSpec, func_F,
                                  func_G, gamma_lower, gamma_upper,
                                  gil_pelaez_invert, hyp2f1_real,
-                                 integrate_adaptive, intersection_length,
-                                 ramp, unit_step)
+                                 intersection_length)
 
 
 class TestIncompleteGamma:
@@ -103,22 +102,7 @@ class TestFG:
                                       rel=1e-12)
 
 
-def test_ramp_and_step():
-    assert ramp(3.0, 1.0) == 2.0
-    assert ramp(0.5, 1.0) == 0.0
-    assert unit_step(0.0) == 1.0
-    assert unit_step(-1e-9) == 0.0
-
-
 class TestIntegrateAdaptive:
-    def test_simple(self):
-        val = integrate_adaptive(lambda x: math.exp(-x), 0, np.inf)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_singular_endpoint(self):
-        val = integrate_adaptive(lambda x: x ** (-0.5), 0, 1)
-        assert val == pytest.approx(2.0, abs=1e-8)
-
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=0.0)
