@@ -12,8 +12,7 @@ import numpy as np
 
 from platoonnet import NetworkParams, SimConfig, V2VParams, sim_connectivity
 from platoonnet.cli import tv_distance
-from platoonnet.connectivity import pmf_degree_certified, \
-    prob_degree_exceeds
+from platoonnet.connectivity import pmf_degree_certified
 
 
 def main():
@@ -34,8 +33,7 @@ def main():
               f"poisson {iso_n:.4f}")
         k10 = int(2 * pn.mean()) + 5
         print(f"  P[degree > {k10}]: platooned "
-              f"{prob_degree_exceeds(k10, pp):.4f}, poisson "
-              f"{prob_degree_exceeds(k10, pn):.4f}")
+              f"{pp.ccdf(k10):.4f}, poisson {pn.ccdf(k10):.4f}")
         print()
 
     print("platooning raises the mean (own platoon is always nearby) and")

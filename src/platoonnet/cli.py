@@ -221,10 +221,7 @@ def figure_7(cfg):
     pp = connectivity.pmf_degree_certified("PTS", v2v)
     pn = connectivity.pmf_degree_certified("NPTS", v2v)
     K = int(cfg["k_max"])
-    rows = [[k,
-             connectivity.prob_degree_exceeds(k, pp),
-             connectivity.prob_degree_exceeds(k, pn)]
-            for k in range(K + 1)]
+    rows = [[k, pp.ccdf(k), pn.ccdf(k)] for k in range(K + 1)]
     return ["k", "p_s_PTS", "p_s_NPTS"], rows
 
 

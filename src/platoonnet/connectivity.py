@@ -15,8 +15,8 @@ import numpy as np
 from scipy import special
 
 from .geometry import NetworkParams
-from .mcp_counts import DiscretePMF, TAIL_TOL, certified, g_of, pmf_S
-from .numerics import intersection_length
+from .mcp_counts import DiscretePMF, certified, g_of, pmf_S
+from .numerics import intersection_length, poisson_pmf
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,8 @@ def pgf_degree_npts(s, v2v: V2VParams):
 
 
 def pmf_degree_npts(K, v2v: V2VParams) -> DiscretePMF:
-    mu = v2v.params.lam * v2v.r_b
-    n = np.arange(K + 1)
-    masses = np.exp(-mu + n * math.log(mu) - special.gammaln(n + 1)) \
-        if mu > 0 else (n == 0).astype(float)
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return DiscretePMF.of(poisson_pmf(np.arange(K + 1),
+                                      v2v.params.lam * v2v.r_b))
 
 
 def _own_cluster_mixture(v2v: V2VParams):
@@ -78,8 +75,7 @@ def pgf_degree_pts(s, v2v: V2VParams):
 def _own_cluster_pmf(K, v2v: V2VParams):
     w0, mu0, mu1 = _own_cluster_mixture(v2v)
     n = np.arange(K + 1)
-    atom = w0 * np.exp(-mu0 + n * math.log(mu0) - special.gammaln(n + 1)) \
-        if mu0 > 0 else w0 * (n == 0).astype(float)
+    atom = w0 * poisson_pmf(n, mu0)
     if w0 < 1.0:
         # uniform mixture over the Poisson mean integrates to a
         # difference of regularized lower incomplete gammas
@@ -94,17 +90,9 @@ def pmf_degree_pts(K, v2v: V2VParams) -> DiscretePMF:
     """Convolution of the background count with the own-platoon count."""
     ps = pmf_S(K, v2v.r_b / 2.0, v2v.params).masses
     own = _own_cluster_pmf(K, v2v)
-    masses = np.convolve(ps, own)[: K + 1]
-    return DiscretePMF(np.clip(masses, 0.0, None),
-                       tail_mass=max(0.0, 1 - masses.sum()))
+    return DiscretePMF.of(np.convolve(ps, own)[: K + 1])
 
 
-def pmf_degree_certified(traffic, v2v: V2VParams,
-                         tail_tol=TAIL_TOL) -> DiscretePMF:
+def pmf_degree_certified(traffic, v2v: V2VParams) -> DiscretePMF:
     fn = pmf_degree_pts if traffic == "PTS" else pmf_degree_npts
-    return certified(lambda K: fn(K, v2v), tail_tol)
-
-
-def prob_degree_exceeds(k, pmf: DiscretePMF):
-    """P[N > k]; the k = -1 convention returns 1."""
-    return pmf.ccdf(k)
+    return certified(lambda K: fn(K, v2v))

@@ -22,9 +22,7 @@ from scipy import integrate
 from .geometry import NetworkParams
 from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
 from .mcp_counts import g_of
-from .numerics import QuadratureSpec, gil_pelaez_invert, hyp2f1_real
-
-MD_SPEC = QuadratureSpec(1e-4, 1e-6, 400)  # Gil-Pelaez tolerances of md()
+from .numerics import GP_ABS_TOL, gil_pelaez_invert, hyp2f1_real
 
 
 @dataclass(frozen=True)
@@ -45,6 +43,11 @@ class RadioParams:
     @property
     def snr(self):
         return self.p_t / self.sigma2
+
+    def rate_threshold(self, tau_rate, users):
+        """SINR threshold 2^(tau_rate * users / B) - 1 at which each of
+        `users` VUs sharing the RSU gets rate tau_rate (bits/s)."""
+        return 2.0 ** (tau_rate * users / self.bandwidth) - 1.0
 
 
 def active_prob(traffic, params: NetworkParams):
@@ -145,7 +148,7 @@ class CoverageMeta:
                                 limit=200)
         return val
 
-    def _inner_trig_quad(self, t, limit=400):
+    def _inner_trig_quad(self, t):
         """Direct quadrature of the q = it inner integral (cross-check;
         only usable at moderate t before the oscillation overwhelms it)."""
         tau, eta = self.tau, self.eta
@@ -157,9 +160,9 @@ class CoverageMeta:
             return math.sin(t * math.log1p(tau * y)) * y ** (-eta)
 
         c, _ = integrate.quad(fc, 0, 1, epsabs=1e-12, epsrel=1e-9,
-                              limit=limit)
+                              limit=400)
         s, _ = integrate.quad(fs, 0, 1, epsabs=1e-12, epsrel=1e-9,
-                              limit=limit)
+                              limit=400)
         return c, s
 
     def _inner_it_hyp(self, t):
@@ -319,19 +322,9 @@ class CoverageMeta:
         also short-circuits the deep-threshold regime where the phase of
         ln CP is too fast for any quadrature to track."""
         bound = self.md_noise_bound(x)
-        if bound < MD_SPEC.abs_tol / 10:
+        if bound < GP_ABS_TOL / 10:
             return bound
-        return min(bound, gil_pelaez_invert(self.moment_it, x, spec=MD_SPEC))
-
-
-def moment_Mq(q, tau, traffic, params, radio):
-    """q-th moment of the conditional CP; complex q must be purely
-    imaginary (q = it), handled via the trigonometric split."""
-    if isinstance(q, complex):
-        if abs(q.real) > 1e-15:
-            raise ValueError("complex moments supported only for q = i*t")
-        return CoverageMeta(tau, traffic, params, radio).moment_it(q.imag)
-    return CoverageMeta(tau, traffic, params, radio).moment(q)
+        return min(bound, gil_pelaez_invert(self.moment_it, x))
 
 
 def md_coverage(tau, x, traffic, params, radio):
@@ -355,7 +348,7 @@ def rate_coverage(tau_rate, traffic, params, radio: RadioParams):
     pmf = _tagged_pmf(traffic, params)
     total = 0.0
     for k, pk in enumerate(pmf.masses):
-        thr = 2.0 ** (tau_rate * (k + 1) / radio.bandwidth) - 1.0
+        thr = radio.rate_threshold(tau_rate, k + 1)
         cp = coverage_prob(thr, traffic, params, radio)
         total += pk * cp
         if cp < 1e-9:
@@ -372,7 +365,7 @@ def md_rate(tau_rate, x, traffic, params, radio: RadioParams):
     total = 0.0
     remaining = 1.0
     for k, pk in enumerate(pmf.masses):
-        thr = 2.0 ** (tau_rate * (k + 1) / radio.bandwidth) - 1.0
+        thr = radio.rate_threshold(tau_rate, k + 1)
         meta = CoverageMeta(thr, traffic, params, radio, p_active=p)
         md = meta.md(x)
         total += pk * md
@@ -383,10 +376,9 @@ def md_rate(tau_rate, x, traffic, params, radio: RadioParams):
     return total
 
 
-def coverage_series(u_values, base: NetworkParams, radio, tau,
-                    x=None) -> list:
-    """(u, CP_PTS, CP_NPTS, p_active_PTS, p_active_NPTS[, MD_PTS, MD_NPTS])
-    rows for the density sweep u = m = lam/lambda_p."""
+def coverage_series(u_values, base: NetworkParams, radio, tau, x) -> list:
+    """(u, CP_PTS, CP_NPTS, p_active_PTS, p_active_NPTS, MD_PTS, MD_NPTS)
+    rows at reliability x for the density sweep u = m = lam/lambda_p."""
     rows = []
     for u in u_values:
         params = NetworkParams(base.lambda_r, base.lambda_p, u, base.a)
@@ -394,9 +386,8 @@ def coverage_series(u_values, base: NetworkParams, radio, tau,
                coverage_prob(tau, "PTS", params, radio),
                coverage_prob(tau, "NPTS", params, radio),
                active_prob("PTS", params),
-               active_prob("NPTS", params)]
-        if x is not None:
-            row += [md_coverage(tau, x, "PTS", params, radio),
-                    md_coverage(tau, x, "NPTS", params, radio)]
+               active_prob("NPTS", params),
+               md_coverage(tau, x, "PTS", params, radio),
+               md_coverage(tau, x, "NPTS", params, radio)]
         rows.append(row)
     return rows

@@ -65,26 +65,6 @@ def pdf_tagged_cell(ell, lambda_r):
     return 4 * lambda_r**3 * ell**2 * np.exp(-2 * lambda_r * ell)
 
 
-def mgf_L(t, lambda_r):
-    """MGF of the typical cell length, valid for t < 2 lambda_r."""
-    if t >= 2 * lambda_r:
-        raise ValueError("MGF requires t < 2*lambda_r")
-    return 4 * lambda_r**2 / (t - 2 * lambda_r) ** 2
-
-
-def mgf_L0(t, lambda_r):
-    """MGF of the tagged cell length, valid for t < 2 lambda_r."""
-    if t >= 2 * lambda_r:
-        raise ValueError("MGF requires t < 2*lambda_r")
-    return 8 * lambda_r**3 / (2 * lambda_r - t) ** 3
-
-
-def pdf_serving_distance(r, lambda_r):
-    """Density of the distance to the nearest RSU: 2 lr exp(-2 lr r)."""
-    r = np.asarray(r, dtype=float)
-    return 2 * lambda_r * np.exp(-2 * lambda_r * r)
-
-
 def cell_quantile(q, lambda_r, tagged=False):
     """Quantile of the typical (Gamma(2, 1/2lr)) or tagged (Gamma(3, .))
     cell-length law; used to truncate mixture integrals."""

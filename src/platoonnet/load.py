@@ -24,7 +24,7 @@ from .geometry import NetworkParams, cell_quantile, pdf_tagged_cell, \
     pdf_typical_cell
 from .mcp_counts import DiscretePMF, TAIL_TOL, certified, g_of, kappa, \
     I_moment, I_tilde_moment, pmf_S
-from .numerics import NumericsError, func_F, func_G
+from .numerics import NumericsError, func_F, func_G, poisson_pmf
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,11 @@ def pmf_typical_pts(K, params: NetworkParams) -> DiscretePMF:
     masses = np.zeros(K + 1)
     for t, w in zip(nodes, wts):
         masses += w * pmf_S(K, t / 2.0, params).masses
-    return DiscretePMF(np.clip(masses, 0.0, None),
-                       tail_mass=max(0.0, 1 - masses.sum()))
+    return DiscretePMF.of(masses)
 
 
-def pmf_typical_pts_certified(params, tail_tol=TAIL_TOL) -> DiscretePMF:
-    return certified(lambda K: pmf_typical_pts(K, params), tail_tol)
+def pmf_typical_pts_certified(params) -> DiscretePMF:
+    return certified(lambda K: pmf_typical_pts(K, params))
 
 
 def _kappa_cross_moment(params):
@@ -111,11 +110,11 @@ def pmf_typical_npts(K, params: NetworkParams) -> DiscretePMF:
     # assembled in log space so deep truncations do not overflow
     masses = np.exp(math.log(4 * lr**2) + k * math.log(lam)
                     + np.log(k + 1) - (k + 2) * math.log(lam + 2 * lr))
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return DiscretePMF.of(masses)
 
 
-def pmf_typical_npts_certified(params, tail_tol=TAIL_TOL) -> DiscretePMF:
-    return certified(lambda K: pmf_typical_npts(K, params), tail_tol)
+def pmf_typical_npts_certified(params) -> DiscretePMF:
+    return certified(lambda K: pmf_typical_npts(K, params))
 
 
 def moments_typical_npts(params: NetworkParams) -> LoadMoments:
@@ -126,10 +125,13 @@ def moments_typical_npts(params: NetworkParams) -> LoadMoments:
 # ------------------------------------------------- tagged platoon V_m(t/2)
 
 def _vm_mixture(t, params):
-    """(w, mu0, c): atom weight, max mean, linear-density coefficient."""
+    """(w, mu0, c): atom weight, max mean, linear-density coefficient,
+    elementwise in the cell length t (scalar or array, all > 0)."""
+    if not np.asarray(t).min() > 0:  # a NaN fails too
+        raise ValueError("t must be positive")
     a, m = params.a, params.m
     lam_d = m / (2 * a)
-    lo, hi = min(t, 2 * a), max(t, 2 * a)
+    lo, hi = np.minimum(t, 2 * a), np.maximum(t, 2 * a)
     mu0 = lam_d * lo
     w = 1.0 - lo / hi
     c = 1.0 / (a * t * lam_d**2)
@@ -137,13 +139,12 @@ def _vm_mixture(t, params):
 
 
 def pgf_vm(s, t, params: NetworkParams):
-    """Conditional PGF of the tagged-platoon count in a cell of length t.
+    """Conditional PGF of the tagged-platoon count in a cell of length t
+    (scalar or array).
 
     Uses a series branch near s = 1 where the closed form is 0/0 of
     order two.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
     w, mu0, c = _vm_mixture(t, params)
     z = s - 1.0
     if abs(z) < 1e-3:
@@ -151,25 +152,22 @@ def pgf_vm(s, t, params: NetworkParams):
         # series is accurate to ~1e-10 over this band
         lin = c * (mu0**2 / 2 + mu0**3 * z / 3 + mu0**4 * z**2 / 8
                    + mu0**5 * z**3 / 30)
-        return w * math.exp(mu0 * z) + lin
-    lin = c * (math.exp(mu0 * z) * (mu0 * z - 1.0) + 1.0) / z**2
-    return w * math.exp(mu0 * z) + lin
+        return w * np.exp(mu0 * z) + lin
+    lin = c * (np.exp(mu0 * z) * (mu0 * z - 1.0) + 1.0) / z**2
+    return w * np.exp(mu0 * z) + lin
 
 
 def pmf_vm(K, t, params: NetworkParams) -> DiscretePMF:
     """Conditional PMF of the tagged-platoon count, masses on 0..K."""
     w, mu0, c = _vm_mixture(t, params)
     n = np.arange(K + 1)
-    atom = w * np.exp(-mu0 + n * math.log(mu0)
-                      - special.gammaln(n + 1)) if mu0 > 0 else \
-        w * (n == 0).astype(float)
-    lin = c * (n + 1) * special.gammainc(n + 2, mu0)
-    masses = atom + lin
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return DiscretePMF.of(w * poisson_pmf(n, mu0)
+                          + c * (n + 1) * special.gammainc(n + 2, mu0))
 
 
 def vm_factorial_moment(order, t, params: NetworkParams):
-    """order-th factorial moment of V_m(t/2) = E[M^order] of the mixture."""
+    """order-th factorial moment of V_m(t/2) = E[M^order] of the mixture,
+    elementwise in t."""
     w, mu0, c = _vm_mixture(t, params)
     return w * mu0**order + c * mu0 ** (order + 2) / (order + 2)
 
@@ -205,8 +203,7 @@ def moments_vm(params: NetworkParams):
 def pgf_tagged_pts(s, params: NetworkParams):
     """PGF of the tagged-RSU PTS load (typical VU not counted)."""
     nodes, wts = _mixture_nodes(params, tagged=True)
-    vals = np.array([math.exp(g_of(s, t / 2.0, params)) * pgf_vm(s, t, params)
-                     for t in nodes])
+    vals = np.exp(g_of(s, nodes / 2.0, params)) * pgf_vm(s, nodes, params)
     return float(np.dot(wts, vals))
 
 
@@ -220,12 +217,11 @@ def pmf_tagged_pts(K, params: NetworkParams) -> DiscretePMF:
         ps = pmf_S(K, t / 2.0, params).masses
         pv = pmf_vm(K, t, params).masses
         masses += w * np.convolve(ps, pv)[: K + 1]
-    return DiscretePMF(np.clip(masses, 0.0, None),
-                       tail_mass=max(0.0, 1 - masses.sum()))
+    return DiscretePMF.of(masses)
 
 
-def pmf_tagged_pts_certified(params, tail_tol=TAIL_TOL) -> DiscretePMF:
-    return certified(lambda K: pmf_tagged_pts(K, params), tail_tol)
+def pmf_tagged_pts_certified(params) -> DiscretePMF:
+    return certified(lambda K: pmf_tagged_pts(K, params))
 
 
 def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
@@ -243,9 +239,7 @@ def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
     f1 = k1
     f2 = k1**2 + k2
     f3 = k1**3 + 3 * k2 * k1 + k3
-    v1 = np.array([vm_factorial_moment(1, t, params) for t in nodes])
-    v2 = np.array([vm_factorial_moment(2, t, params) for t in nodes])
-    v3 = np.array([vm_factorial_moment(3, t, params) for t in nodes])
+    v1, v2, v3 = (vm_factorial_moment(j, nodes, params) for j in (1, 2, 3))
     pgf3 = float(np.dot(wts, f3 + 3 * f2 * v1 + 3 * f1 * v2 + v3))
     third = pgf3 + 3 * (var + mean**2) - 2 * mean
     return LoadMoments(mean, var, third)
@@ -258,11 +252,11 @@ def pmf_tagged_npts(K, params: NetworkParams) -> DiscretePMF:
     masses = np.exp(k * math.log(g / 2) + math.log(0.5)
                     + np.log(k + 2) + np.log(k + 1)
                     - (3 + k) * math.log(1 + g / 2))
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return DiscretePMF.of(masses)
 
 
-def pmf_tagged_npts_certified(params, tail_tol=TAIL_TOL) -> DiscretePMF:
-    return certified(lambda K: pmf_tagged_npts(K, params), tail_tol)
+def pmf_tagged_npts_certified(params) -> DiscretePMF:
+    return certified(lambda K: pmf_tagged_npts(K, params))
 
 
 def moments_tagged_npts(params: NetworkParams) -> LoadMoments:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .geometry import NetworkParams
-from .numerics import NumericsError, gamma_lower
+from .numerics import NumericsError, gamma_lower, poisson_pmf
 
 TAIL_TOL = 1e-6
 K_CAP = 512
@@ -36,8 +36,16 @@ class DiscretePMF:
         if m.min() < -1e-12:
             raise NumericsError(f"negative pmf mass: {m.min()}")
         total = m.sum() + self.tail_mass
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:  # also true for a NaN or inf mass
             raise NumericsError(f"pmf does not normalize: sum={total}")
+
+    @classmethod
+    def of(cls, masses):
+        """PMF from masses on 0..K: roundoff negatives are clipped to 0 and
+        the tail is the mass missing from the unclipped sum."""
+        masses = np.asarray(masses, dtype=float)
+        return cls(np.maximum(masses, 0.0),
+                   tail_mass=max(0.0, 1 - masses.sum()))
 
     @property
     def support(self):
@@ -137,25 +145,25 @@ def pmf_S(K, r, params: NetworkParams):
     lp, m, a = params.lambda_p, params.m, params.a
     z = params.m * beta_bar(r, a)
     j = np.arange(K + 1).astype(float)
-    pois = np.exp(j * np.log(z) - z - special.gammaln(j + 1))
-    c = 2 * lp * (abs(r - a) * pois + (2 * a / m) * special.gammainc(j + 1, z))
+    c = 2 * lp * (abs(r - a) * poisson_pmf(j, z)
+                  + (2 * a / m) * special.gammainc(j + 1, z))
     c[0] = 0.0
-    p = _pmf_from_log_derivs(c, np.exp(g_of(0.0, r, params)), K)
-    return DiscretePMF(np.clip(p, 0.0, None), tail_mass=max(0.0, 1 - p.sum()))
+    return DiscretePMF.of(_pmf_from_log_derivs(
+        c, np.exp(g_of(0.0, r, params)), K))
 
 
-def choose_truncation(mass_at, start=8, tail_tol=TAIL_TOL, cap=K_CAP):
-    """Grow K until cumulative mass >= 1 - tail_tol; error at the cap.
+def choose_truncation(mass_at, tail_tol=TAIL_TOL):
+    """Double K from 8 until mass >= 1 - tail_tol; error past K_CAP.
 
     mass_at(K) must return the masses array for truncation K.
     """
-    K = start
-    while K <= cap:
+    K = 8
+    while K <= K_CAP:
         masses = mass_at(K)
         if masses.sum() >= 1.0 - tail_tol:
             return K, masses
         K *= 2
-    raise NumericsError(f"PMF tail not certified below K={cap}")
+    raise NumericsError(f"PMF tail not certified below K={K_CAP}")
 
 
 def certified(pmf_at, tail_tol=TAIL_TOL) -> DiscretePMF:
@@ -165,7 +173,7 @@ def certified(pmf_at, tail_tol=TAIL_TOL) -> DiscretePMF:
     """
     _, masses = choose_truncation(lambda K: pmf_at(K).masses,
                                   tail_tol=tail_tol)
-    return DiscretePMF(masses, tail_mass=max(0.0, 1 - masses.sum()))
+    return DiscretePMF.of(masses)
 
 
 def _eta1(a, k):

@@ -198,7 +198,7 @@ def _coverage_geometry(traffic, params, radio, rng, half, rate_tau=None):
         # `vus` excludes the typical VU, so occupancy[serving] is the
         # extra load and the typical VU shares with occupancy+1 users
         load = occupancy[serving]
-        thr = 2.0 ** (rate_tau * (load + 1) / radio.bandwidth) - 1.0
+        thr = radio.rate_threshold(rate_tau, load + 1)
     return r_serv, dists, thr
 
 

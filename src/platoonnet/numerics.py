@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,21 +20,6 @@ from scipy import integrate, special
 
 class NumericsError(RuntimeError):
     """Raised when a numerical routine cannot reach its tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for adaptive quadrature and oscillatory inversion."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 def gamma_upper(a, x):
@@ -55,6 +39,11 @@ def gamma_lower(a, x):
     if np.any(np.asarray(a) <= 0):
         raise ValueError("gamma_lower requires a > 0")
     return special.gammainc(a, x) * special.gamma(a)
+
+
+def poisson_pmf(n, mu):
+    """Poisson(mu) mass at n, in log space so large n does not overflow."""
+    return np.exp(n * np.log(mu) - mu - special.gammaln(n + 1))
 
 
 def hyp2f1_real(a, b, c, z):
@@ -105,16 +94,18 @@ def func_G(m, k, a):
 
 
 GP_MAX_PANELS = 24  # dyadic panels tried before the integrand must decay
+GP_ABS_TOL, GP_REL_TOL = 1e-4, 1e-6  # Gil-Pelaez target tolerances
+GP_MIN_SUBDIVISIONS = 400  # floor of each panel's QAGS budget
 
 
-def gil_pelaez_invert(moment_fn: Callable[[float], complex], x: float,
-                      spec=QuadratureSpec(1e-4, 1e-4, 400)) -> float:
+def gil_pelaez_invert(moment_fn: Callable[[float], complex],
+                      x: float) -> float:
     """CCDF P[P > x] of a (0, 1]-valued RV from its imaginary moments.
 
     moment_fn(t) must return M_it = E[P^(it)], the characteristic function
     of ln P.  Evaluates 1/2 + (1/pi) * int_0^inf Im(exp(-it ln x) M_it)/t dt
     on dyadically growing panels, stopping once panel contributions fall
-    below abs_tol/10; the 1/t singularity at the origin is removable and
+    below GP_ABS_TOL/10; the 1/t singularity at the origin is removable and
     never sampled.  The result is clamped to [0, 1].
     """
     if not 0.0 < x < 1.0:
@@ -132,17 +123,17 @@ def gil_pelaez_invert(moment_fn: Callable[[float], complex], x: float,
         # oscillation count in the panel sets the subdivision budget;
         # capped because QAGS extrapolation converges long before the
         # naive per-cycle budget on the wide outer panels
-        limit = min(20000, max(spec.max_subdivisions,
+        limit = min(20000, max(GP_MIN_SUBDIVISIONS,
                                int(4 * (hi - lo) * (abs(lnx) + 3.0))))
         with warnings.catch_warnings():
             # panel-level error control comes from the dyadic stopping
             # rule, not from each panel hitting the QAGS tolerance
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
             val, _ = integrate.quad(integrand, lo, hi,
-                                    epsabs=spec.abs_tol / 10,
-                                    epsrel=spec.rel_tol, limit=limit)
+                                    epsabs=GP_ABS_TOL / 10,
+                                    epsrel=GP_REL_TOL, limit=limit)
         total += val
-        if abs(val) < spec.abs_tol / 10:
+        if abs(val) < GP_ABS_TOL / 10:
             quiet += 1
             if quiet >= 2:
                 break

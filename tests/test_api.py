@@ -1,7 +1,46 @@
+import ast
+from pathlib import Path
+
 import platoonnet
+
+SRC = Path(platoonnet.__file__).parent
 
 
 def test_every_exported_name_resolves():
     missing = [n for n in platoonnet.__all__ if not hasattr(platoonnet, n)]
     assert not missing
     assert len(set(platoonnet.__all__)) == len(platoonnet.__all__)
+
+
+def _unused_imports(source):
+    """Names bound by an import and never read; `__all__` entries count
+    as reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {e.value for e in node.value.elts
+                     if isinstance(e, ast.Constant)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in used)
+
+
+def test_no_unused_imports_in_src():
+    found = {path.name: _unused_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {name: hits for name, hits in found.items() if hits}
+
+
+def test_unused_import_check_sees_a_dead_import():
+    src = "import math\nfrom numpy import pi, e\n__all__ = ['e']\n"
+    assert _unused_imports(src) == [(1, "math"), (2, "pi")]

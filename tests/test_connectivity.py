@@ -5,9 +5,9 @@ import pytest
 
 from platoonnet.connectivity import (V2VParams, pgf_degree_npts,
                                      pgf_degree_pts, pmf_degree_certified,
-                                     pmf_degree_npts, pmf_degree_pts,
-                                     prob_degree_exceeds)
+                                     pmf_degree_npts, pmf_degree_pts)
 from platoonnet.geometry import NetworkParams
+from platoonnet.mcp_counts import certified
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 V2V = V2VParams(200.0, PARAMS)
@@ -15,7 +15,7 @@ V2V = V2VParams(200.0, PARAMS)
 
 class TestNpts:
     def test_poisson_mean_and_variance(self):
-        pmf = pmf_degree_certified("NPTS", V2V, tail_tol=1e-10)
+        pmf = certified(lambda K: pmf_degree_npts(K, V2V), 1e-10)
         mu = PARAMS.lam * V2V.r_b
         assert pmf.mean() == pytest.approx(mu, rel=1e-8)
         assert pmf.variance() == pytest.approx(mu, rel=1e-7)
@@ -46,7 +46,7 @@ class TestPts:
     def test_mean_includes_own_platoon(self):
         # background contributes lam * R_b; the typical VU's own platoon
         # adds the expected in-range siblings, so the PTS mean is larger
-        pmf = pmf_degree_certified("PTS", V2V, tail_tol=1e-9)
+        pmf = certified(lambda K: pmf_degree_pts(K, V2V), 1e-9)
         assert pmf.mean() > PARAMS.lam * V2V.r_b
 
     def test_heavier_tail_than_npts(self):
@@ -54,13 +54,13 @@ class TestPts:
         pn = pmf_degree_certified("NPTS", V2V)
         assert pp.variance() > pn.variance()
         k_hi = int(2 * pn.mean()) + 4
-        assert prob_degree_exceeds(k_hi, pp) > prob_degree_exceeds(k_hi, pn)
+        assert pp.ccdf(k_hi) > pn.ccdf(k_hi)
 
     def test_full_containment_regime(self):
         # R_b/2 >= 2a: every platoon sibling is always in range, so the
         # own-platoon factor degenerates to a single Poisson(m) atom
         v2v = V2VParams(4 * PARAMS.a + 100.0, PARAMS)
-        pmf = pmf_degree_certified("PTS", v2v, tail_tol=1e-9)
+        pmf = certified(lambda K: pmf_degree_pts(K, v2v), 1e-9)
         expect = PARAMS.lam * v2v.r_b + PARAMS.m
         assert pmf.mean() == pytest.approx(expect, rel=1e-6)
 
@@ -68,11 +68,10 @@ class TestPts:
 class TestInterface:
     def test_exceedance_conventions(self):
         pmf = pmf_degree_certified("NPTS", V2V)
-        assert prob_degree_exceeds(-1, pmf) == 1.0
-        assert prob_degree_exceeds(0, pmf) == pytest.approx(
-            1.0 - float(pmf.masses[0]))
+        assert pmf.ccdf(-1) == 1.0
+        assert pmf.ccdf(0) == pytest.approx(1.0 - float(pmf.masses[0]))
         ks = np.arange(-1, 15)
-        vals = [prob_degree_exceeds(int(k), pmf) for k in ks]
+        vals = [pmf.ccdf(int(k)) for k in ks]
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_range_validation(self):

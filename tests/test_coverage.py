@@ -8,7 +8,7 @@ from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
                                  coverage_prob, coverage_series,
                                  laplace_interference,
                                  laplace_interference_quad, md_coverage,
-                                 md_rate, moment_Mq, rate_coverage)
+                                 md_rate, rate_coverage)
 from platoonnet.geometry import NetworkParams
 from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
@@ -154,15 +154,6 @@ class TestMeta:
         integral = float(np.dot(wts, [meta.md(float(x)) for x in nodes]))
         assert integral == pytest.approx(meta.moment(1), abs=5e-4)
 
-    def test_moment_dispatch(self):
-        m_real = moment_Mq(1.0, 0.9, "PTS", PARAMS, RADIO)
-        assert m_real == pytest.approx(
-            coverage_prob(0.9, "PTS", PARAMS, RADIO), rel=1e-6)
-        m_imag = moment_Mq(1j * 2.0, 0.9, "PTS", PARAMS, RADIO)
-        assert abs(m_imag) <= 1.0
-        with pytest.raises(ValueError):
-            moment_Mq(1.0 + 1j, 0.9, "PTS", PARAMS, RADIO)
-
     def test_md_coverage_wrapper(self):
         val = md_coverage(0.9, 0.8, "PTS", PARAMS, RADIO)
         assert 0.0 <= val <= 1.0
@@ -208,8 +199,6 @@ class TestRate:
 
 
 def test_coverage_series_shapes():
-    rows = coverage_series([5.0, 15.0], PARAMS, RADIO, 0.9)
-    assert len(rows) == 2 and len(rows[0]) == 5
     rows_md = coverage_series([5.0], PARAMS, RADIO, 0.9, x=0.8)
     assert len(rows_md[0]) == 7
     u, cp_p, cp_n, act_p, act_n, md_p, md_n = rows_md[0]

@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import integrate
 
-from platoonnet.geometry import (NetworkParams, cell_quantile, mgf_L, mgf_L0,
-                                 pdf_serving_distance, pdf_tagged_cell,
-                                 pdf_typical_cell, replication_rng)
+from platoonnet.geometry import (NetworkParams, cell_quantile,
+                                 pdf_tagged_cell, pdf_typical_cell,
+                                 replication_rng)
 from platoonnet.montecarlo import _mcp_points, _rsus, _vus
 
 LR = 0.002  # 2 RSU/km in per-meter units
@@ -95,9 +93,6 @@ class TestCellLengthLaws:
         for pdf in (pdf_typical_cell, pdf_tagged_cell):
             val, _ = integrate.quad(lambda l: pdf(l, LR), 0, np.inf)
             assert val == pytest.approx(1.0, abs=1e-10)
-        val, _ = integrate.quad(lambda r: pdf_serving_distance(r, LR),
-                                0, np.inf)
-        assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_means(self):
         m_typ, _ = integrate.quad(lambda l: l * pdf_typical_cell(l, LR),
@@ -106,24 +101,6 @@ class TestCellLengthLaws:
                                   0, np.inf)
         assert m_typ == pytest.approx(1.0 / LR, rel=1e-9)
         assert m_tag == pytest.approx(1.5 / LR, rel=1e-9)
-
-    @pytest.mark.parametrize("t", [-0.01, 0.0, 0.001, 0.0035])
-    def test_mgfs_match_quadrature(self, t):
-        # assembled with a single exponential so the integrand never
-        # overflows before the density damps it
-        ref_L, _ = integrate.quad(
-            lambda l: 4 * LR**2 * l * math.exp((t - 2 * LR) * l), 0, np.inf)
-        ref_L0, _ = integrate.quad(
-            lambda l: 4 * LR**3 * l**2 * math.exp((t - 2 * LR) * l),
-            0, np.inf)
-        assert mgf_L(t, LR) == pytest.approx(ref_L, rel=1e-9)
-        assert mgf_L0(t, LR) == pytest.approx(ref_L0, rel=1e-9)
-
-    def test_mgf_domain(self):
-        with pytest.raises(ValueError):
-            mgf_L(2 * LR, LR)
-        with pytest.raises(ValueError):
-            mgf_L0(0.005, LR)
 
     def test_quantile_inverts_cdf(self):
         q = cell_quantile(0.97, LR)

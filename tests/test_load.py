@@ -14,6 +14,7 @@ from platoonnet.load import (moments_tagged_npts, moments_tagged_pts,
                              pmf_typical_npts, pmf_typical_npts_certified,
                              pmf_typical_pts, pmf_typical_pts_certified,
                              pmf_vm, vm_factorial_moment)
+from platoonnet.mcp_counts import certified
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 SWEEP = [NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
@@ -32,7 +33,7 @@ class TestTypicalNpts:
 
     @pytest.mark.parametrize("params", SWEEP)
     def test_moments_match_pmf(self, params):
-        pmf = pmf_typical_npts_certified(params, tail_tol=1e-10)
+        pmf = certified(lambda K: pmf_typical_npts(K, params), 1e-10)
         mo = moments_typical_npts(params)
         assert mo.mean == pytest.approx(pmf.mean(), rel=1e-7)
         assert mo.variance == pytest.approx(pmf.variance(), rel=1e-6)
@@ -48,7 +49,7 @@ class TestTypicalPts:
 
     @pytest.mark.parametrize("params", SWEEP)
     def test_moments_match_pmf(self, params):
-        pmf = pmf_typical_pts_certified(params, tail_tol=1e-7)
+        pmf = certified(lambda K: pmf_typical_pts(K, params), 1e-7)
         mo = moments_typical_pts(params)
         assert mo.mean == pytest.approx(pmf.mean(), rel=1e-5)
         assert mo.variance == pytest.approx(pmf.variance(), rel=1e-4)
@@ -99,6 +100,31 @@ class TestVm:
             assert got == pytest.approx(
                 vm_factorial_moment(order, t, PARAMS), rel=1e-9)
 
+    @pytest.mark.parametrize("t", [0.0, np.float64(0.0), -5.0])
+    def test_nonpositive_cell_length_rejected(self, t):
+        for call in (lambda: pmf_vm(5, t, PARAMS),
+                     lambda: vm_factorial_moment(1, t, PARAMS),
+                     lambda: pgf_vm(0.5, t, PARAMS),
+                     lambda: pgf_vm(0.5, np.array([100.0, t]), PARAMS)):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_array_calls_match_scalar_calls(self):
+        # straddles t = 2a, where the mixture switches regime; array and
+        # scalar exp/pow may round differently in the last bit
+        a2 = 2 * PARAMS.a
+        t = np.concatenate([np.linspace(1.0, 3 * a2, 301),
+                            a2 * (1 + np.array([-1e-9, 0.0, 1e-9]))])
+        for s in (0.0, 0.5, 1.0 - 1e-4, 1.0):
+            np.testing.assert_allclose(
+                pgf_vm(s, t, PARAMS),
+                [pgf_vm(s, x, PARAMS) for x in t], rtol=1e-15, atol=0)
+        for order in (1, 2, 3):
+            np.testing.assert_allclose(
+                vm_factorial_moment(order, t, PARAMS),
+                [vm_factorial_moment(order, x, PARAMS) for x in t],
+                rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize("t", [40.0, 150.0, 420.0])
     def test_conditional_moments(self, t):
         pmf = pmf_vm(80, t, PARAMS)
@@ -137,7 +163,7 @@ class TestTaggedNpts:
 
     @pytest.mark.parametrize("params", SWEEP)
     def test_moments_match_pmf(self, params):
-        pmf = pmf_tagged_npts_certified(params, tail_tol=1e-10)
+        pmf = certified(lambda K: pmf_tagged_npts(K, params), 1e-10)
         mo = moments_tagged_npts(params)
         assert mo.mean == pytest.approx(pmf.mean(), rel=1e-7)
         assert mo.variance == pytest.approx(pmf.variance(), rel=1e-6)
@@ -160,7 +186,7 @@ class TestTaggedPts:
 
     @pytest.mark.parametrize("params", SWEEP)
     def test_mean_matches_pmf(self, params):
-        pmf = pmf_tagged_pts_certified(params, tail_tol=1e-7)
+        pmf = certified(lambda K: pmf_tagged_pts(K, params), 1e-7)
         mo = moments_tagged_pts(params)
         assert mo.mean == pytest.approx(pmf.mean(), rel=1e-5)
 
@@ -169,7 +195,7 @@ class TestTaggedPts:
         # the variance formula factorizes the platoon/background cross
         # covariance; it understates the exact pmf variance by a few
         # percent but must stay close and keep the right ordering
-        pmf = pmf_tagged_pts_certified(params, tail_tol=1e-7)
+        pmf = certified(lambda K: pmf_tagged_pts(K, params), 1e-7)
         mo = moments_tagged_pts(params)
         assert mo.variance <= pmf.variance() + 1e-9
         assert mo.variance == pytest.approx(pmf.variance(), rel=0.08)

@@ -67,6 +67,21 @@ class TestDiscretePMF:
         pmf = DiscretePMF(np.array([0.6, 0.3]), 0.1)
         assert pmf.tail_mass == 0.1
 
+    @pytest.mark.parametrize("masses, tail", [
+        ([np.nan, 0.5], 0.5), ([0.5, np.inf], 0.0), ([0.6, 0.4], np.nan)])
+    def test_non_finite_rejected(self, masses, tail):
+        with pytest.raises(NumericsError):
+            DiscretePMF(np.array(masses), tail)
+
+    def test_of_clips_and_takes_tail_from_unclipped_sum(self):
+        pmf = DiscretePMF.of([0.7, 0.3, -1e-13])
+        assert np.array_equal(pmf.masses, [0.7, 0.3, 0.0])
+        # 1 - (0.7 + 0.3 - 1e-13): the roundoff negative still counts
+        assert pmf.tail_mass == 1 - np.sum([0.7, 0.3, -1e-13])
+        assert pmf.tail_mass > 0.0
+        assert DiscretePMF.of([0.6, 0.3]).tail_mass == pytest.approx(0.1)
+        assert DiscretePMF.of([0.6, 0.4 + 1e-9]).tail_mass == 0.0
+
 
 class TestExponent:
     def test_g_at_one_is_zero(self):
@@ -164,7 +179,7 @@ class TestTruncation:
 
     def test_cap_raises(self):
         with pytest.raises(NumericsError):
-            choose_truncation(lambda K: np.zeros(K + 1), cap=32)
+            choose_truncation(lambda K: np.zeros(K + 1))
 
 
 class TestMixedMoments:

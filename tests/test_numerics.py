@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
+from scipy.stats import poisson
 
-from platoonnet.numerics import (NumericsError, QuadratureSpec, func_F,
-                                 func_G, gamma_lower, gamma_upper,
-                                 gil_pelaez_invert, hyp2f1_real,
-                                 intersection_length)
+from platoonnet.numerics import (NumericsError, func_F, func_G, gamma_lower,
+                                 gamma_upper, gil_pelaez_invert, hyp2f1_real,
+                                 intersection_length, poisson_pmf)
 
 
 class TestIncompleteGamma:
@@ -102,12 +102,11 @@ class TestFG:
                                       rel=1e-12)
 
 
-class TestIntegrateAdaptive:
-    def test_quadrature_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
+@pytest.mark.parametrize("mu", [1e-3, 0.7, 5.0, 35.0, 400.0])
+def test_poisson_pmf_matches_scipy(mu):
+    n = np.arange(600)
+    assert np.allclose(poisson_pmf(n, mu), poisson.pmf(n, mu),
+                       rtol=1e-11, atol=1e-300)
 
 
 class TestGilPelaez:
