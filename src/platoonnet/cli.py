@@ -18,14 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import connectivity, coverage, load, montecarlo
-from .geometry import NetworkParams
+from .geometry import TRAFFICS, NetworkParams
 from .coverage import RadioParams
 from .connectivity import V2VParams
-from .montecarlo import SimConfig
+from .mcp_counts import DiscretePMF
+from .montecarlo import SimConfig, SimEstimate
 
 # defaults for the verification scenario (load / connectivity figures)
 DEFAULT_CONFIG = {
@@ -124,102 +126,84 @@ def tv_distance(p, q):
 
 # ------------------------------------------------------------- figures
 
+# (kind, traffic) of the four load laws, in column order
+LOADS = tuple((kind, traffic) for kind in ("typical", "tagged")
+              for traffic in TRAFFICS)
+
+
+def _load_fn(stem, kind, traffic, suffix=""):
+    """load.<stem>_<kind>_<traffic><suffix>, e.g. load.pmf_tagged_pts."""
+    return getattr(load, f"{stem}_{kind}_{traffic.lower()}{suffix}")
+
+
+def _u_sweep(cfg, cols, row_of):
+    """One row [u, *row_of(params)] per density u = m = lam/lambda_p."""
+    return cols, [[float(u)] + row_of(build_params(cfg, u=u))
+                  for u in cfg["u_values"]]
+
+
 def figure_2(cfg):
     """Verification PMFs: analytical vs simulated load distributions."""
     params = build_params(cfg)
     sim = build_sim(cfg)
     K = int(cfg["k_max"])
-    analytic = {
-        "typ_PTS": load.pmf_typical_pts(K, params),
-        "typ_NPTS": load.pmf_typical_npts(K, params),
-        "tag_PTS": load.pmf_tagged_pts(K, params),
-        "tag_NPTS": load.pmf_tagged_npts(K, params),
-    }
-    mc = {
-        "typ_PTS": montecarlo.sim_load("typical", "PTS", params, sim)[0],
-        "typ_NPTS": montecarlo.sim_load("typical", "NPTS", params, sim)[0],
-        "tag_PTS": montecarlo.sim_load("tagged", "PTS", params, sim)[0],
-        "tag_NPTS": montecarlo.sim_load("tagged", "NPTS", params, sim)[0],
-    }
-    names = list(analytic)
+    analytic = [_load_fn("pmf", kind, t)(K, params) for kind, t in LOADS]
+    mc = [montecarlo.sim_load(kind, t, params, sim)[0] for kind, t in LOADS]
+    names = [f"{kind[:3]}_{t}" for kind, t in LOADS]
     cols = ["k"] + [f"pmf_{n}" for n in names] + [f"mc_{n}" for n in names]
-    rows = []
-    for k in range(K + 1):
-        row = [k]
-        row += [float(analytic[n].masses[k]) for n in names]
-        row += [float(mc[n].masses[k]) if k < mc[n].masses.size else 0.0
-                for n in names]
-        rows.append(row)
+    rows = [[k] + [float(p.masses[k]) for p in analytic]
+            + [float(p.masses[k]) if k < p.masses.size else 0.0 for p in mc]
+            for k in range(K + 1)]
     return cols, rows
 
 
-def _moment_sweep(cfg, tagged):
-    rows = []
-    for u in cfg["u_values"]:
-        params = build_params(cfg, u=u)
-        if tagged:
-            mp = load.moments_tagged_pts(params)
-            mn = load.moments_tagged_npts(params)
-        else:
-            mp = load.moments_typical_pts(params)
-            mn = load.moments_typical_npts(params)
-        rows.append([float(u), mp.mean, mn.mean, mp.variance, mn.variance,
-                     mp.skewness, mn.skewness])
+def _moment_sweep(cfg, kind):
+    def row_of(params):
+        mp, mn = (_load_fn("moments", kind, t)(params) for t in TRAFFICS)
+        return [mp.mean, mn.mean, mp.variance, mn.variance,
+                mp.skewness, mn.skewness]
     cols = ["u", "mean_PTS", "mean_NPTS", "var_PTS", "var_NPTS",
             "skew_PTS", "skew_NPTS"]
-    return cols, rows
+    return _u_sweep(cfg, cols, row_of)
 
 
 def figure_3(cfg):
     """Typical-RSU load moments across the density sweep."""
-    return _moment_sweep(cfg, tagged=False)
+    return _moment_sweep(cfg, "typical")
 
 
 def figure_4(cfg):
     """Tagged-RSU load moments across the density sweep."""
-    return _moment_sweep(cfg, tagged=True)
+    return _moment_sweep(cfg, "tagged")
 
 
 def figure_5(cfg):
     """RSU off probability across the density sweep."""
-    rows = []
-    for u in cfg["u_values"]:
-        params = build_params(cfg, u=u)
-        rows.append([float(u),
-                     1.0 - coverage.active_prob("PTS", params),
-                     1.0 - coverage.active_prob("NPTS", params)])
-    return ["u", "p_off_PTS", "p_off_NPTS"], rows
+    return _u_sweep(cfg, ["u", "p_off_PTS", "p_off_NPTS"], lambda p: [
+        1.0 - coverage.active_prob(t, p) for t in TRAFFICS])
 
 
 def figure_6(cfg):
     """Below-average-loading metrics for typical and tagged RSUs."""
-    rows = []
-    for u in cfg["u_values"]:
-        params = build_params(cfg, u=u)
-        tp = load.operational_metrics(
-            load.pmf_typical_pts_certified(params), "typical")
-        tn = load.operational_metrics(
-            load.pmf_typical_npts_certified(params), "typical")
-        gp = load.operational_metrics(
-            load.pmf_tagged_pts_certified(params), "tagged")
-        gn = load.operational_metrics(
-            load.pmf_tagged_npts_certified(params), "tagged")
-        rows.append([float(u), tp["p_b"], tn["p_b"],
-                     gp["P1_mass_at_one"], gn["P1_mass_at_one"],
-                     gp["P1_zero_extra_load"], gn["P1_zero_extra_load"],
-                     gp["P_b"], gn["P_b"]])
+    def row_of(params):
+        m = {(kind, t): load.operational_metrics(
+                 _load_fn("pmf", kind, t, "_certified")(params), kind)
+             for kind, t in LOADS}
+        return ([m["typical", t]["p_b"] for t in TRAFFICS]
+                + [m["tagged", t][key] for key in
+                   ("P1_mass_at_one", "P1_zero_extra_load", "P_b")
+                   for t in TRAFFICS])
     cols = ["u", "p_b_PTS", "p_b_NPTS", "P1_PTS", "P1_NPTS",
             "P1_zero_extra_PTS", "P1_zero_extra_NPTS", "P_b_PTS",
             "P_b_NPTS"]
-    return cols, rows
+    return _u_sweep(cfg, cols, row_of)
 
 
 def figure_7(cfg):
     """Connectivity exceedance curves P[N > k] for both traffic models."""
     params = build_params(cfg)
     v2v = V2VParams(cfg["r_b_m"], params)
-    pp = connectivity.pmf_degree_certified("PTS", v2v)
-    pn = connectivity.pmf_degree_certified("NPTS", v2v)
+    pp, pn = (connectivity.pmf_degree_certified(t, v2v) for t in TRAFFICS)
     K = int(cfg["k_max"])
     rows = [[k, pp.ccdf(k), pn.ccdf(k)] for k in range(K + 1)]
     return ["k", "p_s_PTS", "p_s_NPTS"], rows
@@ -228,27 +212,23 @@ def figure_7(cfg):
 def figure_8(cfg):
     """Coverage probability, active probability and MD sweep."""
     radio = build_radio(cfg)
-    base = build_params(cfg)
-    rows = coverage.coverage_series(cfg["u_values"], base, radio,
-                                    cfg["tau_sinr"], x=cfg["x_reliability"])
+    tau, x = cfg["tau_sinr"], cfg["x_reliability"]
     cols = ["u", "CP_PTS", "CP_NPTS", "active_PTS", "active_NPTS",
             "MD_PTS", "MD_NPTS"]
-    return cols, [[float(v) for v in row] for row in rows]
+    return _u_sweep(cfg, cols, lambda p: (
+        [coverage.coverage_prob(tau, t, p, radio) for t in TRAFFICS]
+        + [coverage.active_prob(t, p) for t in TRAFFICS]
+        + [coverage.md_coverage(tau, x, t, p, radio) for t in TRAFFICS]))
 
 
 def figure_9(cfg):
     """Rate coverage and its meta distribution across the sweep."""
     radio = build_radio(cfg)
     tau, x = cfg["tau_rate_bps"], cfg["x_reliability"]
-    rows = []
-    for u in cfg["u_values"]:
-        params = build_params(cfg, u=u)
-        rows.append([float(u),
-                     coverage.rate_coverage(tau, "PTS", params, radio),
-                     coverage.rate_coverage(tau, "NPTS", params, radio),
-                     coverage.md_rate(tau, x, "PTS", params, radio),
-                     coverage.md_rate(tau, x, "NPTS", params, radio)])
-    return ["u", "RC_PTS", "RC_NPTS", "MD_RC_PTS", "MD_RC_NPTS"], rows
+    cols = ["u", "RC_PTS", "RC_NPTS", "MD_RC_PTS", "MD_RC_NPTS"]
+    return _u_sweep(cfg, cols, lambda p: (
+        [coverage.rate_coverage(tau, t, p, radio) for t in TRAFFICS]
+        + [coverage.md_rate(tau, x, t, p, radio) for t in TRAFFICS]))
 
 
 FIGURES = {2: figure_2, 3: figure_3, 4: figure_4, 5: figure_5,
@@ -257,8 +237,18 @@ FIGURES = {2: figure_2, 3: figure_3, 4: figure_4, 5: figure_5,
 
 # ------------------------------------------------------------------ ops
 
-def _op_scalar(value):
-    return [("value", float(value))]
+def _rows(out):
+    """[(label, value), ...] of a result, shaped by its type."""
+    if isinstance(out, load.LoadMoments):
+        return [("mean", out.mean), ("variance", out.variance),
+                ("third_moment", out.third_moment),
+                ("skewness", out.skewness)]
+    if isinstance(out, DiscretePMF):
+        return [(f"p_{k}", float(p)) for k, p in enumerate(out.masses)]
+    if isinstance(out, SimEstimate):
+        return [("value", out.value), ("std_error", out.std_error),
+                ("n", out.n)]
+    return [("value", float(out))]
 
 
 def run_op(name, cfg):
@@ -268,52 +258,31 @@ def run_op(name, cfg):
     tau, tau_r, x = cfg["tau_sinr"], cfg["tau_rate_bps"], cfg["x_reliability"]
     K = int(cfg["k_max"])
     v2v = V2VParams(cfg["r_b_m"], params)
-    moments = {
-        "moments_typical_pts": load.moments_typical_pts,
-        "moments_typical_npts": load.moments_typical_npts,
-        "moments_tagged_pts": load.moments_tagged_pts,
-        "moments_tagged_npts": load.moments_tagged_npts,
-    }
-    pmfs = {
-        "pmf_typical_pts": lambda: load.pmf_typical_pts(K, params),
-        "pmf_typical_npts": lambda: load.pmf_typical_npts(K, params),
-        "pmf_tagged_pts": lambda: load.pmf_tagged_pts(K, params),
-        "pmf_tagged_npts": lambda: load.pmf_tagged_npts(K, params),
-        "pmf_degree_pts": lambda: connectivity.pmf_degree_pts(K, v2v),
-        "pmf_degree_npts": lambda: connectivity.pmf_degree_npts(K, v2v),
-    }
-    if name in moments:
-        mo = moments[name](params)
-        return [("mean", mo.mean), ("variance", mo.variance),
-                ("third_moment", mo.third_moment),
-                ("skewness", mo.skewness)]
-    if name in pmfs:
-        pmf = pmfs[name]()
-        return [(f"p_{k}", float(p)) for k, p in enumerate(pmf.masses)]
-    scalars = {
-        "active_prob_pts": lambda: coverage.active_prob("PTS", params),
-        "active_prob_npts": lambda: coverage.active_prob("NPTS", params),
-        "coverage_prob_pts":
-            lambda: coverage.coverage_prob(tau, "PTS", params, radio),
-        "coverage_prob_npts":
-            lambda: coverage.coverage_prob(tau, "NPTS", params, radio),
-        "md_coverage_pts":
-            lambda: coverage.md_coverage(tau, x, "PTS", params, radio),
-        "md_coverage_npts":
-            lambda: coverage.md_coverage(tau, x, "NPTS", params, radio),
-        "rate_coverage_pts":
-            lambda: coverage.rate_coverage(tau_r, "PTS", params, radio),
-        "rate_coverage_npts":
-            lambda: coverage.rate_coverage(tau_r, "NPTS", params, radio),
-        "md_rate_pts":
-            lambda: coverage.md_rate(tau_r, x, "PTS", params, radio),
-        "md_rate_npts":
-            lambda: coverage.md_rate(tau_r, x, "NPTS", params, radio),
-    }
-    if name in scalars:
-        return _op_scalar(scalars[name]())
-    known = sorted(list(moments) + list(pmfs) + list(scalars))
-    raise SystemExit(f"unknown op {name!r}; available: {', '.join(known)}")
+    ops = {}
+    for kind, traffic in LOADS:
+        law = f"{kind}_{traffic.lower()}"
+        ops[f"moments_{law}"] = partial(_load_fn("moments", kind, traffic),
+                                        params)
+        ops[f"pmf_{law}"] = partial(_load_fn("pmf", kind, traffic),
+                                    K, params)
+    for traffic in TRAFFICS:
+        t = traffic.lower()
+        ops[f"pmf_degree_{t}"] = partial(
+            getattr(connectivity, f"pmf_degree_{t}"), K, v2v)
+        ops[f"active_prob_{t}"] = partial(coverage.active_prob, traffic,
+                                          params)
+        ops[f"coverage_prob_{t}"] = partial(
+            coverage.coverage_prob, tau, traffic, params, radio)
+        ops[f"md_coverage_{t}"] = partial(
+            coverage.md_coverage, tau, x, traffic, params, radio)
+        ops[f"rate_coverage_{t}"] = partial(
+            coverage.rate_coverage, tau_r, traffic, params, radio)
+        ops[f"md_rate_{t}"] = partial(
+            coverage.md_rate, tau_r, x, traffic, params, radio)
+    if name not in ops:
+        raise SystemExit(
+            f"unknown op {name!r}; available: {', '.join(sorted(ops))}")
+    return _rows(ops[name]())
 
 
 # ------------------------------------------------------------- simulate
@@ -329,13 +298,11 @@ def run_simulate(target, traffic, cfg):
     tau, tau_r, x = cfg["tau_sinr"], cfg["tau_rate_bps"], cfg["x_reliability"]
     if target in ("load_typical", "load_tagged"):
         kind = target.split("_")[1]
-        pmf, _ = montecarlo.sim_load(kind, traffic, params, sim)
-        return [(f"p_{k}", float(p)) for k, p in enumerate(pmf.masses)]
+        return _rows(montecarlo.sim_load(kind, traffic, params, sim)[0])
     if target == "connectivity":
         v2v = V2VParams(cfg["r_b_m"], params)
-        pmf = montecarlo.sim_connectivity(traffic, v2v, sim)
-        return [(f"p_{k}", float(p)) for k, p in enumerate(pmf.masses)]
-    est = {
+        return _rows(montecarlo.sim_connectivity(traffic, v2v, sim))
+    return _rows({
         "coverage": lambda: montecarlo.sim_coverage(
             tau, traffic, params, radio, sim),
         "md_coverage": lambda: montecarlo.sim_md_coverage(
@@ -344,9 +311,7 @@ def run_simulate(target, traffic, cfg):
             tau_r, traffic, params, radio, sim),
         "md_rate": lambda: montecarlo.sim_md_rate(
             tau_r, x, traffic, params, radio, sim),
-    }[target]()
-    return [("value", est.value), ("std_error", est.std_error),
-            ("n", est.n)]
+    }[target]())
 
 
 # ------------------------------------------------------------- validate
@@ -358,21 +323,17 @@ def run_validate(cfg, tolerance):
     radio = build_radio(cfg)
     K = int(cfg["k_max"])
     checks = []
-    for kind, fn in (("typical", {"PTS": load.pmf_typical_pts_certified,
-                                  "NPTS": load.pmf_typical_npts_certified}),
-                     ("tagged", {"PTS": load.pmf_tagged_pts_certified,
-                                 "NPTS": load.pmf_tagged_npts_certified})):
-        for traffic, pmf_fn in fn.items():
-            emp, _ = montecarlo.sim_load(kind, traffic, params, sim)
-            checks.append((f"load_{kind}_{traffic}",
-                           tv_distance(pmf_fn(params), emp)))
+    for kind, traffic in LOADS:
+        emp, _ = montecarlo.sim_load(kind, traffic, params, sim)
+        analytic = _load_fn("pmf", kind, traffic, "_certified")(params)
+        checks.append((f"load_{kind}_{traffic}", tv_distance(analytic, emp)))
     v2v = V2VParams(cfg["r_b_m"], params)
-    for traffic in ("PTS", "NPTS"):
+    for traffic in TRAFFICS:
         emp = montecarlo.sim_connectivity(traffic, v2v, sim)
         checks.append((f"connectivity_{traffic}",
                        tv_distance(connectivity.pmf_degree_certified(
                            traffic, v2v), emp)))
-    for traffic in ("PTS", "NPTS"):
+    for traffic in TRAFFICS:
         est = montecarlo.sim_coverage(cfg["tau_sinr"], traffic, params,
                                       radio, sim)
         cp = coverage.coverage_prob(cfg["tau_sinr"], traffic, params, radio)
@@ -410,7 +371,7 @@ def build_parser():
     _add_common(o)
     s = sub.add_parser("simulate", help="run one Monte Carlo estimator")
     s.add_argument("target", choices=SIM_TARGETS)
-    s.add_argument("--traffic", choices=["PTS", "NPTS"], default="PTS")
+    s.add_argument("--traffic", choices=TRAFFICS, default="PTS")
     _add_common(s)
     v = sub.add_parser("validate",
                        help="analytical-vs-simulation cross-check suite")

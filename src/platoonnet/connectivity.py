@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .geometry import NetworkParams
+from .geometry import NetworkParams, platooned
 from .mcp_counts import DiscretePMF, certified, g_of, pmf_S
 from .numerics import intersection_length, poisson_pmf
 
@@ -94,5 +94,5 @@ def pmf_degree_pts(K, v2v: V2VParams) -> DiscretePMF:
 
 
 def pmf_degree_certified(traffic, v2v: V2VParams) -> DiscretePMF:
-    fn = pmf_degree_pts if traffic == "PTS" else pmf_degree_npts
+    fn = pmf_degree_pts if platooned(traffic) else pmf_degree_npts
     return certified(lambda K: fn(K, v2v))

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy.integrate import IntegrationWarning
 
-from .geometry import NetworkParams
+from .geometry import NetworkParams, platooned
 from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
 from .mcp_counts import g_of
-from .numerics import GP_ABS_TOL, gil_pelaez_invert, hyp2f1_real
+from .numerics import GP_ABS_TOL, gil_pelaez_invert, hyp2f1_real, quad, \
+    quad_complex
 
 
 @dataclass(frozen=True)
@@ -52,20 +53,16 @@ class RadioParams:
 
 def active_prob(traffic, params: NetworkParams):
     """Probability that an RSU serves at least one VU."""
-    if traffic == "NPTS":
+    if not platooned(traffic):
         return 1.0 - 4 * params.lambda_r**2 \
             / (params.lam + 2 * params.lambda_r) ** 2
-    if traffic != "PTS":
-        raise ValueError(f"unknown traffic {traffic!r}")
     lr = params.lambda_r
 
     def f(t):
         return math.exp(g_of(0.0, t / 2.0, params)) \
             * 4 * lr**2 * t * math.exp(-2 * lr * t)
 
-    p0, _ = integrate.quad(f, 0, np.inf, epsabs=1e-12, epsrel=1e-10,
-                           limit=200)
-    return 1.0 - p0
+    return 1.0 - quad(f, 0, np.inf)
 
 
 def laplace_interference(s, r, p_active, lambda_r, radio: RadioParams):
@@ -92,9 +89,8 @@ def laplace_interference_quad(s, r, p_active, lambda_r, radio: RadioParams):
     with warnings.catch_warnings():
         # roundoff warnings at these tolerances are expected; the value
         # is still far more accurate than the cross-check needs
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, r, np.inf, epsabs=1e-13, epsrel=1e-11,
-                                limit=400)
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val = quad(f, r, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
     return math.exp(-2 * p_active * lambda_r * val)
 
 
@@ -110,9 +106,7 @@ def coverage_prob(tau, traffic, params: NetworkParams, radio: RadioParams):
         return laplace_interference(s, r, p, lr, radio) \
             * math.exp(-tau * r**alpha / snr - 2 * lr * r)
 
-    val, _ = integrate.quad(f, 0, np.inf, epsabs=1e-12, epsrel=1e-10,
-                            limit=200)
-    return 2 * lr * val
+    return 2 * lr * quad(f, 0, np.inf)
 
 
 class CoverageMeta:
@@ -144,9 +138,7 @@ class CoverageMeta:
         def f(y):
             return (1.0 - (1.0 + tau * y) ** (-q)) * y ** (-eta)
 
-        val, _ = integrate.quad(f, 0, 1, epsabs=1e-12, epsrel=1e-10,
-                                limit=200)
-        return val
+        return quad(f, 0, 1)
 
     def _inner_trig_quad(self, t):
         """Direct quadrature of the q = it inner integral (cross-check;
@@ -159,11 +151,8 @@ class CoverageMeta:
         def fs(y):
             return math.sin(t * math.log1p(tau * y)) * y ** (-eta)
 
-        c, _ = integrate.quad(fc, 0, 1, epsabs=1e-12, epsrel=1e-9,
-                              limit=400)
-        s, _ = integrate.quad(fs, 0, 1, epsabs=1e-12, epsrel=1e-9,
-                              limit=400)
-        return c, s
+        return (quad(fc, 0, 1, epsrel=1e-9, limit=400),
+                quad(fs, 0, 1, epsrel=1e-9, limit=400))
 
     def _inner_it_hyp(self, t):
         """Inner integral at q = it via the hypergeometric closed form
@@ -212,11 +201,8 @@ class CoverageMeta:
         q = 1j * t
         if self._k0 is None:
             # w = v^2 soothes the w^(1-eta) endpoint behavior of phi
-            k0, _ = integrate.quad(
-                lambda v: (2 * v * self._phi(v * v)).real,
-                                   0, math.sqrt(W), epsabs=1e-12,
-                                   epsrel=1e-10, limit=200)
-            self._k0 = k0
+            self._k0 = quad(lambda v: (2 * v * self._phi(v * v)).real,
+                            0, math.sqrt(W))
         gam = complex(mpmath.gammainc(1.0 - eta, q * W))
         sing = h0 * (q ** (eta - 1.0)
                      * (math.gamma(2.0 - eta) / (eta - 1.0) + gam)
@@ -233,11 +219,8 @@ class CoverageMeta:
         psi = complex(0.0, 0.0)
         for sign, leg, hi in ((-1j, leg1, math.sqrt(U)),
                               (1j * cmath.exp(-q * W), leg2, U)):
-            re, _ = integrate.quad(lambda u: leg(u).real, 0, hi,
-                                   epsabs=1e-10, epsrel=1e-8, limit=200)
-            im, _ = integrate.quad(lambda u: leg(u).imag, 0, hi,
-                                   epsabs=1e-10, epsrel=1e-8, limit=200)
-            psi += sign * complex(re, im)
+            psi += sign * quad_complex(leg, 0, hi, epsabs=1e-10,
+                                       epsrel=1e-8)
         return self._k0 + sing - psi
 
     _T_SWITCH = 64.0
@@ -260,9 +243,7 @@ class CoverageMeta:
             return math.exp(-coef * r * inner
                             - q * tau * r**alpha / snr - 2 * lr * r)
 
-        val, _ = integrate.quad(f, 0, np.inf, epsabs=1e-12, epsrel=1e-10,
-                                limit=200)
-        return 2 * lr * val
+        return 2 * lr * quad(f, 0, np.inf)
 
     def _moment_it(self, t):
         """M_it: characteristic function of ln of the conditional CP.
@@ -296,11 +277,8 @@ class CoverageMeta:
             # the real decay term -C*u^alpha
             return cmath.exp(-lin * u - 1j * C * (rot * u) ** alpha)
 
-        re, _ = integrate.quad(lambda v: f(v).real, 0, np.inf,
-                               epsabs=1e-13, epsrel=1e-10, limit=400)
-        im, _ = integrate.quad(lambda v: f(v).imag, 0, np.inf,
-                               epsabs=1e-13, epsrel=1e-10, limit=400)
-        return 2 * lr * rot * u0 * complex(re, im)
+        return 2 * lr * rot * u0 * quad_complex(f, 0, np.inf, epsabs=1e-13,
+                                                limit=400)
 
     def moment_it(self, t):
         return self._moment_cached(float(t))
@@ -333,7 +311,7 @@ def md_coverage(tau, x, traffic, params, radio):
 
 
 def _tagged_pmf(traffic, params):
-    return pmf_tagged_pts_certified(params) if traffic == "PTS" \
+    return pmf_tagged_pts_certified(params) if platooned(traffic) \
         else pmf_tagged_npts_certified(params)
 
 
@@ -374,20 +352,3 @@ def md_rate(tau_rate, x, traffic, params, radio: RadioParams):
         if remaining * md < 1e-6:
             break
     return total
-
-
-def coverage_series(u_values, base: NetworkParams, radio, tau, x) -> list:
-    """(u, CP_PTS, CP_NPTS, p_active_PTS, p_active_NPTS, MD_PTS, MD_NPTS)
-    rows at reliability x for the density sweep u = m = lam/lambda_p."""
-    rows = []
-    for u in u_values:
-        params = NetworkParams(base.lambda_r, base.lambda_p, u, base.a)
-        row = [u,
-               coverage_prob(tau, "PTS", params, radio),
-               coverage_prob(tau, "NPTS", params, radio),
-               active_prob("PTS", params),
-               active_prob("NPTS", params),
-               md_coverage(tau, x, "PTS", params, radio),
-               md_coverage(tau, x, "NPTS", params, radio)]
-        rows.append(row)
-    return rows

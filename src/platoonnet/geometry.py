@@ -46,6 +46,16 @@ class NetworkParams:
                    None if lam is None else lam / 1e3)
 
 
+TRAFFICS = ("PTS", "NPTS")  # platooned (Matern cluster) and Poisson VUs
+
+
+def platooned(traffic):
+    """True for PTS, False for N-PTS traffic; any other name raises."""
+    if traffic not in TRAFFICS:
+        raise ValueError(f"unknown traffic {traffic!r}")
+    return traffic == "PTS"
+
+
 def replication_rng(master_seed, rep):
     """Independent, reproducible stream for replication `rep`."""
     return np.random.default_rng([int(master_seed), int(rep)])

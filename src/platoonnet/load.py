@@ -24,7 +24,7 @@ from .geometry import NetworkParams, cell_quantile, pdf_tagged_cell, \
     pdf_typical_cell
 from .mcp_counts import DiscretePMF, TAIL_TOL, certified, g_of, kappa, \
     I_moment, I_tilde_moment, pmf_S
-from .numerics import NumericsError, func_F, func_G, poisson_pmf
+from .numerics import NumericsError, func_F, func_G, poisson_pmf, quad
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,12 @@ def _kappa_cross_moment(params):
     moment enough to flip the skewness ordering at high densities, so the
     cross term is integrated directly (piecewise smooth, split at 2a).
     """
-    from scipy import integrate
-
     def f(r):
         return (kappa(r / 2.0, 1, params) * kappa(r / 2.0, 2, params)
                 * float(pdf_typical_cell(r, params.lambda_r)))
 
-    lo, _ = integrate.quad(f, 0, 2 * params.a, epsabs=1e-13, epsrel=1e-11,
-                           limit=200)
-    hi, _ = integrate.quad(f, 2 * params.a, np.inf, epsabs=1e-13,
-                           epsrel=1e-11, limit=200)
-    return lo + hi
+    return (quad(f, 0, 2 * params.a, epsabs=1e-13, epsrel=1e-11)
+            + quad(f, 2 * params.a, np.inf, epsabs=1e-13, epsrel=1e-11))
 
 
 def moments_typical_pts(params: NetworkParams) -> LoadMoments:

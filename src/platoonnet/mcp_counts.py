@@ -60,14 +60,6 @@ class DiscretePMF:
     def variance(self):
         return self.moment(2) - self.mean() ** 2
 
-    def skewness(self):
-        mu, var = self.mean(), self.variance()
-        return (self.moment(3) - 3 * mu * var - mu**3) / var**1.5
-
-    def pgf(self, s):
-        return float(np.dot(self.masses, np.asarray(s, dtype=float)
-                            ** self.support))
-
     def ccdf(self, k):
         """P[X > k]; k = -1 returns 1."""
         if k < 0:

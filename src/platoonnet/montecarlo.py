@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NetworkParams, replication_rng
+from .geometry import NetworkParams, platooned, replication_rng
 from .mcp_counts import DiscretePMF
 from .coverage import RadioParams
 
@@ -32,8 +32,9 @@ class SimConfig:
     fading_draws_per_geometry: int = 500
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
+        if self.replications < 2:
+            # every estimate reports a standard error, which needs two
+            raise ValueError("need at least two replications")
 
     def half_width(self, params: NetworkParams):
         """Simulation half-width (m); at least 10 mean cells per side."""
@@ -63,23 +64,6 @@ def _empirical_pmf(counts):
     return DiscretePMF(masses, tail_mass=0.0)
 
 
-def _origin_cell(rsus, half):
-    """Voronoi cell of an RSU at the origin given the other RSU positions."""
-    left = rsus[rsus < 0]
-    right = rsus[rsus > 0]
-    lo = -half if left.size == 0 else left.max() / 2.0
-    hi = half if right.size == 0 else right.min() / 2.0
-    return lo, hi
-
-
-def _nearest_cell(rsus, half):
-    """Serving RSU (nearest to the origin) and its Voronoi cell."""
-    i = int(np.argmin(np.abs(rsus)))
-    lo = -half if i == 0 else 0.5 * (rsus[i - 1] + rsus[i])
-    hi = half if i == len(rsus) - 1 else 0.5 * (rsus[i] + rsus[i + 1])
-    return i, lo, hi
-
-
 def _rsus(params, half, rng):
     """Sorted RSU positions of a Poisson process on [-half, half]."""
     return np.sort(rng.uniform(-half, half,
@@ -98,8 +82,10 @@ def _mcp_points(params, lo, hi, rng):
 
 def _vus(traffic, params, half, rng, palm):
     """VU positions; under Palm conditioning the typical VU at the origin
-    is excluded from the returned array (its own platoon is included)."""
-    if traffic == "PTS":
+    is excluded from the returned array (its own platoon is included).
+    Only PTS reads `palm`: by Slivnyak's theorem the Palm N-PTS draw is
+    the plain Poisson draw."""
+    if platooned(traffic):
         pts = _mcp_points(params, -half, half, rng)
         if palm:
             x0 = rng.uniform(-params.a, params.a)
@@ -111,6 +97,24 @@ def _vus(traffic, params, half, rng, palm):
     return rng.uniform(-half, half, n)
 
 
+def _tagged_geometry(traffic, params, half, rng):
+    """RSUs (at least one) and the VUs seen from a typical VU at the
+    origin (Palm; the typical VU itself is not in the array)."""
+    rsus = _rsus(params, half, rng)
+    while rsus.size == 0:  # vanishing probability at sane windows
+        rsus = _rsus(params, half, rng)
+    return rsus, _vus(traffic, params, half, rng, palm=True)
+
+
+def _association(rsus, vus):
+    """Nearest-RSU association: the RSU serving the origin and the number
+    of VUs each RSU serves (cells bounded by the midpoints)."""
+    bounds = 0.5 * (rsus[:-1] + rsus[1:])
+    occupancy = np.bincount(np.searchsorted(bounds, vus),
+                            minlength=rsus.size)
+    return int(np.argmin(np.abs(rsus))), occupancy
+
+
 def sim_load(kind, traffic, params: NetworkParams, cfg: SimConfig):
     """Empirical load PMF and moment estimates.
 
@@ -118,22 +122,19 @@ def sim_load(kind, traffic, params: NetworkParams, cfg: SimConfig):
     kind="tagged" uses Palm conditioning (typical VU at the origin,
     served by the nearest RSU; the typical VU itself is not counted).
     """
+    if kind not in ("typical", "tagged"):
+        raise ValueError(f"unknown kind {kind!r}")
     half = cfg.half_width(params)
     counts = np.empty(cfg.replications, dtype=np.int64)
     for rep in range(cfg.replications):
         rng = replication_rng(cfg.master_seed, rep)
-        rsus = _rsus(params, half, rng)
         if kind == "typical":
-            lo, hi = _origin_cell(rsus, half)
+            rsus = np.sort(np.append(_rsus(params, half, rng), 0.0))
             vus = _vus(traffic, params, half, rng, palm=False)
-        elif kind == "tagged":
-            while rsus.size == 0:  # vanishing probability at sane windows
-                rsus = _rsus(params, half, rng)
-            _, lo, hi = _nearest_cell(rsus, half)
-            vus = _vus(traffic, params, half, rng, palm=traffic == "PTS")
         else:
-            raise ValueError(f"unknown kind {kind!r}")
-        counts[rep] = np.count_nonzero((vus >= lo) & (vus <= hi))
+            rsus, vus = _tagged_geometry(traffic, params, half, rng)
+        serving, occupancy = _association(rsus, vus)
+        counts[rep] = occupancy[serving]
     pmf = _empirical_pmf(counts)
     moments = {
         "mean": _mean_estimate(counts),
@@ -152,7 +153,7 @@ def sim_connectivity(traffic, v2v, cfg: SimConfig):
     counts = np.empty(cfg.replications, dtype=np.int64)
     for rep in range(cfg.replications):
         rng = replication_rng(cfg.master_seed, rep)
-        vus = _vus(traffic, params, half, rng, palm=traffic == "PTS")
+        vus = _vus(traffic, params, half, rng, palm=True)
         counts[rep] = np.count_nonzero(np.abs(vus) <= r)
     return _empirical_pmf(counts)
 
@@ -179,15 +180,8 @@ def _conditional_success(thr, r_serv, dists, sigma2, p_t, alpha, rng,
 def _coverage_geometry(traffic, params, radio, rng, half, rate_tau=None):
     """One geometry replication: serving distance, interferer distances
     and (in rate mode) the load-mapped SINR threshold."""
-    rsus = _rsus(params, half, rng)
-    while rsus.size == 0:
-        rsus = _rsus(params, half, rng)
-    vus = _vus(traffic, params, half, rng, palm=traffic == "PTS")
-    # nearest-RSU association via midpoint boundaries
-    bounds = 0.5 * (rsus[:-1] + rsus[1:])
-    occupancy = np.bincount(np.searchsorted(bounds, vus),
-                            minlength=rsus.size)
-    serving = int(np.argmin(np.abs(rsus)))
+    rsus, vus = _tagged_geometry(traffic, params, half, rng)
+    serving, occupancy = _association(rsus, vus)
     r_serv = abs(rsus[serving])
     active = occupancy > 0
     active[serving] = False  # the serving RSU never interferes with itself

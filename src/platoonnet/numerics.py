@@ -79,6 +79,22 @@ def intersection_length(r, a, x):
     return out
 
 
+def quad(f, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200):
+    """Adaptive (QUADPACK) integral of f over [lo, hi]; returns the value.
+
+    Every quadrature of the package runs through here.  `integrate.quad`
+    is looked up at call time, so a wrapper installed on that attribute
+    (a profiler or tracer) sees every call."""
+    return integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel,
+                          limit=limit)[0]
+
+
+def quad_complex(f, lo, hi, **tol):
+    """Integral of a complex-valued f: the real part, then the imaginary."""
+    return complex(quad(lambda x: f(x).real, lo, hi, **tol),
+                   quad(lambda x: f(x).imag, lo, hi, **tol))
+
+
 def func_F(m, k, a):
     """Integral of x^k exp(-m x) over [0, 2a]."""
     if m <= 0:
@@ -129,9 +145,8 @@ def gil_pelaez_invert(moment_fn: Callable[[float], complex],
             # panel-level error control comes from the dyadic stopping
             # rule, not from each panel hitting the QAGS tolerance
             warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            val, _ = integrate.quad(integrand, lo, hi,
-                                    epsabs=GP_ABS_TOL / 10,
-                                    epsrel=GP_REL_TOL, limit=limit)
+            val = quad(integrand, lo, hi, epsabs=GP_ABS_TOL / 10,
+                       epsrel=GP_REL_TOL, limit=limit)
         total += val
         if abs(val) < GP_ABS_TOL / 10:
             quiet += 1

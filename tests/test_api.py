@@ -44,3 +44,27 @@ def test_no_unused_imports_in_src():
 def test_unused_import_check_sees_a_dead_import():
     src = "import math\nfrom numpy import pi, e\n__all__ = ['e']\n"
     assert _unused_imports(src) == [(1, "math"), (2, "pi")]
+
+
+def _quad_references(source):
+    """Lines that name scipy's `integrate.quad` directly."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "quad"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "integrate"):
+            hits.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module == "scipy.integrate"
+              and any(a.name == "quad" for a in node.names)):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_numerics_owns_every_quadrature():
+    src = "from scipy.integrate import quad\nv, _ = integrate.quad(f, 0, 1)\n"
+    assert _quad_references(src) == [1, 2]
+    found = {path.name: _quad_references(path.read_text())
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "numerics.py"}
+    assert not {name: hits for name, hits in found.items() if hits}

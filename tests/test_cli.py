@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from platoonnet.cli import (DEFAULT_CONFIG, build_params, load_config, main,
-                            run_op, tv_distance)
+from platoonnet.cli import (DEFAULT_CONFIG, FIGURE_OVERRIDES, build_params,
+                            figure_8, load_config, main, run_op, tv_distance)
 from platoonnet.mcp_counts import DiscretePMF
 
 
@@ -130,6 +130,14 @@ class TestMain:
         assert 0.0 <= got["value"] <= 1.0
         assert got["n"] == 100
         assert got["std_error"] > 0.0
+
+    def test_figure_8_row(self):
+        cfg = dict(DEFAULT_CONFIG, **FIGURE_OVERRIDES[8], u_values=[5.0])
+        _, rows = figure_8(cfg)
+        assert len(rows[0]) == 7
+        u, cp_p, cp_n, act_p, act_n, md_p, md_n = rows[0]
+        assert cp_p > cp_n
+        assert act_n > act_p
 
     def test_bad_figure_number(self):
         with pytest.raises(SystemExit):

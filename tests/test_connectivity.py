@@ -77,3 +77,7 @@ class TestInterface:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             V2VParams(0.0, PARAMS)
+
+    def test_unknown_traffic(self):
+        with pytest.raises(ValueError, match="unknown traffic"):
+            pmf_degree_certified("pts", V2V)

@@ -5,8 +5,7 @@ import pytest
 from scipy import integrate
 
 from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
-                                 coverage_prob, coverage_series,
-                                 laplace_interference,
+                                 coverage_prob, laplace_interference,
                                  laplace_interference_quad, md_coverage,
                                  md_rate, rate_coverage)
 from platoonnet.geometry import NetworkParams
@@ -196,11 +195,3 @@ class TestRate:
             rate_coverage(0.0, "PTS", PARAMS, self.RADIO4)
         with pytest.raises(ValueError):
             md_rate(-1.0, 0.9, "PTS", PARAMS, self.RADIO4)
-
-
-def test_coverage_series_shapes():
-    rows_md = coverage_series([5.0], PARAMS, RADIO, 0.9, x=0.8)
-    assert len(rows_md[0]) == 7
-    u, cp_p, cp_n, act_p, act_n, md_p, md_n = rows_md[0]
-    assert cp_p > cp_n
-    assert act_n > act_p

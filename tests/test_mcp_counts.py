@@ -51,7 +51,6 @@ class TestDiscretePMF:
         pmf = DiscretePMF(np.array([0.2, 0.5, 0.3]), 0.0)
         assert pmf.mean() == pytest.approx(1.1)
         assert pmf.variance() == pytest.approx(0.49)
-        assert pmf.pgf(0.5) == pytest.approx(0.2 + 0.25 + 0.075)
         assert pmf.ccdf(0) == pytest.approx(0.8)
         assert pmf.ccdf(-1) == 1.0
 

@@ -30,6 +30,9 @@ class TestConfig:
     def test_replications_validated(self):
         with pytest.raises(ValueError):
             SimConfig(replications=0)
+        # one replication has no standard error
+        with pytest.raises(ValueError):
+            SimConfig(replications=1)
 
 
 class TestReproducibility:
@@ -95,6 +98,17 @@ class TestLoadEstimates:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             sim_load("other", "PTS", PARAMS, FAST)
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: sim_load("typical", "pts", PARAMS, cfg),
+    lambda cfg: sim_load("tagged", "pts", PARAMS, cfg),
+    lambda cfg: sim_connectivity("pts", V2VParams(200.0, PARAMS), cfg),
+    lambda cfg: sim_coverage(0.9, "pts", PARAMS, RADIO, cfg),
+], ids=["load_typical", "load_tagged", "connectivity", "coverage"])
+def test_unknown_traffic(run):
+    with pytest.raises(ValueError, match="unknown traffic"):
+        run(SimConfig(replications=2))
 
 
 class TestConnectivity:
