@@ -54,7 +54,7 @@ def main():
         ("tagged", "NPTS"): pmf_tagged_npts_certified(params),
     }
     for (kind, traffic), analytic in cases.items():
-        emp, _ = sim_load(kind, traffic, params, cfg)
+        emp = sim_load(kind, traffic, params, cfg)
         tv = tv_distance(analytic, emp)
         print(f"  {kind:8s} {traffic:5s}: TV distance {tv:.4f}")
     print()

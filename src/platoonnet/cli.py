@@ -101,8 +101,10 @@ def write_csv(out, cfg, columns, rows, extra_meta=()):
         lines.append(f"# {item}")
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
+        # float() first: NumPy 2 reprs its scalars as np.float64(...)
+        lines.append(",".join(
+            repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+            for v in row))
     text = "\n".join(lines) + "\n"
     if out in (None, "-"):
         sys.stdout.write(text)
@@ -148,7 +150,7 @@ def figure_2(cfg):
     sim = build_sim(cfg)
     K = int(cfg["k_max"])
     analytic = [_load_fn("pmf", kind, t)(K, params) for kind, t in LOADS]
-    mc = [montecarlo.sim_load(kind, t, params, sim)[0] for kind, t in LOADS]
+    mc = [montecarlo.sim_load(kind, t, params, sim) for kind, t in LOADS]
     names = [f"{kind[:3]}_{t}" for kind, t in LOADS]
     cols = ["k"] + [f"pmf_{n}" for n in names] + [f"mc_{n}" for n in names]
     rows = [[k] + [float(p.masses[k]) for p in analytic]
@@ -298,7 +300,7 @@ def run_simulate(target, traffic, cfg):
     tau, tau_r, x = cfg["tau_sinr"], cfg["tau_rate_bps"], cfg["x_reliability"]
     if target in ("load_typical", "load_tagged"):
         kind = target.split("_")[1]
-        return _rows(montecarlo.sim_load(kind, traffic, params, sim)[0])
+        return _rows(montecarlo.sim_load(kind, traffic, params, sim))
     if target == "connectivity":
         v2v = V2VParams(cfg["r_b_m"], params)
         return _rows(montecarlo.sim_connectivity(traffic, v2v, sim))
@@ -324,7 +326,7 @@ def run_validate(cfg, tolerance):
     K = int(cfg["k_max"])
     checks = []
     for kind, traffic in LOADS:
-        emp, _ = montecarlo.sim_load(kind, traffic, params, sim)
+        emp = montecarlo.sim_load(kind, traffic, params, sim)
         analytic = _load_fn("pmf", kind, traffic, "_certified")(params)
         checks.append((f"load_{kind}_{traffic}", tv_distance(analytic, emp)))
     v2v = V2VParams(cfg["r_b_m"], params)

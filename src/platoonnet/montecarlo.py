@@ -8,8 +8,9 @@ replication count regardless of scheduling.
 The samplers live here: RSUs are a 1D Poisson process (`_rsus`), VUs
 either a Poisson process (N-PTS) or a Matern cluster process of platoons
 (PTS, `_mcp_points`), optionally with the typical VU's own platoon added
-under Palm conditioning (`_vus`).  Each replication draws from its own
-`replication_rng` stream in a fixed order: RSUs first, then VUs.
+under Palm conditioning (`_vus`).  Each estimator reduces one `draw(rng)`
+per replication, run by `_replicate` on the replication's own
+`replication_rng` stream in a fixed order: RSUs, then VUs, then fading.
 """
 
 from __future__ import annotations
@@ -24,26 +25,22 @@ from .mcp_counts import DiscretePMF
 from .coverage import RadioParams
 
 
+# Simulation half-width in mean RSU cells (1 / lambda_r) on each side
+WINDOW_CELLS = 10.0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     replications: int = 10_000
     master_seed: int = 2024
-    window_km: float = None  # type: ignore[assignment]
     fading_draws_per_geometry: int = 500
 
     def __post_init__(self):
         if self.replications < 2:
             # every estimate reports a standard error, which needs two
             raise ValueError("need at least two replications")
-
-    def half_width(self, params: NetworkParams):
-        """Simulation half-width (m); at least 10 mean cells per side."""
-        if self.window_km is not None:
-            w = 500.0 * self.window_km
-            if 2 * w < 20.0 / params.lambda_r:
-                raise ValueError("window must be at least 20 / lambda_r")
-            return w
-        return 10.0 / params.lambda_r
+        if self.fading_draws_per_geometry < 1:
+            raise ValueError("need at least one fading draw per geometry")
 
 
 @dataclass(frozen=True)
@@ -51,6 +48,18 @@ class SimEstimate:
     value: float
     std_error: float
     n: int
+
+
+def _half_width(params: NetworkParams):
+    """Simulation half-width (m)."""
+    return WINDOW_CELLS / params.lambda_r
+
+
+def _replicate(cfg: SimConfig, draw, dtype):
+    """draw(rng) of every replication, each on its own stream."""
+    return np.fromiter((draw(replication_rng(cfg.master_seed, rep))
+                        for rep in range(cfg.replications)),
+                       dtype, count=cfg.replications)
 
 
 def _mean_estimate(x):
@@ -116,7 +125,7 @@ def _association(rsus, vus):
 
 
 def sim_load(kind, traffic, params: NetworkParams, cfg: SimConfig):
-    """Empirical load PMF and moment estimates.
+    """Empirical load PMF.
 
     kind="typical" uses Slivnyak conditioning (RSU at the origin);
     kind="tagged" uses Palm conditioning (typical VU at the origin,
@@ -124,24 +133,17 @@ def sim_load(kind, traffic, params: NetworkParams, cfg: SimConfig):
     """
     if kind not in ("typical", "tagged"):
         raise ValueError(f"unknown kind {kind!r}")
-    half = cfg.half_width(params)
-    counts = np.empty(cfg.replications, dtype=np.int64)
-    for rep in range(cfg.replications):
-        rng = replication_rng(cfg.master_seed, rep)
+    half = _half_width(params)
+
+    def draw(rng):
         if kind == "typical":
             rsus = np.sort(np.append(_rsus(params, half, rng), 0.0))
             vus = _vus(traffic, params, half, rng, palm=False)
         else:
             rsus, vus = _tagged_geometry(traffic, params, half, rng)
         serving, occupancy = _association(rsus, vus)
-        counts[rep] = occupancy[serving]
-    pmf = _empirical_pmf(counts)
-    moments = {
-        "mean": _mean_estimate(counts),
-        "variance": _mean_estimate((counts - counts.mean()) ** 2),
-        "third_moment": _mean_estimate(counts.astype(float) ** 3),
-    }
-    return pmf, moments
+        return occupancy[serving]
+    return _empirical_pmf(_replicate(cfg, draw, np.int64))
 
 
 def sim_connectivity(traffic, v2v, cfg: SimConfig):
@@ -150,93 +152,69 @@ def sim_connectivity(traffic, v2v, cfg: SimConfig):
     params = v2v.params
     r = v2v.r_b / 2.0
     half = r + 2 * params.a  # communication range plus cluster reach
-    counts = np.empty(cfg.replications, dtype=np.int64)
-    for rep in range(cfg.replications):
-        rng = replication_rng(cfg.master_seed, rep)
+
+    def draw(rng):
         vus = _vus(traffic, params, half, rng, palm=True)
-        counts[rep] = np.count_nonzero(np.abs(vus) <= r)
-    return _empirical_pmf(counts)
+        return np.count_nonzero(np.abs(vus) <= r)
+    return _empirical_pmf(_replicate(cfg, draw, np.int64))
 
 
-def _interference_reach(p_active, params, radio):
-    """Distance beyond which the mean residual interference is below
-    1e-6 * sigma^2 (power-law tail bound)."""
-    lead = 2 * p_active * params.lambda_r * radio.p_t / (radio.alpha - 1)
+def _interference_reach(params, radio):
+    """Distance beyond which the mean residual interference of all-active
+    RSUs is below 1e-6 * sigma^2 (power-law tail bound)."""
+    lead = 2 * params.lambda_r * radio.p_t / (radio.alpha - 1)
     return (lead / (1e-6 * radio.sigma2)) ** (1.0 / (radio.alpha - 1))
 
 
-def _conditional_success(thr, r_serv, dists, sigma2, p_t, alpha, rng,
-                         n_draws):
-    """Fading-averaged success probability given one geometry."""
-    scale = thr * r_serv**alpha / p_t
-    if dists.size:
-        h = rng.exponential(size=(n_draws, dists.size))
-        interference = h @ (p_t * dists**-alpha)
-    else:
-        interference = np.zeros(n_draws)
-    return np.exp(-scale * (interference + sigma2)).mean()
+def _coverage_profile(threshold, traffic, params, radio: RadioParams,
+                      cfg: SimConfig):
+    """Per-geometry success probability of the typical VU, averaged over
+    the fading draws, at the SINR threshold `threshold(load)`; `load` is
+    the number of other VUs its RSU serves."""
+    half = max(_half_width(params), _interference_reach(params, radio))
+
+    def draw(rng):
+        rsus, vus = _tagged_geometry(traffic, params, half, rng)
+        serving, occupancy = _association(rsus, vus)
+        active = occupancy > 0
+        active[serving] = False  # the serving RSU never interferes with itself
+        dists = np.abs(rsus[active])
+        h = rng.exponential(size=(cfg.fading_draws_per_geometry, dists.size))
+        interference = h @ (radio.p_t * dists**-radio.alpha)
+        scale = (threshold(occupancy[serving])
+                 * abs(rsus[serving])**radio.alpha / radio.p_t)
+        return np.exp(-scale * (interference + radio.sigma2)).mean()
+    return _replicate(cfg, draw, float)
 
 
-def _coverage_geometry(traffic, params, radio, rng, half, rate_tau=None):
-    """One geometry replication: serving distance, interferer distances
-    and (in rate mode) the load-mapped SINR threshold."""
-    rsus, vus = _tagged_geometry(traffic, params, half, rng)
-    serving, occupancy = _association(rsus, vus)
-    r_serv = abs(rsus[serving])
-    active = occupancy > 0
-    active[serving] = False  # the serving RSU never interferes with itself
-    dists = np.abs(rsus[active])
-    if rate_tau is None:
-        thr = None
-    else:
-        # `vus` excludes the typical VU, so occupancy[serving] is the
-        # extra load and the typical VU shares with occupancy+1 users
-        load = occupancy[serving]
-        thr = radio.rate_threshold(rate_tau, load + 1)
-    return r_serv, dists, thr
-
-
-def sim_coverage_profile(tau, traffic, params, radio: RadioParams,
-                         cfg: SimConfig, rate_tau=None):
-    """Per-geometry conditional success probabilities.
-
-    With rate_tau set, the SINR threshold of each geometry is mapped
-    through the actual tagged-cell load (rate-coverage mode)."""
-    half = max(cfg.half_width(params),
-               _interference_reach(1.0, params, radio))
-    out = np.empty(cfg.replications)
-    for rep in range(cfg.replications):
-        rng = replication_rng(cfg.master_seed, rep)
-        r_serv, dists, thr = _coverage_geometry(
-            traffic, params, radio, rng, half, rate_tau=rate_tau)
-        out[rep] = _conditional_success(
-            tau if thr is None else thr, r_serv, dists, radio.sigma2,
-            radio.p_t, radio.alpha, rng, cfg.fading_draws_per_geometry)
-    return out
+def _rate_profile(tau_rate, traffic, params, radio, cfg):
+    # the typical VU shares its RSU with the `load` others: load + 1 users
+    return _coverage_profile(
+        lambda load: radio.rate_threshold(tau_rate, load + 1),
+        traffic, params, radio, cfg)
 
 
 def sim_coverage(tau, traffic, params, radio, cfg) -> SimEstimate:
     """Monte Carlo SINR coverage probability with true dependent
     RSU thinning."""
-    return _mean_estimate(sim_coverage_profile(tau, traffic, params, radio,
-                                               cfg))
+    return _mean_estimate(_coverage_profile(lambda load: tau, traffic,
+                                            params, radio, cfg))
 
 
 def sim_md_coverage(tau, x, traffic, params, radio, cfg) -> SimEstimate:
     """Monte Carlo meta distribution: fraction of geometries whose
     conditional coverage probability exceeds x."""
-    prof = sim_coverage_profile(tau, traffic, params, radio, cfg)
-    return _mean_estimate(prof > x)
+    return _mean_estimate(_coverage_profile(lambda load: tau, traffic,
+                                            params, radio, cfg) > x)
 
 
 def sim_rate(tau_rate, traffic, params, radio, cfg) -> SimEstimate:
     """Monte Carlo rate coverage using the actual tagged-cell load."""
-    prof = sim_coverage_profile(None, traffic, params, radio, cfg,
-                                rate_tau=tau_rate)
-    return _mean_estimate(prof)
+    return _mean_estimate(_rate_profile(tau_rate, traffic, params, radio,
+                                        cfg))
 
 
 def sim_md_rate(tau_rate, x, traffic, params, radio, cfg) -> SimEstimate:
-    prof = sim_coverage_profile(None, traffic, params, radio, cfg,
-                                rate_tau=tau_rate)
-    return _mean_estimate(prof > x)
+    """Monte Carlo meta distribution of the rate coverage."""
+    return _mean_estimate(_rate_profile(tau_rate, traffic, params, radio,
+                                        cfg) > x)

@@ -57,7 +57,7 @@ def test_criterion_1_oracle_equivalence(capsys):
     }
     for name, analytic in pairs.items():
         kind, traffic = name.split("_")[1:]
-        emp, _ = sim_load(kind, traffic, BASE, cfg)
+        emp = sim_load(kind, traffic, BASE, cfg)
         gaps[name] = tv_distance(analytic, emp)
     v2v = V2VParams(200.0, BASE)
     for traffic in ("PTS", "NPTS"):

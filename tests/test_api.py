@@ -68,3 +68,34 @@ def test_numerics_owns_every_quadrature():
              for path in sorted(SRC.glob("*.py"))
              if path.name != "numerics.py"}
     assert not {name: hits for name, hits in found.items() if hits}
+
+
+def _replication_rng_callers(source):
+    """Dotted names of the functions that call `replication_rng`, once
+    per call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    getattr(f, "attr", None)
+                if name == "replication_rng":
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_one_replication_loop():
+    src = ("def a(cfg):\n    return replication_rng(1, 0)\n"
+           "def b():\n    def draw():\n"
+           "        return geometry.replication_rng(1, 2)\n")
+    assert _replication_rng_callers(src) == ["a", "b.draw"]
+    found = [f"{path.stem}.{fn}" for path in sorted(SRC.glob("*.py"))
+             for fn in _replication_rng_callers(path.read_text())]
+    assert found == ["montecarlo._replicate"]

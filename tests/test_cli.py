@@ -109,6 +109,18 @@ class TestMain:
         text = capsys.readouterr().out
         assert "mean" in text and text.startswith("#")
 
+    def test_op_cells_parse_as_floats(self, tmp_path):
+        # the tagged PTS moments are numpy scalars, which NumPy 2 reprs
+        # as np.float64(...)
+        out = tmp_path / "op.csv"
+        assert main(["op", "moments_tagged_pts", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert header == ["quantity", "value"]
+        assert [name for name, _ in rows] == [
+            "mean", "variance", "third_moment", "skewness"]
+        for _, value in rows:
+            float(value)
+
     def test_simulate_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["simulate", "load_typical", "--traffic", "NPTS",

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from platoonnet import montecarlo
 
 from platoonnet.cli import tv_distance
 from platoonnet.connectivity import V2VParams, pmf_degree_certified
@@ -7,25 +11,24 @@ from platoonnet.coverage import RadioParams, coverage_prob
 from platoonnet.geometry import NetworkParams
 from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
-from platoonnet.montecarlo import (SimConfig, sim_connectivity, sim_coverage,
-                                   sim_load, sim_md_coverage, sim_rate)
+from platoonnet.montecarlo import (SimConfig, _half_width, sim_connectivity,
+                                   sim_coverage, sim_load, sim_md_coverage,
+                                   sim_rate)
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 RADIO = RadioParams(1.0, 5e-5, 3.5)
 FAST = SimConfig(replications=2000, master_seed=7)
 
 
+def _mean_se(pmf, n):
+    """Mean of an n-replication empirical PMF and its standard error
+    (the ddof=1 sample deviation over sqrt(n))."""
+    return pmf.mean(), math.sqrt(pmf.variance() / (n - 1))
+
+
 class TestConfig:
     def test_default_window(self):
-        assert SimConfig().half_width(PARAMS) == pytest.approx(5000.0)
-
-    def test_explicit_window(self):
-        cfg = SimConfig(window_km=30.0)
-        assert cfg.half_width(PARAMS) == pytest.approx(15000.0)
-
-    def test_window_too_small(self):
-        with pytest.raises(ValueError):
-            SimConfig(window_km=1.0).half_width(PARAMS)
+        assert _half_width(PARAMS) == pytest.approx(5000.0)
 
     def test_replications_validated(self):
         with pytest.raises(ValueError):
@@ -34,19 +37,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(replications=1)
 
+    def test_fading_draws_validated(self):
+        # zero draws would average an empty array into a NaN coverage
+        with pytest.raises(ValueError):
+            SimConfig(fading_draws_per_geometry=0)
+
 
 class TestReproducibility:
     def test_load_bitwise(self):
-        p1, m1 = sim_load("typical", "PTS", PARAMS, FAST)
-        p2, m2 = sim_load("typical", "PTS", PARAMS, FAST)
+        p1 = sim_load("typical", "PTS", PARAMS, FAST)
+        p2 = sim_load("typical", "PTS", PARAMS, FAST)
         assert np.array_equal(p1.masses, p2.masses)
-        assert m1["mean"].value == m2["mean"].value
-        assert m1["mean"].std_error == m2["mean"].std_error
 
     def test_seed_changes_stream(self):
-        p1, _ = sim_load("typical", "PTS", PARAMS, FAST)
-        p2, _ = sim_load("typical", "PTS", PARAMS,
-                         SimConfig(replications=2000, master_seed=8))
+        p1 = sim_load("typical", "PTS", PARAMS, FAST)
+        p2 = sim_load("typical", "PTS", PARAMS,
+                      SimConfig(replications=2000, master_seed=8))
         assert not np.array_equal(p1.masses, p2.masses)
 
     def test_coverage_bitwise(self):
@@ -59,41 +65,41 @@ class TestReproducibility:
 
 class TestLoadEstimates:
     def test_pmf_normalizes(self):
-        pmf, _ = sim_load("typical", "NPTS", PARAMS, FAST)
+        pmf = sim_load("typical", "NPTS", PARAMS, FAST)
         assert pmf.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind,traffic", [
         ("typical", "PTS"), ("typical", "NPTS"),
         ("tagged", "PTS"), ("tagged", "NPTS")])
     def test_mean_near_analytic(self, kind, traffic):
-        pmf, moments = sim_load(kind, traffic, PARAMS,
-                                SimConfig(replications=4000, master_seed=3))
-        est = moments["mean"]
+        pmf = sim_load(kind, traffic, PARAMS,
+                       SimConfig(replications=4000, master_seed=3))
+        mean, se = _mean_se(pmf, 4000)
         base = PARAMS.m * PARAMS.lambda_p / PARAMS.lambda_r
         if kind == "tagged":
             # tagged mean exceeds the size-biased background 1.5 * base
-            assert est.value > 1.5 * base - 4 * est.std_error
+            assert mean > 1.5 * base - 4 * se
         else:
-            assert abs(est.value - base) < 4 * est.std_error
+            assert abs(mean - base) < 4 * se
 
     def test_typical_pts_distribution(self):
-        pmf, _ = sim_load("typical", "PTS", PARAMS,
-                          SimConfig(replications=20000, master_seed=11))
+        pmf = sim_load("typical", "PTS", PARAMS,
+                       SimConfig(replications=20000, master_seed=11))
         assert tv_distance(pmf_typical_pts_certified(PARAMS), pmf) < 0.02
 
     def test_typical_npts_distribution(self):
-        pmf, _ = sim_load("typical", "NPTS", PARAMS,
-                          SimConfig(replications=20000, master_seed=11))
+        pmf = sim_load("typical", "NPTS", PARAMS,
+                       SimConfig(replications=20000, master_seed=11))
         assert tv_distance(pmf_typical_npts_certified(PARAMS), pmf) < 0.02
 
-    def test_window_insensitive(self):
+    def test_window_insensitive(self, monkeypatch):
         # doubling the window must not move the estimate beyond noise
-        base = SimConfig(replications=4000, master_seed=7, window_km=10.0)
-        wide = SimConfig(replications=4000, master_seed=7, window_km=20.0)
-        _, m1 = sim_load("typical", "PTS", PARAMS, base)
-        _, m2 = sim_load("typical", "PTS", PARAMS, wide)
-        gap = abs(m1["mean"].value - m2["mean"].value)
-        assert gap < m1["mean"].std_error + m2["mean"].std_error
+        cfg = SimConfig(replications=4000, master_seed=7)
+        mean1, se1 = _mean_se(sim_load("typical", "PTS", PARAMS, cfg), 4000)
+        monkeypatch.setattr(montecarlo, "WINDOW_CELLS",
+                            2 * montecarlo.WINDOW_CELLS)
+        mean2, se2 = _mean_se(sim_load("typical", "PTS", PARAMS, cfg), 4000)
+        assert abs(mean1 - mean2) < se1 + se2
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -146,3 +152,16 @@ class TestCoverage:
         est = sim_rate(9e6, "NPTS", PARAMS, radio4, self.CFG)
         thr0 = 2.0 ** (9e6 / radio4.bandwidth) - 1.0
         assert est.value < coverage_prob(thr0, "NPTS", PARAMS, radio4)
+
+    def test_rate_maps_load_to_threshold_exactly(self):
+        # with VUs this sparse no replication sees another VU: the tagged
+        # load is 0, no RSU interferes, and each geometry's threshold is
+        # the one-user rate threshold
+        lonely = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0, lam=1e-9)
+        radio4 = RadioParams(1.0, 5e-5, 4.0)
+        cfg = SimConfig(replications=200, master_seed=17,
+                        fading_draws_per_geometry=50)
+        rate = sim_rate(9e6, "NPTS", lonely, radio4, cfg)
+        cov = sim_coverage(radio4.rate_threshold(9e6, 1), "NPTS", lonely,
+                           radio4, cfg)
+        assert (rate.value, rate.std_error) == (cov.value, cov.std_error)
