@@ -384,9 +384,14 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
     overrides = {"master_seed": args.seed, "replications": args.reps}
     cfg = load_config(args.config, overrides)
+    try:
+        build_sim(cfg)  # the Monte Carlo settings, checked before any work
+    except ValueError as exc:
+        ap.exit(2, f"{ap.prog}: error: {exc}\n")
     if args.command == "figure":
         cfg = dict(cfg, **{k: v for k, v in
                            FIGURE_OVERRIDES.get(args.n, {}).items()

@@ -3,13 +3,16 @@
 PTS results mix the interval-count law of the cluster process over the
 cell-length distributions; the tagged cell additionally receives the
 typical VU's own platoon, handled by the conditional law V_m(t/2) below.
+The PTS PMFs are read off the mixture PGF by one FFT at the roots of
+unity, with the aliased mass bounded by a Chernoff tail bound; the
+certified forms pass those masses through `mcp_counts.certified`.
 N-PTS results are elementary closed forms.
 
 The tagged-platoon count V_m(t/2) admits a clean mixture representation:
 its conditional Poisson mean M = lambda_d * A is equal to its maximum
 mu0 = lambda_d * min(t, 2a) with probability w = 1 - min(t,2a)/max(t,2a)
 and otherwise has density proportional to mu on (0, mu0).  All of its
-conditional quantities (PGF, PMF, factorial moments) follow from that.
+conditional quantities (PGF, factorial moments) follow from that.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from scipy import special
 from .geometry import NetworkParams, cell_quantile, pdf_tagged_cell, \
     pdf_typical_cell
 from .mcp_counts import DiscretePMF, TAIL_TOL, certified, g_of, kappa, \
-    I_moment, I_tilde_moment, pmf_S
-from .numerics import NumericsError, func_F, func_G, poisson_pmf, quad
+    I_moment, I_tilde_moment
+from .numerics import NumericsError, func_F, func_G, quad
 
 
 @dataclass(frozen=True)
@@ -57,19 +60,65 @@ def _mixture_nodes(params, tagged):
     return nodes, weights * pdf
 
 
+# ------------------------------------------------------- PMFs by FFT
+
+_ALIAS_TOL = 1e-13  # Chernoff bound on the aliased mass P[X >= N]
+_BLOCK = 32         # mixture nodes per block of the PGF sums
+_N_MAX = 2**15      # largest FFT the tail bound may ask for
+_RHO = 2.0 ** (np.arange(1, 49) / 48)  # Chernoff radii in (1, 2]
+
+
+def _log_pgf_given(s, t, params, tagged):
+    """log E[s^X | cell length t] of the PTS load: the count S(t/2), times
+    the tagged platoon V_m(t/2) in the tagged cell."""
+    g = g_of(s, t / 2.0, params)
+    return g + np.log(pgf_vm(s, t, params)) if tagged else g
+
+
+def _pts_masses(params, tagged, n_min=0):
+    """Masses on 0..N-1 of the PTS load, from one FFT of its PGF.
+
+    The mixture PGF G is sampled at the N-th roots of unity, so mass k
+    comes out as sum_j p_{k+jN}: each mass is off by at most P[X >= N].
+    N is the smallest power of two >= max(64, n_min) whose Chernoff bound
+    min_rho G(rho) / rho^N on that tail is below _ALIAS_TOL; a tail that
+    needs N past _N_MAX raises.  The mixture sums run over blocks of
+    nodes to bound the working set.
+    """
+    nodes, wts = _mixture_nodes(params, tagged)
+    blocks = [(nodes[i:i + _BLOCK, None], wts[i:i + _BLOCK])
+              for i in range(0, nodes.size, _BLOCK)]
+    log_g = np.logaddexp.reduce([
+        special.logsumexp(_log_pgf_given(_RHO, t, params, tagged),
+                          b=w[:, None], axis=0) for t, w in blocks])
+    # G(rho) / rho^N < tol for N > need at the best rho
+    need = np.min((log_g - math.log(_ALIAS_TOL)) / np.log(_RHO))
+    if not need <= _N_MAX:  # a NaN fails too
+        raise NumericsError(f"load tail needs an FFT of {need:.3g} points")
+    N = 2 ** math.ceil(math.log2(max(64, n_min, need)))
+    s = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
+    pgf = sum(w @ np.exp(_log_pgf_given(s, t, params, tagged))
+              for t, w in blocks)
+    return np.fft.irfft(pgf, N)
+
+
+def _certified_pts(params, tagged):
+    """Certified PTS load PMF: every truncation K slices one set of FFT
+    masses.  All N of them hold the full mixture weight (1 - 1e-8), so
+    the search certifies by K = N at the latest."""
+    masses = _pts_masses(params, tagged)
+    return certified(lambda K: DiscretePMF.of(masses[:K + 1]))
+
+
 # ---------------------------------------------------------------- typical
 
 def pmf_typical_pts(K, params: NetworkParams) -> DiscretePMF:
     """PMF of the PTS load on the typical RSU, masses on 0..K."""
-    nodes, wts = _mixture_nodes(params, tagged=False)
-    masses = np.zeros(K + 1)
-    for t, w in zip(nodes, wts):
-        masses += w * pmf_S(K, t / 2.0, params).masses
-    return DiscretePMF.of(masses)
+    return DiscretePMF.of(_pts_masses(params, False, K + 1)[:K + 1])
 
 
 def pmf_typical_pts_certified(params) -> DiscretePMF:
-    return certified(lambda K: pmf_typical_pts(K, params))
+    return _certified_pts(params, tagged=False)
 
 
 def _kappa_cross_moment(params):
@@ -134,30 +183,24 @@ def _vm_mixture(t, params):
 
 
 def pgf_vm(s, t, params: NetworkParams):
-    """Conditional PGF of the tagged-platoon count in a cell of length t
-    (scalar or array).
+    """Conditional PGF of the tagged-platoon count in a cell of length t;
+    s (real or complex) and t broadcast against each other.
 
     Uses a series branch near s = 1 where the closed form is 0/0 of
     order two.
     """
     w, mu0, c = _vm_mixture(t, params)
     z = s - 1.0
-    if abs(z) < 1e-3:
-        # the closed form divides an O(z^2) cancellation by z^2; the
-        # series is accurate to ~1e-10 over this band
-        lin = c * (mu0**2 / 2 + mu0**3 * z / 3 + mu0**4 * z**2 / 8
-                   + mu0**5 * z**3 / 30)
-        return w * np.exp(mu0 * z) + lin
-    lin = c * (np.exp(mu0 * z) * (mu0 * z - 1.0) + 1.0) / z**2
+    near = abs(z) < 1e-3
+    far = z + near  # keeps the unused closed form finite on the band
+    # the closed form divides an O(z^2) cancellation by z^2; the
+    # series is accurate to ~1e-10 over this band
+    lin = np.where(near,
+                   c * (mu0**2 / 2 + mu0**3 * z / 3 + mu0**4 * z**2 / 8
+                        + mu0**5 * z**3 / 30),
+                   c * (np.exp(mu0 * far) * (mu0 * far - 1.0) + 1.0)
+                   / far**2)[()]
     return w * np.exp(mu0 * z) + lin
-
-
-def pmf_vm(K, t, params: NetworkParams) -> DiscretePMF:
-    """Conditional PMF of the tagged-platoon count, masses on 0..K."""
-    w, mu0, c = _vm_mixture(t, params)
-    n = np.arange(K + 1)
-    return DiscretePMF.of(w * poisson_pmf(n, mu0)
-                          + c * (n + 1) * special.gammainc(n + 2, mu0))
 
 
 def vm_factorial_moment(order, t, params: NetworkParams):
@@ -195,28 +238,15 @@ def moments_vm(params: NetworkParams):
 
 # ---------------------------------------------------------------- tagged
 
-def pgf_tagged_pts(s, params: NetworkParams):
-    """PGF of the tagged-RSU PTS load (typical VU not counted)."""
-    nodes, wts = _mixture_nodes(params, tagged=True)
-    vals = np.exp(g_of(s, nodes / 2.0, params)) * pgf_vm(s, nodes, params)
-    return float(np.dot(wts, vals))
-
-
 def pmf_tagged_pts(K, params: NetworkParams) -> DiscretePMF:
-    """PMF of the tagged-RSU PTS load via the conditional convolution of
-    the background count S(t/2) with the tagged-platoon count V_m(t/2),
-    deconditioned over the tagged cell length."""
-    nodes, wts = _mixture_nodes(params, tagged=True)
-    masses = np.zeros(K + 1)
-    for t, w in zip(nodes, wts):
-        ps = pmf_S(K, t / 2.0, params).masses
-        pv = pmf_vm(K, t, params).masses
-        masses += w * np.convolve(ps, pv)[: K + 1]
-    return DiscretePMF.of(masses)
+    """PMF of the tagged-RSU PTS load: the background count S(t/2) plus
+    the tagged-platoon count V_m(t/2), deconditioned over the tagged cell
+    length; masses on 0..K."""
+    return DiscretePMF.of(_pts_masses(params, True, K + 1)[:K + 1])
 
 
 def pmf_tagged_pts_certified(params) -> DiscretePMF:
-    return certified(lambda K: pmf_tagged_pts(K, params))
+    return _certified_pts(params, tagged=True)
 
 
 def moments_tagged_pts(params: NetworkParams) -> LoadMoments:

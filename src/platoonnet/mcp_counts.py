@@ -3,9 +3,12 @@
 The number S(r) of cluster points in a ball of radius r has PGF
 exp(g(s, r)); every platoon-side load result reduces to g, its
 derivatives at s = 0 and the limits kappa(r, k) of its derivatives at
-s = 1.  The PMF is obtained from the derivatives via the exponential
-composition recurrence (equivalent to the Faa di Bruno partition sum but
-O(K^2) instead of exponential).
+s = 1.  g takes arrays of real or complex s, so the PTS load PMFs in
+`load` are read off the PGF by FFT.  The PMF of S(r) alone comes from
+the derivatives via the exponential composition recurrence `pmf_S`
+(equivalent to the Faa di Bruno partition sum but O(K^2) instead of
+exponential); it serves the connectivity degree and acceptance
+criterion 5.
 """
 
 from __future__ import annotations
@@ -73,20 +76,22 @@ def beta_bar(r, a):
 
 
 def g_of(s, r, params: NetworkParams):
-    """Exponent g(s, r) of the PGF of S(r).
+    """Exponent g(s, r) of the PGF of S(r); s (real or complex) and r
+    broadcast against each other.
 
     Closed form with a second-order Taylor branch for |s - 1| < 1e-6,
     where (exp(m*bb*(s-1)) - 1)/(s-1) is a removable 0/0.
     """
     lp, m, a = params.lambda_p, params.m, params.a
-    bb = beta_bar(r, a)
-    z = m * bb
-    if abs(s - 1.0) < _S1_EPS:
-        # (e^{z(s-1)}-1)/((m/2a)(s-1)) ~ (2a/m)(z + z^2 (s-1)/2 + z^3 (s-1)^2/6)
-        frac = (2 * a / m) * (z + z**2 * (s - 1) / 2 + z**3 * (s - 1) ** 2 / 6)
-    else:
-        frac = (np.exp(z * (s - 1)) - 1.0) / ((m / (2 * a)) * (s - 1))
-    return 2 * lp * (abs(r - a) * np.exp(z * (s - 1)) - (r + a) + frac)
+    z = m * beta_bar(r, a)
+    d = s - 1.0
+    near = abs(d) < _S1_EPS
+    far = d + near  # keeps the unused closed form finite on the band
+    # (e^{z(s-1)}-1)/((m/2a)(s-1)) ~ (2a/m)(z + z^2 (s-1)/2 + z^3 (s-1)^2/6)
+    frac = np.where(near,
+                    (2 * a / m) * (z + z**2 * d / 2 + z**3 * d**2 / 6),
+                    (np.exp(z * far) - 1.0) / ((m / (2 * a)) * far))[()]
+    return 2 * lp * (abs(r - a) * np.exp(z * d) - (r + a) + frac)
 
 
 def g_deriv_at_zero(i, r, params: NetworkParams):

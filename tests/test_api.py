@@ -70,9 +70,8 @@ def test_numerics_owns_every_quadrature():
     assert not {name: hits for name, hits in found.items() if hits}
 
 
-def _replication_rng_callers(source):
-    """Dotted names of the functions that call `replication_rng`, once
-    per call."""
+def _callers(source, callee):
+    """Dotted names of the functions that call `callee`, once per call."""
     found = []
 
     def visit(node, scope):
@@ -84,18 +83,31 @@ def _replication_rng_callers(source):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else \
                     getattr(f, "attr", None)
-                if name == "replication_rng":
+                if name == callee:
                     found.append(".".join(scope) or "<module>")
             visit(child, scope)
     visit(ast.parse(source), [])
     return found
 
 
+def _src_callers(callee):
+    return [f"{path.stem}.{fn}" for path in sorted(SRC.glob("*.py"))
+            for fn in _callers(path.read_text(), callee)]
+
+
 def test_one_replication_loop():
     src = ("def a(cfg):\n    return replication_rng(1, 0)\n"
            "def b():\n    def draw():\n"
            "        return geometry.replication_rng(1, 2)\n")
-    assert _replication_rng_callers(src) == ["a", "b.draw"]
-    found = [f"{path.stem}.{fn}" for path in sorted(SRC.glob("*.py"))
-             for fn in _replication_rng_callers(path.read_text())]
-    assert found == ["montecarlo._replicate"]
+    assert _callers(src, "replication_rng") == ["a", "b.draw"]
+    assert _src_callers("replication_rng") == ["montecarlo._replicate"]
+
+
+def test_load_pmfs_skip_the_count_recurrence():
+    # the PTS load PMFs come from the PGF by FFT; the recurrence serves
+    # the connectivity degree alone
+    assert _src_callers("pmf_S") == ["connectivity.pmf_degree_pts"]
+    load_src = (SRC / "load.py").read_text()
+    assert not [node.lineno for node in ast.walk(ast.parse(load_src))
+                if isinstance(node, ast.Attribute)
+                and node.attr == "convolve"]

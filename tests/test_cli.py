@@ -151,6 +151,27 @@ class TestMain:
         assert cp_p > cp_n
         assert act_n > act_p
 
+    @pytest.mark.parametrize("args, config", [
+        (["simulate", "coverage", "--reps", "1"], None),
+        (["simulate", "coverage", "--reps", "0"], None),
+        (["simulate", "coverage"], {"fading_draws": 0}),
+        (["figure", "2", "--reps", "1"], None),
+        (["validate", "--reps", "0"], None),
+    ])
+    def test_bad_simulation_settings_are_usage_errors(
+            self, args, config, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            args = args + ["--config", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("platoonnet: error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_figure_number(self):
         with pytest.raises(SystemExit):
             main(["figure", "12"])

@@ -1,24 +1,122 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given, settings, strategies as st
+from scipy import integrate, special
 
 from platoonnet.geometry import NetworkParams, pdf_tagged_cell
-from platoonnet.load import (moments_tagged_npts, moments_tagged_pts,
+from platoonnet.load import (_mixture_nodes, _vm_mixture,
+                             moments_tagged_npts, moments_tagged_pts,
                              moments_typical_npts, moments_typical_pts,
                              moments_vm, moments_vm_conditional,
-                             operational_metrics, pgf_tagged_pts, pgf_vm,
-                             pmf_tagged_npts, pmf_tagged_npts_certified,
-                             pmf_tagged_pts, pmf_tagged_pts_certified,
-                             pmf_typical_npts, pmf_typical_npts_certified,
-                             pmf_typical_pts, pmf_typical_pts_certified,
-                             pmf_vm, vm_factorial_moment)
-from platoonnet.mcp_counts import certified
+                             operational_metrics, pgf_vm, pmf_tagged_npts,
+                             pmf_tagged_npts_certified, pmf_tagged_pts,
+                             pmf_tagged_pts_certified, pmf_typical_npts,
+                             pmf_typical_npts_certified, pmf_typical_pts,
+                             pmf_typical_pts_certified, vm_factorial_moment)
+from platoonnet.mcp_counts import (TAIL_TOL, DiscretePMF, certified, g_of,
+                                   pmf_S)
+from platoonnet.numerics import NumericsError, poisson_pmf
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 SWEEP = [NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
          for u in (5.0, 15.0, 35.0)]
+
+
+# ------------------------------------------------ recurrence oracle
+
+def pmf_vm(K, t, params):
+    """Conditional PMF of the tagged-platoon count, masses on 0..K."""
+    w, mu0, c = _vm_mixture(t, params)
+    n = np.arange(K + 1)
+    return DiscretePMF.of(w * poisson_pmf(n, mu0)
+                          + c * (n + 1) * special.gammainc(n + 2, mu0))
+
+
+def recurrence_pmf(K, params, tagged):
+    """The PTS load PMF mixed node by node from the count recurrence
+    pmf_S, convolved with the tagged-platoon PMF in the tagged cell."""
+    nodes, wts = _mixture_nodes(params, tagged)
+    masses = np.zeros(K + 1)
+    for t, w in zip(nodes, wts):
+        ps = pmf_S(K, t / 2.0, params).masses
+        if tagged:
+            ps = np.convolve(ps, pmf_vm(K, t, params).masses)[: K + 1]
+        masses += w * ps
+    return DiscretePMF.of(masses)
+
+
+def pgf_tagged_pts(s, params):
+    """PGF of the tagged-RSU PTS load (typical VU not counted)."""
+    nodes, wts = _mixture_nodes(params, tagged=True)
+    vals = np.exp(g_of(s, nodes / 2.0, params)) * pgf_vm(s, nodes, params)
+    return float(np.dot(wts, vals))
+
+
+@functools.cache
+def certified_recurrence_pmf(u, a, tagged):
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    return certified(lambda K: recurrence_pmf(K, params, tagged))
+
+
+ORACLE_CASES = [(u, a, tagged) for u in (5.0, 35.0) for a in (100.0, 150.0)
+                for tagged in (False, True)]
+
+
+def certified_fft_pmf(params, tagged):
+    return (pmf_tagged_pts_certified if tagged
+            else pmf_typical_pts_certified)(params)
+
+
+class TestPtsAgainstRecurrence:
+    @pytest.mark.parametrize("u, a, tagged", ORACLE_CASES)
+    def test_masses_match(self, u, a, tagged):
+        ref = certified_recurrence_pmf(u, a, tagged)
+        got = certified_fft_pmf(NetworkParams.from_per_km(2.0, 1.0, u, a),
+                                tagged)
+        assert got.masses.size == ref.masses.size  # the same certified K
+        np.testing.assert_allclose(got.masses, ref.masses, rtol=0,
+                                   atol=1e-14)
+        assert got.tail_mass == pytest.approx(ref.tail_mass, abs=1e-14)
+
+    @pytest.mark.parametrize("u, a, tagged", ORACLE_CASES)
+    def test_operational_metrics_match(self, u, a, tagged):
+        kind = "tagged" if tagged else "typical"
+        ref = operational_metrics(certified_recurrence_pmf(u, a, tagged),
+                                  kind)
+        got = operational_metrics(certified_fft_pmf(
+            NetworkParams.from_per_km(2.0, 1.0, u, a), tagged), kind)
+        assert set(got) == set(ref)
+        for key, value in ref.items():
+            assert got[key] == pytest.approx(value, rel=0, abs=1e-12), key
+
+    @given(u=st.floats(1.0, 60.0), a=st.floats(50.0, 300.0),
+           lambda_r=st.floats(0.5, 4.0))
+    @settings(max_examples=25, deadline=None)
+    def test_certified_or_raises(self, u, a, lambda_r):
+        params = NetworkParams.from_per_km(lambda_r, 1.0, u, a)
+        for tagged, moments in ((False, moments_typical_pts),
+                                (True, moments_tagged_pts)):
+            try:
+                pmf = certified_fft_pmf(params, tagged)
+            except NumericsError:
+                continue
+            assert pmf.masses.min() >= 0.0
+            assert pmf.tail_mass < TAIL_TOL
+            # only the mean: the closed-form tagged variance is approximate
+            mean = moments(params).mean
+            assert abs(pmf.mean() - mean) <= 1e-4 * mean
+
+    def test_truncation_past_the_certificate(self):
+        pmf = pmf_tagged_pts(2000, PARAMS)
+        assert pmf.masses.size == 2001
+        assert pmf.masses.sum() + pmf.tail_mass == pytest.approx(1.0,
+                                                                 abs=1e-12)
+        ref = pmf_tagged_pts_certified(PARAMS)
+        np.testing.assert_allclose(pmf.masses[:ref.masses.size],
+                                   ref.masses, rtol=0, atol=1e-14)
 
 
 class TestTypicalNpts:
@@ -119,6 +217,14 @@ class TestVm:
             np.testing.assert_allclose(
                 pgf_vm(s, t, PARAMS),
                 [pgf_vm(s, x, PARAMS) for x in t], rtol=1e-15, atol=0)
+        # s along a second axis: real and complex, in and out of the
+        # series band
+        s = np.array([0.0, 1.0 - 5e-4, 1.0, 1.0 + 2e-3, 0.6 + 0.8j,
+                      1.0 + 5e-4j])
+        np.testing.assert_allclose(
+            pgf_vm(s, t[:, None], PARAMS),
+            [[pgf_vm(x, y, PARAMS) for x in s] for y in t],
+            rtol=1e-15, atol=1e-15)
         for order in (1, 2, 3):
             np.testing.assert_allclose(
                 vm_factorial_moment(order, t, PARAMS),

@@ -94,6 +94,19 @@ class TestExponent:
         hi = g_of(s + 1e-10, r, PARAMS)
         assert abs(lo - hi) < 1e-8
 
+    def test_array_calls_match_scalar_calls(self):
+        # real and complex s on both sides of the Taylor band, the roots
+        # of unity the FFT engine samples, and r on both sides of a
+        s = np.concatenate([[0.0, 1.0 - 2e-6, 1.0 - 5e-7, 1.0, 1.0 + 5e-7,
+                             1.7, 1.0 + 1e-7j],
+                            np.exp(-2j * np.pi * np.arange(9) / 16)])
+        r = np.array([[30.0], [100.0], [400.0]])
+        got = g_of(s, r, PARAMS)
+        assert got.shape == (3, s.size)
+        np.testing.assert_allclose(
+            got, [[g_of(x, y, PARAMS) for x in s] for y in r[:, 0]],
+            rtol=1e-15, atol=1e-15)
+
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [40.0, 100.0, 250.0])
     def test_deriv_at_zero_matches_finite_difference(self, i, r):
