@@ -6,7 +6,10 @@ true dependent thinning so the size of that approximation is measurable.
 
 Moments of the conditional success probability are computed from the
 real/imaginary split of the imaginary-order moment (cosine and sine
-inner integrals), avoiding branch cuts in (1 + tau*y)^(-it).
+inner integrals), avoiding branch cuts in (1 + tau*y)^(-it).  The inner
+integral at q = it is one fixed numpy rule for every t: Gauss-Jacobi and
+Gauss-Legendre nodes over the first four oscillation periods, a closed
+form plus two Gauss-Laguerre descent legs beyond them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 from scipy.integrate import IntegrationWarning
 
 from .geometry import NetworkParams, platooned
@@ -24,6 +28,23 @@ from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
 from .mcp_counts import g_of
 from .numerics import GP_ABS_TOL, gil_pelaez_invert, hyp2f1_real, quad, \
     quad_complex
+
+# fixed rule of CoverageMeta._inner_trig
+_PERIODS = 4       # oscillation periods integrated on the real axis
+_PANEL_MAX = 2.0   # widest real-axis panel; w^eta f(w) is analytic
+                   # for |w| < 2 pi
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+_LAG_V, _LAG_W = np.polynomial.laguerre.laggauss(40)
+
+
+@lru_cache(maxsize=32)
+def _jacobi_nodes(eta):
+    """20-node Gauss-Jacobi rule on [0, 1] for the weight u^(1-eta), its
+    weights divided by that weight: it integrates u^(1-eta) times a
+    smooth function directly."""
+    x, w = special.roots_jacobi(20, 0.0, 1.0 - eta)
+    u = (1.0 + x) / 2
+    return u, w / 2 ** (2 - eta) * u ** (eta - 1)
 
 
 @dataclass(frozen=True)
@@ -129,7 +150,6 @@ class CoverageMeta:
             else p_active
         self.eta = (1.0 + radio.alpha) / radio.alpha
         self._coef = 2 * self.p * params.lambda_r / radio.alpha
-        self._k0 = None
         self._moment_cached = lru_cache(maxsize=65536)(self._moment_it)
 
     def _inner_real_q(self, q):
@@ -154,80 +174,49 @@ class CoverageMeta:
         return (quad(fc, 0, 1, epsrel=1e-9, limit=400),
                 quad(fs, 0, 1, epsrel=1e-9, limit=400))
 
-    def _inner_it_hyp(self, t):
-        """Inner integral at q = it via the hypergeometric closed form
-        (integration by parts removes the y^(-eta) endpoint issue):
-        -alpha(1-(1+tau)^{-q}) + (alpha q tau / b) 2F1(q+1, b; b+1; -tau)
-        with b = 1 - 1/alpha.  The series representation stops converging
-        once |q| is large, hence the contour route below.
+    def _inner_trig(self, t):
+        """Inner integral at q = it, t > 0, as (real, imaginary) parts.
+
+        With w = ln(1 + tau*y) it is tau^(eta-1) times the integral of
+        (1 - e^(-itw)) f(w), f(w) = e^w (e^w - 1)^(-eta), over [0, W],
+        W = ln(1 + tau).  Up to A = min(W, 4 periods) it runs on the real
+        axis: Gauss-Jacobi (weight w^(1-eta)) over the first period, then
+        Gauss-Legendre panels, with 1 - cos written as 2 sin^2.  Beyond A,
+        the integral of f is closed form and that of e^(-itw) f descends
+        from A and from W into Im w < 0, where f is analytic (its only
+        singularities are at w = 2 pi i k) and e^(-itw) decays:
+        Gauss-Laguerre in t*v.
+        The node count is bounded whatever t is.
         """
-        import mpmath
-
-        tau, alpha = self.tau, self.radio.alpha
-        q = 1j * t
-        b = 1.0 - 1.0 / alpha
-        h = complex(mpmath.hyp2f1(q + 1, b, b + 1, -tau))
-        return (-alpha * (1.0 - cmath.exp(-q * math.log1p(tau)))
-                + alpha * q * tau / b * h)
-
-    def _phi(self, w):
-        """Regular part of the log-substituted inner integrand:
-        g(w) - h0 w^(-eta), with g(w) = ((e^w-1)/tau)^(-eta) e^w / tau
-        and h0 = g's leading w^(-eta) coefficient tau^(1/alpha)."""
-        tau, eta = self.tau, self.eta
-        h0 = tau ** (eta - 1.0)
-        if abs(w) < 1e-4:
-            # g(w) = h0 w^(-eta) exp(w(1 - eta/2) - eta w^2/24 + ...),
-            # written to avoid the w^(-eta) cancellation
-            expo = (1.0 - eta / 2.0) * w - eta * w * w / 24.0
-            return h0 * w ** (-eta) * (cmath.exp(expo) - 1.0)
-        ew = cmath.exp(w) if isinstance(w, complex) else math.exp(w)
-        return ((ew - 1.0) / tau) ** (-eta) * ew / tau - h0 * w ** (-eta)
-
-    def _inner_it_contour(self, t):
-        """Inner integral at q = it for large t.
-
-        In the variable w = ln(1 + tau*y) the integrand is
-        (1 - e^{-qw}) g(w) on [0, W]; the w^(-eta) singular part
-        integrates to incomplete-gamma terms, and the regular remainder's
-        oscillatory piece is pushed onto the descending contours w = -iu
-        and w = W - iu where e^{-qw} decays like e^{-tu}.
-        """
-        import mpmath
-
         tau, eta = self.tau, self.eta
         W = math.log1p(tau)
-        h0 = tau ** (eta - 1.0)
-        q = 1j * t
-        if self._k0 is None:
-            # w = v^2 soothes the w^(1-eta) endpoint behavior of phi
-            self._k0 = quad(lambda v: (2 * v * self._phi(v * v)).real,
-                            0, math.sqrt(W))
-        gam = complex(mpmath.gammainc(1.0 - eta, q * W))
-        sing = h0 * (q ** (eta - 1.0)
-                     * (math.gamma(2.0 - eta) / (eta - 1.0) + gam)
-                     - W ** (1.0 - eta) / (eta - 1.0))
-        U = 40.0 / t
+        period = 2 * math.pi / t
+        A = min(W, _PERIODS * period)
+        B = min(A, period, _PANEL_MAX)
 
-        def leg1(v):
-            u = v * v
-            return 2 * v * cmath.exp(-t * u) * self._phi(-1j * u)
+        def f(w):
+            # e^w (e^w - 1)^(-eta), continuous for Re w > 0 and accurate
+            # as w -> 0
+            return np.exp((1 - eta) * w - eta * np.log(-np.expm1(-w)))
 
-        def leg2(u):
-            return cmath.exp(-t * u) * self._phi(W - 1j * u)
-
-        psi = complex(0.0, 0.0)
-        for sign, leg, hi in ((-1j, leg1, math.sqrt(U)),
-                              (1j * cmath.exp(-q * W), leg2, U)):
-            psi += sign * quad_complex(leg, 0, hi, epsabs=1e-10,
-                                       epsrel=1e-8)
-        return self._k0 + sing - psi
-
-    _T_SWITCH = 64.0
-
-    def _inner_trig(self, t):
-        val = self._inner_it_hyp(t) if t <= self._T_SWITCH \
-            else self._inner_it_contour(t)
+        x, wts = _jacobi_nodes(eta)
+        w, q = B * x, B * wts
+        if A > B:
+            n = math.ceil((A - B) / min(period, _PANEL_MAX))
+            edges = np.linspace(B, A, n + 1)
+            half = 0.5 * np.diff(edges)[:, None]
+            w = np.append(w, 0.5 * (edges[:-1] + edges[1:])[:, None]
+                          + half * _GL_X)
+            q = np.append(q, half * _GL_W)
+        q = q * f(w)
+        val = complex(q @ (2 * np.sin(t * w / 2) ** 2), q @ np.sin(t * w))
+        if A < W:
+            v = 1j * _LAG_V / t
+            val += (math.expm1(A) ** (1 - eta) - tau ** (1 - eta)) \
+                / (eta - 1) + 1j / t * (_LAG_W @ (
+                    cmath.exp(-1j * t * A) * f(A - v)
+                    - cmath.exp(-1j * t * W) * f(W - v)))
+        val *= tau ** (eta - 1)
         return val.real, val.imag
 
     def moment(self, q):

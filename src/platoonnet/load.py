@@ -182,6 +182,11 @@ def _vm_mixture(t, params):
     return w, mu0, c
 
 
+_VM_BAND = 0.1  # series band |mu0 (s - 1)| < _VM_BAND, within |s - 1| < 1e-3
+# Taylor coefficients (k + 1)/(k + 2)! of (e^x (x - 1) + 1) / x^2
+_VM_SERIES = [(k + 1) / math.factorial(k + 2) for k in range(8)]
+
+
 def pgf_vm(s, t, params: NetworkParams):
     """Conditional PGF of the tagged-platoon count in a cell of length t;
     s (real or complex) and t broadcast against each other.
@@ -191,13 +196,15 @@ def pgf_vm(s, t, params: NetworkParams):
     """
     w, mu0, c = _vm_mixture(t, params)
     z = s - 1.0
-    near = abs(z) < 1e-3
+    x = mu0 * z
+    near = (abs(z) < 1e-3) & (abs(x) < _VM_BAND)
     far = z + near  # keeps the unused closed form finite on the band
-    # the closed form divides an O(z^2) cancellation by z^2; the
-    # series is accurate to ~1e-10 over this band
+    # the closed form divides an O(x^2) cancellation by z^2 (relative
+    # error near 2 eps / |x|^2); the series stops before x^8: both are
+    # near 5e-14 at |x| = _VM_BAND
     lin = np.where(near,
-                   c * (mu0**2 / 2 + mu0**3 * z / 3 + mu0**4 * z**2 / 8
-                        + mu0**5 * z**3 / 30),
+                   c * (mu0**2 * np.polynomial.polynomial.polyval(
+                       x, _VM_SERIES)),
                    c * (np.exp(mu0 * far) * (mu0 * far - 1.0) + 1.0)
                    / far**2)[()]
     return w * np.exp(mu0 * z) + lin

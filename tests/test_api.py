@@ -111,3 +111,22 @@ def test_load_pmfs_skip_the_count_recurrence():
     assert not [node.lineno for node in ast.walk(ast.parse(load_src))
                 if isinstance(node, ast.Attribute)
                 and node.attr == "convolve"]
+
+
+def _mpmath_imports(source):
+    """Lines that import mpmath, at module level or inside a function."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "mpmath"
+                        for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "mpmath"))
+
+
+def test_src_needs_no_mpmath():
+    src = ("import math\ndef f(q):\n    import mpmath\n"
+           "    return mpmath.gammainc(q)\nfrom mpmath import hyp2f1\n")
+    assert _mpmath_imports(src) == [3, 5]
+    found = {path.name: _mpmath_imports(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {name: hits for name, hits in found.items() if hits}

@@ -1,7 +1,10 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
@@ -14,6 +17,51 @@ from platoonnet.load import pmf_typical_npts_certified, \
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)
 RADIO = RadioParams(1.0, 5e-5, 3.5)
+
+
+def inner_it_hyp(tau, alpha, t):
+    """Inner integral at q = it from the hypergeometric closed form
+    (integration by parts removes the y^(-eta) endpoint issue):
+    -alpha(1-(1+tau)^{-q}) + (alpha q tau / b) 2F1(q+1, b; b+1; -tau)
+    with b = 1 - 1/alpha.  The series stops converging once |q| is
+    large, so it serves as the oracle for t <= 64 only."""
+    q = 1j * t
+    b = 1.0 - 1.0 / alpha
+    h = complex(mpmath.hyp2f1(q + 1, b, b + 1, -tau))
+    return (-alpha * (1.0 - cmath.exp(-q * math.log1p(tau)))
+            + alpha * q * tau / b * h)
+
+
+def inner_trig(tau, alpha, t):
+    """The rule in use; the inner integral does not depend on p_active."""
+    meta = CoverageMeta(tau, "PTS", PARAMS, RadioParams(1.0, 5e-5, alpha),
+                        p_active=1.0)
+    return complex(*meta._inner_trig(t))
+
+
+# (tau, alpha, t, real, imaginary) of the inner integral from the
+# descending-contour route (incomplete gamma for the w^(-eta) part,
+# adaptive quadrature on two legs) that served t > 64 before the fixed
+# rule replaced it; 2^24 is the last Gil-Pelaez panel edge
+CONTOUR_VALUES = [
+    (0.9, 3.5, 100.0, 11.026280944731015, 7.018766892644418),
+    (0.9, 3.5, 1000.0, 24.59616801366861, 13.533572534171087),
+    (0.9, 3.5, 8192.0, 47.746361656337236, 24.679483887983206),
+    (0.9, 3.5, 16777216.0, 449.14541423616885, 217.98254634343394),
+    (11.13, 4.0, 100.0, 22.15724780779469, 10.86106524682492),
+    (11.13, 4.0, 1000.0, 42.511075443682685, 19.270719841571193),
+    (11.13, 4.0, 8192.0, 74.69169638587947, 32.596094421200384),
+    (11.13, 4.0, 16777216.0, 525.3743529248576, 219.27404006325898),
+    (3326.0, 4.0, 100.0, 104.70607306496929, 45.13976737347012),
+    (3326.0, 4.0, 1000.0, 189.3860015525578, 80.12413365137431),
+    (3326.0, 4.0, 8192.0, 323.1788260538204, 135.5263829999587),
+    (3326.0, 4.0, 16777216.0, 2196.9980963301086, 911.6832767309787),
+    (35000000000000.0, 4.0, 100.0, 34814.29565768902, 14460.477023361345),
+    (35000000000000.0, 4.0, 1000.0,
+     61934.299634701296, 25662.488060502543),
+    (35000000000000.0, 4.0, 8192.0, 104786.41771513471, 43407.01720426303),
+    (35000000000000.0, 4.0, 16777216.0, 704942.4320786907, 291998.37752860424),
+]
 
 
 class TestRadioParams:
@@ -112,21 +160,35 @@ class TestMeta:
 
     @pytest.mark.parametrize("t", [40.0, 55.0, 64.0])
     def test_inner_integral_routes_agree(self, t):
-        # hypergeometric closed form vs the descending-contour route,
-        # in their overlap band
-        meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
-        hyp = meta._inner_it_hyp(t)
-        con = meta._inner_it_contour(t)
-        assert con.real == pytest.approx(hyp.real, abs=1e-7)
-        assert con.imag == pytest.approx(hyp.imag, abs=1e-7)
+        # the fixed rule against the hypergeometric oracle
+        val = inner_trig(0.9, RADIO.alpha, t)
+        ref = inner_it_hyp(0.9, RADIO.alpha, t)
+        assert val.real == pytest.approx(ref.real, abs=1e-9)
+        assert val.imag == pytest.approx(ref.imag, abs=1e-9)
 
     @pytest.mark.parametrize("t", [0.7, 5.0, 20.0])
     def test_inner_integral_matches_direct_quadrature(self, t):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
         c_ref, s_ref = meta._inner_trig_quad(t)
-        val = meta._inner_it_hyp(t)
-        assert val.real == pytest.approx(c_ref, abs=1e-9)
-        assert val.imag == pytest.approx(s_ref, abs=1e-9)
+        c_val, s_val = meta._inner_trig(t)
+        assert c_val == pytest.approx(c_ref, abs=1e-9)
+        assert s_val == pytest.approx(s_ref, abs=1e-9)
+
+    @pytest.mark.parametrize("tau, alpha, t, re, im", CONTOUR_VALUES)
+    def test_inner_integral_matches_contour_values(self, tau, alpha, t, re,
+                                                   im):
+        ref = complex(re, im)
+        err = abs(inner_trig(tau, alpha, t) - ref)
+        assert err <= 1e-9 * max(1.0, abs(ref))
+
+    @given(log_tau=st.floats(math.log(0.5), math.log(5e13)),
+           alpha=st.floats(2.5, 5.0), t=st.floats(1e-3, 64.0))
+    @settings(max_examples=25, deadline=None)
+    def test_inner_integral_property(self, log_tau, alpha, t):
+        tau = math.exp(log_tau)
+        ref = inner_it_hyp(tau, alpha, t)
+        err = abs(inner_trig(tau, alpha, t) - ref)
+        assert err <= 1e-9 * max(1.0, abs(ref))
 
     def test_noise_bound(self):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)

@@ -231,6 +231,29 @@ class TestVm:
                 [vm_factorial_moment(order, x, PARAMS) for x in t],
                 rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("u, t, z_max", [
+        (60.0, 5.0, 1e-3),      # mu0 = 1: the |s - 1| < 1e-3 band
+        (60.0, 250.0, 4e-3),    # mu0 = 50: both sides of |mu0 z| = 0.1
+        (300.0, 300.0, 1e-3),   # mu0 = 300: beyond |mu0 z| = 0.1
+    ])
+    @pytest.mark.parametrize("N", [8192, 16384])
+    def test_pgf_near_one_matches_mixture_quadrature(self, u, t, z_max, N):
+        # the PGF at the first N-th roots of unity against Gauss-Legendre
+        # over the Poisson-mean mixture: atom w at mu0, density c*mu on
+        # (0, mu0)
+        params = NetworkParams.from_per_km(2.0, 1.0, u, 150.0)
+        w, mu0, c = _vm_mixture(t, params)
+        k = np.arange(int(z_max * N / (2 * np.pi)) + 2)
+        s = np.exp(2j * np.pi * k / N)
+        s = s[np.abs(s - 1.0) < z_max]
+        x, wx = np.polynomial.legendre.leggauss(60)
+        mu = mu0 * (x + 1.0) / 2
+        ref = w * np.exp(mu0 * (s - 1.0)) + c * mu0 / 2 * (
+            (wx * mu) @ np.exp(np.outer(mu, s - 1.0)))
+        got = pgf_vm(s, t, params)
+        assert s.size >= 2
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("t", [40.0, 150.0, 420.0])
     def test_conditional_moments(self, t):
         pmf = pmf_vm(80, t, PARAMS)
