@@ -47,7 +47,6 @@ DEFAULT_CONFIG = {
     "r_b_m": 200.0,
     "u_values": [5.0, 15.0, 25.0, 35.0],
     "replications": 20000,
-    "fading_draws": 500,
     "master_seed": 2024,
     "k_max": 40,
 }
@@ -63,10 +62,15 @@ def load_config(path=None, overrides=None):
     cfg = dict(DEFAULT_CONFIG)
     if path:
         with open(path) as fh:
-            user = json.load(fh)
+            try:
+                user = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config {path}: {exc}") from None
+        if not isinstance(user, dict):
+            raise ValueError(f"config {path}: not a JSON object")
         unknown = set(user) - set(cfg)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(user)
     if overrides:
         cfg.update({k: v for k, v in overrides.items() if v is not None})
@@ -88,8 +92,7 @@ def build_radio(cfg):
 
 def build_sim(cfg):
     return SimConfig(replications=int(cfg["replications"]),
-                     master_seed=int(cfg["master_seed"]),
-                     fading_draws_per_geometry=int(cfg["fading_draws"]))
+                     master_seed=int(cfg["master_seed"]))
 
 
 def write_csv(out, cfg, columns, rows, extra_meta=()):
@@ -387,10 +390,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     overrides = {"master_seed": args.seed, "replications": args.reps}
-    cfg = load_config(args.config, overrides)
     try:
+        cfg = load_config(args.config, overrides)
         build_sim(cfg)  # the Monte Carlo settings, checked before any work
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         ap.exit(2, f"{ap.prog}: error: {exc}\n")
     if args.command == "figure":
         cfg = dict(cfg, **{k: v for k, v in

@@ -86,16 +86,19 @@ def active_prob(traffic, params: NetworkParams):
     return 1.0 - quad(f, 0, np.inf)
 
 
-def laplace_interference(s, r, p_active, lambda_r, radio: RadioParams):
-    """LT of the interference from active RSUs beyond the serving
-    distance r, conditioned on r (hypergeometric closed form)."""
-    if s == 0.0:
-        return 1.0
+def _interference_exponent(s, r, p_active, lambda_r, radio: RadioParams):
+    """-log of `laplace_interference` (hypergeometric closed form)."""
     alpha = radio.alpha
     z = s * radio.p_t * r ** (-alpha)
     h = hyp2f1_real(1.0, 1.0 - 1.0 / alpha, 2.0 - 1.0 / alpha, -z)
-    return math.exp(-2 * p_active * lambda_r * s * radio.p_t
-                    * r ** (1.0 - alpha) / alpha * h / (1.0 - 1.0 / alpha))
+    return 2 * p_active * lambda_r * s * radio.p_t \
+        * r ** (1.0 - alpha) / alpha * h / (1.0 - 1.0 / alpha)
+
+
+def laplace_interference(s, r, p_active, lambda_r, radio: RadioParams):
+    """LT of the interference from active RSUs beyond the serving
+    distance r, conditioned on r."""
+    return math.exp(-_interference_exponent(s, r, p_active, lambda_r, radio))
 
 
 def laplace_interference_quad(s, r, p_active, lambda_r, radio: RadioParams):
@@ -121,11 +124,12 @@ def coverage_prob(tau, traffic, params: NetworkParams, radio: RadioParams):
         raise ValueError("tau must be positive")
     p = active_prob(traffic, params)
     lr, alpha, snr = params.lambda_r, radio.alpha, radio.snr
+    # at s = tau r^alpha / p_t the hypergeometric argument is -tau for
+    # every r, so the interference exponent is linear in r
+    slope = _interference_exponent(tau / radio.p_t, 1.0, p, lr, radio)
 
     def f(r):
-        s = tau * r**alpha / radio.p_t
-        return laplace_interference(s, r, p, lr, radio) \
-            * math.exp(-tau * r**alpha / snr - 2 * lr * r)
+        return math.exp(-(slope + 2 * lr) * r - tau * r**alpha / snr)
 
     return 2 * lr * quad(f, 0, np.inf)
 
@@ -159,20 +163,6 @@ class CoverageMeta:
             return (1.0 - (1.0 + tau * y) ** (-q)) * y ** (-eta)
 
         return quad(f, 0, 1)
-
-    def _inner_trig_quad(self, t):
-        """Direct quadrature of the q = it inner integral (cross-check;
-        only usable at moderate t before the oscillation overwhelms it)."""
-        tau, eta = self.tau, self.eta
-
-        def fc(y):
-            return (1.0 - math.cos(t * math.log1p(tau * y))) * y ** (-eta)
-
-        def fs(y):
-            return math.sin(t * math.log1p(tau * y)) * y ** (-eta)
-
-        return (quad(fc, 0, 1, epsrel=1e-9, limit=400),
-                quad(fs, 0, 1, epsrel=1e-9, limit=400))
 
     def _inner_trig(self, t):
         """Inner integral at q = it, t > 0, as (real, imaginary) parts.

@@ -182,7 +182,7 @@ def _vm_mixture(t, params):
     return w, mu0, c
 
 
-_VM_BAND = 0.1  # series band |mu0 (s - 1)| < _VM_BAND, within |s - 1| < 1e-3
+_VM_BAND = 0.1  # series band |mu0 (s - 1)| < _VM_BAND
 # Taylor coefficients (k + 1)/(k + 2)! of (e^x (x - 1) + 1) / x^2
 _VM_SERIES = [(k + 1) / math.factorial(k + 2) for k in range(8)]
 
@@ -197,8 +197,8 @@ def pgf_vm(s, t, params: NetworkParams):
     w, mu0, c = _vm_mixture(t, params)
     z = s - 1.0
     x = mu0 * z
-    near = (abs(z) < 1e-3) & (abs(x) < _VM_BAND)
-    far = z + near  # keeps the unused closed form finite on the band
+    near = abs(x) < _VM_BAND
+    far = np.where(near, 1.0, z)  # the unused closed form stays finite
     # the closed form divides an O(x^2) cancellation by z^2 (relative
     # error near 2 eps / |x|^2); the series stops before x^8: both are
     # near 5e-14 at |x| = _VM_BAND

@@ -10,7 +10,9 @@ either a Poisson process (N-PTS) or a Matern cluster process of platoons
 (PTS, `_mcp_points`), optionally with the typical VU's own platoon added
 under Palm conditioning (`_vus`).  Each estimator reduces one `draw(rng)`
 per replication, run by `_replicate` on the replication's own
-`replication_rng` stream in a fixed order: RSUs, then VUs, then fading.
+`replication_rng` stream in a fixed order: RSUs, then VUs.  Rayleigh
+fading is not sampled: the success probability of each geometry is its
+exact average over the fading.
 """
 
 from __future__ import annotations
@@ -33,14 +35,11 @@ WINDOW_CELLS = 10.0
 class SimConfig:
     replications: int = 10_000
     master_seed: int = 2024
-    fading_draws_per_geometry: int = 500
 
     def __post_init__(self):
         if self.replications < 2:
             # every estimate reports a standard error, which needs two
             raise ValueError("need at least two replications")
-        if self.fading_draws_per_geometry < 1:
-            raise ValueError("need at least one fading draw per geometry")
 
 
 @dataclass(frozen=True)
@@ -168,9 +167,11 @@ def _interference_reach(params, radio):
 
 def _coverage_profile(threshold, traffic, params, radio: RadioParams,
                       cfg: SimConfig):
-    """Per-geometry success probability of the typical VU, averaged over
-    the fading draws, at the SINR threshold `threshold(load)`; `load` is
-    the number of other VUs its RSU serves."""
+    """Per-geometry success probability of the typical VU at the SINR
+    threshold `threshold(load)`; `load` is the number of other VUs its
+    RSU serves.  Under Rayleigh fading it is exact given the geometry:
+    exp(-tau r^alpha / snr) times 1 / (1 + tau (r/d)^alpha) for each
+    active interferer at distance d."""
     half = max(_half_width(params), _interference_reach(params, radio))
 
     def draw(rng):
@@ -178,12 +179,11 @@ def _coverage_profile(threshold, traffic, params, radio: RadioParams,
         serving, occupancy = _association(rsus, vus)
         active = occupancy > 0
         active[serving] = False  # the serving RSU never interferes with itself
-        dists = np.abs(rsus[active])
-        h = rng.exponential(size=(cfg.fading_draws_per_geometry, dists.size))
-        interference = h @ (radio.p_t * dists**-radio.alpha)
-        scale = (threshold(occupancy[serving])
-                 * abs(rsus[serving])**radio.alpha / radio.p_t)
-        return np.exp(-scale * (interference + radio.sigma2)).mean()
+        r = abs(rsus[serving])
+        tau = threshold(occupancy[serving])
+        ratio = tau * (r / np.abs(rsus[active]))**radio.alpha
+        return math.exp(-tau * r**radio.alpha / radio.snr
+                        - np.log1p(ratio).sum())
     return _replicate(cfg, draw, float)
 
 

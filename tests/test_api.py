@@ -103,6 +103,13 @@ def test_one_replication_loop():
     assert _src_callers("replication_rng") == ["montecarlo._replicate"]
 
 
+def test_src_draws_no_fading():
+    # Rayleigh fading is averaged in closed form per geometry
+    src = "def draw(rng):\n    return rng.exponential(size=3)\n"
+    assert _callers(src, "exponential") == ["draw"]
+    assert _src_callers("exponential") == []
+
+
 def test_load_pmfs_skip_the_count_recurrence():
     # the PTS load PMFs come from the PGF by FFT; the recurrence serves
     # the connectivity degree alone

@@ -31,7 +31,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps({"lambda_r": 2.0}))
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="unknown config keys"):
             load_config(str(bad))
 
     def test_file_overrides(self, tmp_path):
@@ -157,6 +157,7 @@ class TestMain:
         (["simulate", "coverage"], {"fading_draws": 0}),
         (["figure", "2", "--reps", "1"], None),
         (["validate", "--reps", "0"], None),
+        (["figure", "5"], {"lambda_r": 2.0}),  # an unknown config key
     ])
     def test_bad_simulation_settings_are_usage_errors(
             self, args, config, tmp_path, capsys):
@@ -166,6 +167,22 @@ class TestMain:
             args = args + ["--config", str(path)]
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("platoonnet: error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("text", ['{"m": 15.0,', "5", None],
+                             ids=["malformed", "not_an_object", "missing"])
+    def test_bad_config_files_are_usage_errors(self, text, tmp_path,
+                                               capsys):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "5", "--config", str(path),
+                  "--out", str(tmp_path / "out.csv")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("platoonnet: error: ")

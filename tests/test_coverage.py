@@ -14,6 +14,7 @@ from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
 from platoonnet.geometry import NetworkParams
 from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
+from platoonnet.numerics import quad
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)
 RADIO = RadioParams(1.0, 5e-5, 3.5)
@@ -37,6 +38,21 @@ def inner_trig(tau, alpha, t):
     meta = CoverageMeta(tau, "PTS", PARAMS, RadioParams(1.0, 5e-5, alpha),
                         p_active=1.0)
     return complex(*meta._inner_trig(t))
+
+
+def inner_trig_quad(meta, t):
+    """Direct quadrature of the q = it inner integral, (real, imaginary);
+    only usable at moderate t before the oscillation overwhelms it."""
+    tau, eta = meta.tau, meta.eta
+
+    def fc(y):
+        return (1.0 - math.cos(t * math.log1p(tau * y))) * y ** (-eta)
+
+    def fs(y):
+        return math.sin(t * math.log1p(tau * y)) * y ** (-eta)
+
+    return (quad(fc, 0, 1, epsrel=1e-9, limit=400),
+            quad(fs, 0, 1, epsrel=1e-9, limit=400))
 
 
 # (tau, alpha, t, real, imaginary) of the inner integral from the
@@ -119,7 +135,47 @@ class TestLaplace:
         assert vals[0] > vals[1] > vals[2]
 
 
+def coverage_prob_per_node(tau, traffic, params, radio):
+    """coverage_prob with the Laplace transform evaluated at every
+    quadrature node."""
+    p = active_prob(traffic, params)
+    lr, alpha = params.lambda_r, radio.alpha
+
+    def f(r):
+        s = tau * r**alpha / radio.p_t
+        return laplace_interference(s, r, p, lr, radio) \
+            * math.exp(-tau * r**alpha / radio.snr - 2 * lr * r)
+
+    return 2 * lr * quad(f, 0, np.inf)
+
+
 class TestCoverageProb:
+    @pytest.mark.parametrize("alpha", [3.5, 4.0])
+    @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+    def test_matches_per_node_laplace(self, traffic, alpha):
+        radio = RadioParams(1.0, 5e-5, alpha)
+        for u in (5.0, 15.0, 35.0):
+            for a in (100.0, 150.0):
+                params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+                for tau in (0.9, 11.13, 1e3, 3.5e13):
+                    assert coverage_prob(tau, traffic, params, radio) \
+                        == pytest.approx(coverage_prob_per_node(
+                            tau, traffic, params, radio), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0])
+    def test_interference_beyond_exp_underflow(self, alpha):
+        # the interference exponent at r = 1 is in the thousands, so its
+        # Laplace transform there underflows to 0; coverage is still
+        # positive near the RSU
+        radio = RadioParams(1.0, 1e-40, alpha)
+        tau = 1e25
+        assert laplace_interference(tau / radio.p_t, 1.0, 1.0,
+                                    PARAMS.lambda_r, radio) == 0.0
+        cp = coverage_prob(tau, "NPTS", PARAMS, radio)
+        assert cp > 0.0
+        assert cp == pytest.approx(
+            coverage_prob_per_node(tau, "NPTS", PARAMS, radio), rel=1e-13)
+
     def test_decreasing_in_threshold(self):
         taus = [0.1, 0.5, 0.9, 2.0]
         for traffic in ("PTS", "NPTS"):
@@ -169,7 +225,7 @@ class TestMeta:
     @pytest.mark.parametrize("t", [0.7, 5.0, 20.0])
     def test_inner_integral_matches_direct_quadrature(self, t):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
-        c_ref, s_ref = meta._inner_trig_quad(t)
+        c_ref, s_ref = inner_trig_quad(meta, t)
         c_val, s_val = meta._inner_trig(t)
         assert c_val == pytest.approx(c_ref, abs=1e-9)
         assert s_val == pytest.approx(s_ref, abs=1e-9)

@@ -233,6 +233,7 @@ class TestVm:
 
     @pytest.mark.parametrize("u, t, z_max", [
         (60.0, 5.0, 1e-3),      # mu0 = 1: the |s - 1| < 1e-3 band
+        (1.2, 250.0, 4e-3),     # mu0 = 1: just outside |s - 1| = 1e-3
         (60.0, 250.0, 4e-3),    # mu0 = 50: both sides of |mu0 z| = 0.1
         (300.0, 300.0, 1e-3),   # mu0 = 300: beyond |mu0 z| = 0.1
     ])

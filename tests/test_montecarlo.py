@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,14 @@ from platoonnet import montecarlo
 from platoonnet.cli import tv_distance
 from platoonnet.connectivity import V2VParams, pmf_degree_certified
 from platoonnet.coverage import RadioParams, coverage_prob
-from platoonnet.geometry import NetworkParams
+from platoonnet.geometry import NetworkParams, replication_rng
 from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
-from platoonnet.montecarlo import (SimConfig, _half_width, sim_connectivity,
-                                   sim_coverage, sim_load, sim_md_coverage,
-                                   sim_rate)
+from platoonnet.montecarlo import (SimConfig, _association,
+                                   _coverage_profile, _half_width,
+                                   _interference_reach, _tagged_geometry,
+                                   sim_connectivity, sim_coverage, sim_load,
+                                   sim_md_coverage, sim_rate)
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 RADIO = RadioParams(1.0, 5e-5, 3.5)
@@ -37,10 +40,9 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(replications=1)
 
-    def test_fading_draws_validated(self):
-        # zero draws would average an empty array into a NaN coverage
-        with pytest.raises(ValueError):
-            SimConfig(fading_draws_per_geometry=0)
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "replications", "master_seed"]
 
 
 class TestReproducibility:
@@ -56,8 +58,7 @@ class TestReproducibility:
         assert not np.array_equal(p1.masses, p2.masses)
 
     def test_coverage_bitwise(self):
-        cfg = SimConfig(replications=200, master_seed=7,
-                        fading_draws_per_geometry=100)
+        cfg = SimConfig(replications=200, master_seed=7)
         a = sim_coverage(0.9, "PTS", PARAMS, RADIO, cfg)
         b = sim_coverage(0.9, "PTS", PARAMS, RADIO, cfg)
         assert a.value == b.value and a.std_error == b.std_error
@@ -128,9 +129,49 @@ class TestConnectivity:
                                pmf) < 0.02
 
 
+def _fading_average(rsus, vus, tau, radio, rng, draws=100_000):
+    """Success probability of one geometry averaged over `draws` Rayleigh
+    fading draws (in chunks of 10,000), and its standard error."""
+    serving, occupancy = _association(rsus, vus)
+    active = occupancy > 0
+    active[serving] = False
+    gain = radio.p_t * np.abs(rsus[active]) ** -radio.alpha
+    scale = tau * abs(rsus[serving]) ** radio.alpha / radio.p_t
+    total = total_sq = 0.0
+    for _ in range(draws // 10_000):
+        h = rng.exponential(size=(10_000, gain.size))
+        v = np.exp(-scale * (h @ gain + radio.sigma2))
+        total += v.sum()
+        total_sq += (v * v).sum()
+    mean = total / draws
+    return mean, math.sqrt(max(total_sq / draws - mean**2, 0.0)
+                           / (draws - 1))
+
+
+@pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+def test_exact_fading_average_matches_fading_draws(traffic):
+    # low noise, so that interference sets the success probability
+    radio = RadioParams(1.0, 1e-9, 4.0)
+    cfg = SimConfig(replications=8, master_seed=7)
+    tau = 0.9
+    exact = _coverage_profile(lambda load: tau, traffic, PARAMS, radio, cfg)
+    half = max(_half_width(PARAMS), _interference_reach(PARAMS, radio))
+    interference_bites = False
+    for rep, value in enumerate(exact):
+        rsus, vus = _tagged_geometry(traffic, PARAMS, half,
+                                     replication_rng(cfg.master_seed, rep))
+        mean, se = _fading_average(rsus, vus, tau, radio,
+                                   np.random.default_rng([99, rep]))
+        # the slack covers rounding where no RSU interferes (se = 0)
+        assert abs(value - mean) <= 5 * se + 1e-12 * value
+        noise_only = math.exp(-tau * abs(rsus).min() ** radio.alpha
+                              / radio.snr)
+        interference_bites |= value < noise_only - 0.05
+    assert interference_bites
+
+
 class TestCoverage:
-    CFG = SimConfig(replications=1500, master_seed=17,
-                    fading_draws_per_geometry=300)
+    CFG = SimConfig(replications=1500, master_seed=17)
 
     def test_near_analytic(self):
         for traffic in ("PTS", "NPTS"):
@@ -159,8 +200,7 @@ class TestCoverage:
         # the one-user rate threshold
         lonely = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0, lam=1e-9)
         radio4 = RadioParams(1.0, 5e-5, 4.0)
-        cfg = SimConfig(replications=200, master_seed=17,
-                        fading_draws_per_geometry=50)
+        cfg = SimConfig(replications=200, master_seed=17)
         rate = sim_rate(9e6, "NPTS", lonely, radio4, cfg)
         cov = sim_coverage(radio4.rate_threshold(9e6, 1), "NPTS", lonely,
                            radio4, cfg)
