@@ -58,6 +58,34 @@ FIGURE_OVERRIDES = {
 }
 
 
+def _finite_number(value):
+    # a comparison, not math.isfinite, so that NaN and integers too large
+    # for a float fail without raising
+    return isinstance(value, (int, float)) \
+        and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _check_types(cfg):
+    """Each value has the type of its DEFAULT_CONFIG entry: a string, a
+    list of finite numbers, a finite number or null where the default is
+    null, else a finite number."""
+    for key, default in DEFAULT_CONFIG.items():
+        value = cfg[key]
+        if isinstance(default, str):
+            ok, want = isinstance(value, str), "a string"
+        elif isinstance(default, list):
+            ok = isinstance(value, list) and all(map(_finite_number, value))
+            want = "a list of finite numbers"
+        elif default is None:
+            ok = value is None or _finite_number(value)
+            want = "a finite number or null"
+        else:
+            ok, want = _finite_number(value), "a finite number"
+        if not ok:
+            raise ValueError(f"config key {key!r} must be {want}, "
+                             f"not {value!r}")
+
+
 def load_config(path=None, overrides=None):
     cfg = dict(DEFAULT_CONFIG)
     if path:
@@ -74,6 +102,7 @@ def load_config(path=None, overrides=None):
         cfg.update(user)
     if overrides:
         cfg.update({k: v for k, v in overrides.items() if v is not None})
+    _check_types(cfg)
     return cfg
 
 
@@ -116,17 +145,11 @@ def write_csv(out, cfg, columns, rows, extra_meta=()):
             fh.write(text)
 
 
-def _pad(masses, K):
-    out = np.zeros(K + 1)
-    n = min(K + 1, masses.size)
-    out[:n] = masses[:n]
-    return out
-
-
 def tv_distance(p, q):
     """Total variation distance between two finite PMFs."""
-    K = max(p.masses.size, q.masses.size) - 1
-    return 0.5 * float(np.abs(_pad(p.masses, K) - _pad(q.masses, K)).sum())
+    n = max(p.masses.size, q.masses.size)
+    a, b = (np.pad(x.masses, (0, n - x.masses.size)) for x in (p, q))
+    return 0.5 * float(np.abs(a - b).sum())
 
 
 # ------------------------------------------------------------- figures
@@ -392,7 +415,12 @@ def main(argv=None):
     overrides = {"master_seed": args.seed, "replications": args.reps}
     try:
         cfg = load_config(args.config, overrides)
-        build_sim(cfg)  # the Monte Carlo settings, checked before any work
+        # every parameter set, checked before any work
+        build_sim(cfg)
+        build_radio(cfg)
+        V2VParams(cfg["r_b_m"], build_params(cfg))
+        for u in cfg["u_values"]:
+            build_params(cfg, u=u)
     except (OSError, ValueError) as exc:
         ap.exit(2, f"{ap.prog}: error: {exc}\n")
     if args.command == "figure":

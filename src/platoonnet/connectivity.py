@@ -25,8 +25,9 @@ class V2VParams:
     params: NetworkParams
 
     def __post_init__(self):
-        if self.r_b <= 0:
-            raise ValueError("communication range must be positive")
+        if not 0 < self.r_b < math.inf:
+            raise ValueError("communication range must be positive and "
+                             "finite")
 
 
 def pgf_degree_npts(s, v2v: V2VParams):

@@ -4,18 +4,18 @@ The active-RSU set is approximated as an independent thinning of the RSU
 process (density p * lambda_r); the Monte Carlo engine implements the
 true dependent thinning so the size of that approximation is measurable.
 
-Moments of the conditional success probability are computed from the
-real/imaginary split of the imaginary-order moment (cosine and sine
-inner integrals), avoiding branch cuts in (1 + tau*y)^(-it).  The inner
-integral at q = it is one fixed numpy rule for every t: Gauss-Jacobi and
-Gauss-Legendre nodes over the first four oscillation periods, a closed
-form plus two Gauss-Laguerre descent legs beyond them.
+Every moment M_q of the conditional success probability, real q and
+q = it alike, is one fixed numpy rule (`CoverageMeta.moment`): an inner
+integral in w = ln(1 + tau*y), free of branch cuts in (1 + tau*y)^(-q),
+and a serving-distance integral on a rotated path, with one composite
+Gauss-Legendre table on dyadic panels.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,10 +26,9 @@ from scipy.integrate import IntegrationWarning
 from .geometry import NetworkParams, platooned
 from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
 from .mcp_counts import g_of
-from .numerics import GP_ABS_TOL, gil_pelaez_invert, hyp2f1_real, quad, \
-    quad_complex
+from .numerics import GP_ABS_TOL, gil_pelaez_invert, hyp2f1_real, quad
 
-# fixed rule of CoverageMeta._inner_trig
+# fixed rule of CoverageMeta._inner
 _PERIODS = 4       # oscillation periods integrated on the real axis
 _PANEL_MAX = 2.0   # widest real-axis panel; w^eta f(w) is analytic
                    # for |w| < 2 pi
@@ -47,6 +46,35 @@ def _jacobi_nodes(eta):
     return u, w / 2 ** (2 - eta) * u ** (eta - 1)
 
 
+def _panels(edges, x, w):
+    """Gauss-Legendre nodes x, weights w on [-1, 1] mapped onto each
+    panel between consecutive edges."""
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel(),
+            (half * w).ravel())
+
+
+# fixed rule of _serving_integral: 24-node Gauss-Legendre on the dyadic
+# panels [0, 2^-6], [2^-6, 2^-5], ..., [2^6, 2^7], fine near 0, where
+# r^alpha is not smooth
+_R_V, _R_W = _panels(np.append(0.0, 2.0 ** np.arange(-6, 8)),
+                     *np.polynomial.legendre.leggauss(24))
+
+
+def _serving_integral(lin, noise, alpha):
+    """Integral of exp(-lin r - noise r^alpha) over r in [0, inf), with
+    Re lin > 0 and Re noise >= 0.
+
+    The path r = rot u, rot = e^(-i arg(noise)/alpha), turns the noise
+    term into the real decay |noise| u^alpha, and u = u0 v scales the
+    decay length to O(1) before the fixed dyadic rule in v.
+    """
+    rot = cmath.exp(-1j * cmath.phase(noise) / alpha)
+    u0 = 1.0 / (abs(lin * rot) + abs(noise) ** (1.0 / alpha))
+    u = u0 * _R_V
+    return rot * u0 * (_R_W @ np.exp(-lin * rot * u - abs(noise) * u**alpha))
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Transmit power (W), noise power (W), pathloss exponent, bandwidth (Hz)."""
@@ -57,10 +85,13 @@ class RadioParams:
     bandwidth: float = 10e6
 
     def __post_init__(self):
-        if min(self.p_t, self.sigma2, self.bandwidth) <= 0:
-            raise ValueError("radio parameters must be positive")
-        if self.alpha <= 1:
-            raise ValueError("alpha > 1 required for interference convergence")
+        # written so that NaN fails each check
+        if not all(0 < v < math.inf
+                   for v in (self.p_t, self.sigma2, self.bandwidth)):
+            raise ValueError("radio parameters must be positive and finite")
+        if not 1 < self.alpha < math.inf:
+            raise ValueError("finite alpha > 1 required for interference "
+                             "convergence")
 
     @property
     def snr(self):
@@ -138,9 +169,9 @@ class CoverageMeta:
     """Moments and meta distribution of the conditional coverage
     probability for one (tau, traffic) pair.
 
-    Caches the oscillatory inner integrals so that the meta distribution
-    can be evaluated on a grid of reliability levels x without recomputing
-    the imaginary-order moments.
+    Caches the imaginary-order moments M_it, so that the meta
+    distribution can be evaluated on a grid of reliability levels x
+    without recomputing them.
     """
 
     def __init__(self, tau, traffic, params: NetworkParams,
@@ -154,33 +185,28 @@ class CoverageMeta:
             else p_active
         self.eta = (1.0 + radio.alpha) / radio.alpha
         self._coef = 2 * self.p * params.lambda_r / radio.alpha
-        self._moment_cached = lru_cache(maxsize=65536)(self._moment_it)
+        # a weak reference: the bound method would make a cycle that keeps
+        # each object and its cache alive until a full garbage collection
+        moment = weakref.WeakMethod(self.moment)
+        self._moment_cached = lru_cache(maxsize=65536)(lambda q: moment()(q))
 
-    def _inner_real_q(self, q):
-        tau, eta = self.tau, self.eta
-
-        def f(y):
-            return (1.0 - (1.0 + tau * y) ** (-q)) * y ** (-eta)
-
-        return quad(f, 0, 1)
-
-    def _inner_trig(self, t):
-        """Inner integral at q = it, t > 0, as (real, imaginary) parts.
+    def _inner(self, q):
+        """Inner integral of (1 - (1 + tau*y)^(-q)) y^(-eta) over [0, 1],
+        for complex q with Re q >= 0, q != 0.
 
         With w = ln(1 + tau*y) it is tau^(eta-1) times the integral of
-        (1 - e^(-itw)) f(w), f(w) = e^w (e^w - 1)^(-eta), over [0, W],
-        W = ln(1 + tau).  Up to A = min(W, 4 periods) it runs on the real
-        axis: Gauss-Jacobi (weight w^(1-eta)) over the first period, then
-        Gauss-Legendre panels, with 1 - cos written as 2 sin^2.  Beyond A,
-        the integral of f is closed form and that of e^(-itw) f descends
-        from A and from W into Im w < 0, where f is analytic (its only
-        singularities are at w = 2 pi i k) and e^(-itw) decays:
-        Gauss-Laguerre in t*v.
-        The node count is bounded whatever t is.
+        (1 - e^(-qw)) f(w), f(w) = e^w (e^w - 1)^(-eta), over [0, W],
+        W = ln(1 + tau).  Up to A = min(W, 4 periods 2 pi/|q|) it runs on
+        the real axis: Gauss-Jacobi (weight w^(1-eta)) over the first
+        period, then Gauss-Legendre panels.  Beyond A, the integral of f
+        is closed form and that of e^(-qw) f runs along w = A + v/q and
+        w = W + v/q, where f is analytic (its only singularities are at
+        w = 2 pi i k) and e^(-qw) = e^(-qA) e^(-v) decays: Gauss-Laguerre
+        in v.  The node count is bounded whatever q is.
         """
         tau, eta = self.tau, self.eta
         W = math.log1p(tau)
-        period = 2 * math.pi / t
+        period = 2 * math.pi / abs(q)
         A = min(W, _PERIODS * period)
         B = min(A, period, _PANEL_MAX)
 
@@ -190,77 +216,34 @@ class CoverageMeta:
             return np.exp((1 - eta) * w - eta * np.log(-np.expm1(-w)))
 
         x, wts = _jacobi_nodes(eta)
-        w, q = B * x, B * wts
+        w, c = B * x, B * wts
         if A > B:
             n = math.ceil((A - B) / min(period, _PANEL_MAX))
-            edges = np.linspace(B, A, n + 1)
-            half = 0.5 * np.diff(edges)[:, None]
-            w = np.append(w, 0.5 * (edges[:-1] + edges[1:])[:, None]
-                          + half * _GL_X)
-            q = np.append(q, half * _GL_W)
-        q = q * f(w)
-        val = complex(q @ (2 * np.sin(t * w / 2) ** 2), q @ np.sin(t * w))
+            w_gl, c_gl = _panels(np.linspace(B, A, n + 1), _GL_X, _GL_W)
+            w, c = np.append(w, w_gl), np.append(c, c_gl)
+        val = (c * f(w)) @ -np.expm1(-q * w)
         if A < W:
-            v = 1j * _LAG_V / t
             val += (math.expm1(A) ** (1 - eta) - tau ** (1 - eta)) \
-                / (eta - 1) + 1j / t * (_LAG_W @ (
-                    cmath.exp(-1j * t * A) * f(A - v)
-                    - cmath.exp(-1j * t * W) * f(W - v)))
-        val *= tau ** (eta - 1)
-        return val.real, val.imag
+                / (eta - 1) - _LAG_W @ (
+                    cmath.exp(-q * A) * f(A + _LAG_V / q)
+                    - cmath.exp(-q * W) * f(W + _LAG_V / q)) / q
+        return val * tau ** (eta - 1)
 
     def moment(self, q):
-        """q-th moment of the conditional coverage probability (real q)."""
+        """q-th moment of the conditional coverage probability, complex
+        q with Re q >= 0 (a real q gives a real moment); M_it is the
+        characteristic function of ln CP.  Given the serving distance r,
+        E[CP^q | r] = exp(-coef inner(q) r - q tau r^alpha / snr)."""
         if q == 0:
             return 1.0
-        inner = self._inner_real_q(q)
-        lr, alpha, snr = self.params.lambda_r, self.radio.alpha, \
-            self.radio.snr
-        tau, coef = self.tau, self._coef
-
-        def f(r):
-            return math.exp(-coef * r * inner
-                            - q * tau * r**alpha / snr - 2 * lr * r)
-
-        return 2 * lr * quad(f, 0, np.inf)
-
-    def _moment_it(self, t):
-        """M_it: characteristic function of ln of the conditional CP.
-
-        The serving-distance integral is exp(-(A + iB) r - iC r^alpha)
-        with A, B, C >= 0 for t > 0; on the real axis the r^alpha noise
-        phase oscillates with unbounded frequency, so the contour is
-        rotated by theta = pi/(2 alpha), which turns -iC r^alpha into a
-        real decay term and leaves only bounded-frequency oscillation.
-        """
-        if t == 0.0:
-            return complex(1.0, 0.0)
-        if t < 0.0:
-            return self._moment_cached(-t).conjugate()
-        c_int, s_int = self._inner_trig(t)
-        lr, alpha, snr = self.params.lambda_r, self.radio.alpha, \
-            self.radio.snr
-        A = self._coef * c_int + 2 * lr
-        B = self._coef * s_int
-        C = t * self.tau / snr
-        rot = complex(math.cos(math.pi / (2 * alpha)),
-                      -math.sin(math.pi / (2 * alpha)))
-        lin = (A + 1j * B) * rot
-        # scale so the integrand's decay length is O(1) even when the
-        # noise term C*u^alpha dominates at large t
-        u0 = 1.0 / (abs(lin) + C ** (1.0 / alpha))
-
-        def f(v):
-            u = u0 * v
-            # (rot*u)^alpha has argument -pi/2, so -i*C*(rot*u)^alpha is
-            # the real decay term -C*u^alpha
-            return cmath.exp(-lin * u - 1j * C * (rot * u) ** alpha)
-
-        return 2 * lr * rot * u0 * quad_complex(f, 0, np.inf, epsabs=1e-13,
-                                                limit=400)
+        lr = self.params.lambda_r
+        m = 2 * lr * _serving_integral(
+            self._coef * self._inner(q) + 2 * lr,
+            q * self.tau / self.radio.snr, self.radio.alpha)
+        return m if isinstance(q, complex) else float(m.real)
 
     def moment_it(self, t):
-        return self._moment_cached(float(t))
+        return self._moment_cached(1j * float(t))
 
     def md_noise_bound(self, x):
         """Rigorous upper bound on P[conditional CP > x]: even with zero

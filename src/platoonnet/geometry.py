@@ -8,6 +8,7 @@ Carlo engine (`montecarlo`), which draws every replication from its own
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,9 @@ class NetworkParams:
         if self.lam is None:
             object.__setattr__(self, "lam", self.m * self.lambda_p)
         for name in ("lambda_r", "lambda_p", "m", "a", "lam"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            # written so that NaN fails the check
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @classmethod
     def from_per_km(cls, lambda_r, lambda_p, m, a, lam=None):

@@ -82,17 +82,11 @@ def intersection_length(r, a, x):
 def quad(f, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200):
     """Adaptive (QUADPACK) integral of f over [lo, hi]; returns the value.
 
-    Every quadrature of the package runs through here.  `integrate.quad`
-    is looked up at call time, so a wrapper installed on that attribute
-    (a profiler or tracer) sees every call."""
+    Every adaptive quadrature of the package runs through here.
+    `integrate.quad` is looked up at call time, so a wrapper installed on
+    that attribute (a profiler or tracer) sees every call."""
     return integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel,
                           limit=limit)[0]
-
-
-def quad_complex(f, lo, hi, **tol):
-    """Integral of a complex-valued f: the real part, then the imaginary."""
-    return complex(quad(lambda x: f(x).real, lo, hi, **tol),
-                   quad(lambda x: f(x).imag, lo, hi, **tol))
 
 
 def func_F(m, k, a):

@@ -71,12 +71,14 @@ def test_numerics_owns_every_quadrature():
 
 
 def _callers(source, callee):
-    """Dotted names of the functions that call `callee`, once per call."""
+    """Dotted names of the functions (with their classes) that call
+    `callee`, once per call."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
             if isinstance(child, ast.Call):
@@ -108,6 +110,22 @@ def test_src_draws_no_fading():
     src = "def draw(rng):\n    return rng.exponential(size=3)\n"
     assert _callers(src, "exponential") == ["draw"]
     assert _src_callers("exponential") == []
+
+
+def test_coverage_moments_run_no_adaptive_quadrature():
+    # every moment M_q is one fixed inner and one fixed outer rule
+    src = ("class CoverageMeta:\n    def moment(self, q):\n"
+           "        def f(r):\n            return quad(g, 0, r)\n"
+           "        return quad_complex(f, 0, 1)\n")
+    assert _callers(src, "quad") == ["CoverageMeta.moment.f"]
+    assert _callers(src, "quad_complex") == ["CoverageMeta.moment"]
+    coverage_src = (SRC / "coverage.py").read_text()
+    assert not [fn for callee in ("quad", "quad_complex")
+                for fn in _callers(coverage_src, callee)
+                if fn.split(".")[0] == "CoverageMeta"]
+    numerics = ast.parse((SRC / "numerics.py").read_text())
+    assert "quad_complex" not in {node.name for node in numerics.body
+                                  if isinstance(node, ast.FunctionDef)}
 
 
 def test_load_pmfs_skip_the_count_recurrence():

@@ -158,6 +158,12 @@ class TestMain:
         (["figure", "2", "--reps", "1"], None),
         (["validate", "--reps", "0"], None),
         (["figure", "5"], {"lambda_r": 2.0}),  # an unknown config key
+        (["op", "coverage_prob_pts"], {"a_m": float("nan")}),
+        (["simulate", "coverage"], {"replications": True}),
+        (["figure", "8"], {"u_values": [5.0, -1.0]}),
+        (["figure", "7"], {"r_b_m": -5.0}),
+        (["op", "pmf_typical_npts"], {"lam_per_km": "x"}),
+        (["op", "md_coverage_pts"], {"sigma2_w": float("inf")}),
     ])
     def test_bad_simulation_settings_are_usage_errors(
             self, args, config, tmp_path, capsys):
@@ -173,8 +179,13 @@ class TestMain:
         assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("text", ['{"m": 15.0,', "5", None],
-                             ids=["malformed", "not_an_object", "missing"])
+    @pytest.mark.parametrize("text", [
+        '{"m": 15.0,', "5", None, '{"u_values": 5}', '{"alpha": "x"}',
+        '{"lambda_r_per_km": -1}', '{"alpha": 0.5}', '{"a_m": NaN}',
+        '{"scenario": 3}', '{"m": 1' + "0" * 400 + "}",
+    ], ids=["malformed", "not_an_object", "missing", "u_values_number",
+            "alpha_string", "negative_density", "alpha_below_one",
+            "a_m_nan", "scenario_number", "int_beyond_float"])
     def test_bad_config_files_are_usage_errors(self, text, tmp_path,
                                                capsys):
         path = tmp_path / "cfg.json"

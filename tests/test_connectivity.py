@@ -75,8 +75,9 @@ class TestInterface:
         assert np.all(np.diff(vals) <= 1e-12)
 
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            V2VParams(0.0, PARAMS)
+        for r_b in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                V2VParams(r_b, PARAMS)
 
     def test_unknown_traffic(self):
         with pytest.raises(ValueError, match="unknown traffic"):

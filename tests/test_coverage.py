@@ -1,5 +1,6 @@
 import cmath
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from platoonnet.load import pmf_typical_npts_certified, \
 from platoonnet.numerics import quad
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)
+P35 = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)
 RADIO = RadioParams(1.0, 5e-5, 3.5)
 
 
@@ -34,10 +36,11 @@ def inner_it_hyp(tau, alpha, t):
 
 
 def inner_trig(tau, alpha, t):
-    """The rule in use; the inner integral does not depend on p_active."""
+    """The rule in use at q = it; the inner integral does not depend on
+    p_active."""
     meta = CoverageMeta(tau, "PTS", PARAMS, RadioParams(1.0, 5e-5, alpha),
                         p_active=1.0)
-    return complex(*meta._inner_trig(t))
+    return meta._inner(1j * t)
 
 
 def inner_trig_quad(meta, t):
@@ -80,6 +83,180 @@ CONTOUR_VALUES = [
 ]
 
 
+# (alpha, tau, t, real, imaginary) of M_it = moment_it(t) from the
+# adaptive serving-distance quadrature that preceded the fixed dyadic
+# rule, at PARAMS with the PTS active probability and RADIO's p_t, sigma2
+MOMENT_IT_VALUES = [
+    (2.5, 0.9, 0.001, 0.9511496443240196, -0.10218387975295184),
+    (2.5, 0.9, 0.37, 0.21405696952324643, -0.13007151981450563),
+    (2.5, 0.9, 5.0, 0.07537027718584548, -0.05330951312302783),
+    (2.5, 0.9, 64.0, 0.02753894549924181, -0.019741205678566312),
+    (2.5, 0.9, 1000.0, 0.00920010679438691, -0.0066534612883203574),
+    (2.5, 0.9, 65536.0, 0.0017286642715483194, -0.001254854886738188),
+    (2.5, 0.9, 16777216.0, 0.0001881563972734161, -0.00013669066523291936),
+    (2.5, 11.13, 0.001, 0.6455405717090646, -0.2216116155045293),
+    (2.5, 11.13, 0.37, 0.07977568737089202, -0.05679292519228188),
+    (2.5, 11.13, 5.0, 0.027916974907707337, -0.02004051274464751),
+    (2.5, 11.13, 64.0, 0.010099693477592764, -0.0073030559416540014),
+    (2.5, 11.13, 1000.0, 0.0033673471890810743, -0.002442418561557168),
+    (2.5, 11.13, 65536.0, 0.000632242708267829, -0.0004592050314741517),
+    (2.5, 11.13, 16777216.0, 6.880595045248358e-05, -4.998871619072193e-05),
+    (2.5, 3326.0, 0.001, 0.0904923359134025, -0.060746199613211545),
+    (2.5, 3326.0, 0.37, 0.008038933544475586, -0.006155499696306287),
+    (2.5, 3326.0, 5.0, 0.002864056278681974, -0.002085883524333454),
+    (2.5, 3326.0, 64.0, 0.0010345737037900662, -0.000751487617068466),
+    (2.5, 3326.0, 1000.0, 0.0003446050922835533, -0.00025033139372866974),
+    (2.5, 3326.0, 65536.0, 6.467722667555516e-05, -4.6989237704937894e-05),
+    (2.5, 3326.0, 16777216.0, 7.038163362478285e-06, -5.11350687398488e-06),
+    (2.5, 35000000000000.0, 0.001,
+     9.109378975816698e-06, -6.648341119414559e-06),
+    (2.5, 35000000000000.0, 0.37,
+     7.892384182527818e-07, -6.043262632152172e-07),
+    (2.5, 35000000000000.0, 5.0,
+     2.807692209170412e-07, -2.0474574171390183e-07),
+    (2.5, 35000000000000.0, 64.0,
+     1.0138512014671842e-07, -7.368183591721081e-08),
+    (2.5, 35000000000000.0, 1000.0,
+     3.376654975856867e-08, -2.453328665906928e-08),
+    (2.5, 35000000000000.0, 65536.0,
+     6.337200426330262e-09, -4.604246899784257e-09),
+    (2.5, 35000000000000.0, 16777216.0,
+     6.896067425291068e-10, -5.010286264235595e-10),
+    (3.5, 0.9, 0.001, 0.34214723265093044, -0.12528789327581497),
+    (3.5, 0.9, 0.37, 0.07268427932411596, -0.033452331939808),
+    (3.5, 0.9, 5.0, 0.034725918829129766, -0.016570550941833857),
+    (3.5, 0.9, 64.0, 0.016846415400357653, -0.008063826834301888),
+    (3.5, 0.9, 1000.0, 0.007697694070606279, -0.003696518361933186),
+    (3.5, 0.9, 65536.0, 0.0023329349241147843, -0.0011225168726407026),
+    (3.5, 0.9, 16777216.0, 0.0004786511887313564, -0.00023046562513131687),
+    (3.5, 11.13, 0.001, 0.18243635070460787, -0.0768634065562795),
+    (3.5, 11.13, 0.37, 0.035817156232689766, -0.017091903995357986),
+    (3.5, 11.13, 5.0, 0.0170138632284242, -0.00814440082752612),
+    (3.5, 11.13, 64.0, 0.00822844766451093, -0.003951030739263004),
+    (3.5, 11.13, 1000.0, 0.0037556257823399943, -0.001806121393007785),
+    (3.5, 11.13, 65536.0, 0.0011374957246217167, -0.0005475595964881924),
+    (3.5, 11.13, 16777216.0, 0.0002333304540551729, -0.00011235636752497498),
+    (3.5, 3326.0, 0.001, 0.03831365705050555, -0.01798400478480883),
+    (3.5, 3326.0, 0.37, 0.007028628518145885, -0.003442227056434296),
+    (3.5, 3326.0, 5.0, 0.0033480913842897212, -0.0016122436995317272),
+    (3.5, 3326.0, 64.0, 0.0016170193055897153, -0.0007783157404420733),
+    (3.5, 3326.0, 1000.0, 0.0007374263370511184, -0.00035503115278161316),
+    (3.5, 3326.0, 65536.0, 0.00022324210417389205, -0.00010749889970960744),
+    (3.5, 3326.0, 16777216.0, 4.57852143881229e-05, -2.2048625340973028e-05),
+    (3.5, 35000000000000.0, 0.001,
+     5.333177647280506e-05, -2.5708779399056903e-05),
+    (3.5, 35000000000000.0, 0.37,
+     9.641856741505949e-06, -4.720391185529889e-06),
+    (3.5, 35000000000000.0, 5.0,
+     4.588539128971842e-06, -2.2119872260086175e-06),
+    (3.5, 35000000000000.0, 64.0,
+     2.2151701194893954e-06, -1.066854197842171e-06),
+    (3.5, 35000000000000.0, 1000.0,
+     1.010001219292865e-06, -4.86393262178749e-07),
+    (3.5, 35000000000000.0, 65536.0,
+     3.0572300153723636e-07, -1.472284328519164e-07),
+    (3.5, 35000000000000.0, 16777216.0,
+     6.269885124441044e-08, -3.0194174699621595e-08),
+    (4.0, 0.9, 0.001, 0.20755591693861983, -0.07433882509253001),
+    (4.0, 0.9, 0.37, 0.05116961310540187, -0.020575752569162352),
+    (4.0, 0.9, 5.0, 0.026802661920665164, -0.011029083530652193),
+    (4.0, 0.9, 64.0, 0.014220811562509483, -0.0058625075613796635),
+    (4.0, 0.9, 1000.0, 0.007165247142279413, -0.0029606684636280045),
+    (4.0, 0.9, 65536.0, 0.002521158922989545, -0.0010433969406826679),
+    (4.0, 0.9, 16777216.0, 0.0006305784270477081, -0.00026113775974930095),
+    (4.0, 11.13, 0.001, 0.11609844881487745, -0.04450951851587988),
+    (4.0, 11.13, 0.37, 0.027500521073102583, -0.011311914824122053),
+    (4.0, 11.13, 5.0, 0.014344325999806555, -0.005913083171606132),
+    (4.0, 11.13, 64.0, 0.007595786437390608, -0.003138341775163807),
+    (4.0, 11.13, 1000.0, 0.0038240167782103247, -0.0015818914443004456),
+    (4.0, 11.13, 65536.0, 0.0013448096711376077, -0.0005567820030979995),
+    (4.0, 11.13, 16777216.0, 0.0003362845276014522, -0.00013927757868900152),
+    (4.0, 3326.0, 0.001, 0.02910672893042784, -0.011839128867520912),
+    (4.0, 3326.0, 0.37, 0.006620534120085065, -0.00277544765594043),
+    (4.0, 3326.0, 5.0, 0.0034586336748110955, -0.001432103363517774),
+    (4.0, 3326.0, 64.0, 0.0018294632920596676, -0.0007573571180360221),
+    (4.0, 3326.0, 1000.0, 0.0009203826652012644, -0.00038111618676715656),
+    (4.0, 3326.0, 65536.0, 0.0003235276809634969, -0.00013399472035990486),
+    (4.0, 3326.0, 16777216.0, 8.088667135257563e-05, -3.35034286970965e-05),
+    (4.0, 35000000000000.0, 0.001,
+     9.207244650858432e-05, -3.816208778910685e-05),
+    (4.0, 35000000000000.0, 0.37,
+     2.07049767474116e-05, -8.676252829245681e-06),
+    (4.0, 35000000000000.0, 5.0,
+     1.080787319947285e-05, -4.479866685081069e-06),
+    (4.0, 35000000000000.0, 64.0,
+     5.714522333731547e-06, -2.3671565745091034e-06),
+    (4.0, 35000000000000.0, 1000.0,
+     2.8742759886605085e-06, -1.1905670637283083e-06),
+    (4.0, 35000000000000.0, 65536.0,
+     1.0102035675146462e-06, -4.184398959291756e-07),
+    (4.0, 35000000000000.0, 16777216.0,
+     2.5255094014368605e-07, -1.0461001557648022e-07),
+    (5.0, 0.9, 0.001, 0.09808506095013654, -0.030012044779964497),
+    (5.0, 0.9, 0.37, 0.031067405178911496, -0.009928835348180749),
+    (5.0, 0.9, 5.0, 0.01850711719481531, -0.005988166399459756),
+    (5.0, 0.9, 64.0, 0.011137797030859183, -0.0036065268867318265),
+    (5.0, 0.9, 1000.0, 0.006435236287011895, -0.0020867074637952944),
+    (5.0, 0.9, 65536.0, 0.0027904320817571343, -0.0009058712735399561),
+    (5.0, 0.9, 16777216.0, 0.0009209371737690112, -0.00029914404175775307),
+    (5.0, 11.13, 0.001, 0.060450904418426404, -0.018943041724806025),
+    (5.0, 11.13, 0.37, 0.018871762791079532, -0.006102644360114828),
+    (5.0, 11.13, 5.0, 0.011214987313748486, -0.0036310770276379656),
+    (5.0, 11.13, 64.0, 0.006742826983059612, -0.00218634587131866),
+    (5.0, 11.13, 1000.0, 0.0038939908087230915, -0.0012636883721149582),
+    (5.0, 11.13, 65536.0, 0.001687884617986126, -0.0005481360971551211),
+    (5.0, 11.13, 16777216.0, 0.0005569544317351885, -0.00018093379798986533),
+    (5.0, 3326.0, 0.001, 0.01972085625988968, -0.006335329554062429),
+    (5.0, 3326.0, 0.37, 0.0060427649532078555, -0.0019784262135251348),
+    (5.0, 3326.0, 5.0, 0.0035935704112368665, -0.0011669281432185824),
+    (5.0, 3326.0, 64.0, 0.0021590524119323344, -0.0007010674388084888),
+    (5.0, 3326.0, 1000.0, 0.0012462408947233792, -0.00040477046780016486),
+    (5.0, 3326.0, 65536.0, 0.0005399880050653107, -0.00017542297743936033),
+    (5.0, 3326.0, 16777216.0, 0.00017814599743922827, -5.787990372716298e-05),
+    (5.0, 35000000000000.0, 0.001,
+     0.000197017224088329, -6.403557201861222e-05),
+    (5.0, 35000000000000.0, 0.37,
+     5.9904958322008176e-05, -1.9603194020055154e-05),
+    (5.0, 35000000000000.0, 5.0,
+     3.560368054510718e-05, -1.157294103027694e-05),
+    (5.0, 35000000000000.0, 64.0,
+     2.138310951984747e-05, -6.947969093124322e-06),
+    (5.0, 35000000000000.0, 1000.0,
+     1.2339828004694697e-05, -4.009445838945036e-06),
+    (5.0, 35000000000000.0, 65536.0,
+     5.345815625377293e-06, -1.736957926180657e-06),
+    (5.0, 35000000000000.0, 16777216.0,
+     1.7634631127147458e-06, -5.729835815246777e-07),
+]
+
+
+def serving_integral_mp(lin, noise, alpha):
+    """Integral of exp(-lin r - noise r^alpha) over [0, inf) by mpmath
+    tanh-sinh on the ray r = rot*s that turns noise r^alpha real, with
+    the complex power taken by mpmath itself."""
+    with mpmath.workdps(30):
+        lin, noise = mpmath.mpmathify(lin), mpmath.mpmathify(noise)
+        rot = mpmath.exp(-1j * mpmath.arg(noise) / alpha)
+        s = 1 / (abs(lin) + abs(noise) ** (1 / mpmath.mpf(alpha)))
+
+        def f(v):
+            r = rot * v
+            return rot * mpmath.exp(-lin * r - noise * r**alpha)
+
+        return complex(mpmath.quad(
+            f, [0, s / 10, s, 10 * s, 100 * s, mpmath.inf]))
+
+
+def inner_hyp_mp(tau, alpha, q):
+    """The inner integral at order q from the hypergeometric closed form
+    of `inner_it_hyp`, at 30 digits."""
+    with mpmath.workdps(30):
+        b = 1 - mpmath.mpf(1) / alpha
+        tau = mpmath.mpf(tau)
+        return complex(-alpha * (1 - (1 + tau) ** -q) + alpha * q * tau / b
+                       * mpmath.hyp2f1(q + 1, b, b + 1, -tau))
+
+
 class TestRadioParams:
     def test_snr(self):
         assert RADIO.snr == pytest.approx(20000.0)
@@ -88,6 +265,11 @@ class TestRadioParams:
         dict(p_t=0.0, sigma2=1e-5, alpha=3.5),
         dict(p_t=1.0, sigma2=-1e-5, alpha=3.5),
         dict(p_t=1.0, sigma2=1e-5, alpha=1.0),
+        dict(p_t=float("nan"), sigma2=1e-5, alpha=3.5),
+        dict(p_t=1.0, sigma2=1e-5, alpha=float("nan")),
+        dict(p_t=1.0, sigma2=1e-5, alpha=3.5, bandwidth=float("nan")),
+        dict(p_t=1.0, sigma2=float("inf"), alpha=3.5),
+        dict(p_t=1.0, sigma2=1e-5, alpha=float("inf")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -214,6 +396,14 @@ class TestMeta:
         assert abs(m) <= 1.0 + 1e-9
         assert meta.moment_it(-1.5) == pytest.approx(m.conjugate())
 
+    def test_freed_without_garbage_collection(self):
+        # the moment cache holds no reference back to its object
+        meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
+        meta.moment_it(1.5)
+        ref = weakref.ref(meta)
+        del meta
+        assert ref() is None
+
     @pytest.mark.parametrize("t", [40.0, 55.0, 64.0])
     def test_inner_integral_routes_agree(self, t):
         # the fixed rule against the hypergeometric oracle
@@ -226,9 +416,9 @@ class TestMeta:
     def test_inner_integral_matches_direct_quadrature(self, t):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
         c_ref, s_ref = inner_trig_quad(meta, t)
-        c_val, s_val = meta._inner_trig(t)
-        assert c_val == pytest.approx(c_ref, abs=1e-9)
-        assert s_val == pytest.approx(s_ref, abs=1e-9)
+        val = meta._inner(1j * t)
+        assert val.real == pytest.approx(c_ref, abs=1e-9)
+        assert val.imag == pytest.approx(s_ref, abs=1e-9)
 
     @pytest.mark.parametrize("tau, alpha, t, re, im", CONTOUR_VALUES)
     def test_inner_integral_matches_contour_values(self, tau, alpha, t, re,
@@ -245,6 +435,52 @@ class TestMeta:
         ref = inner_it_hyp(tau, alpha, t)
         err = abs(inner_trig(tau, alpha, t) - ref)
         assert err <= 1e-9 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0, 5.0])
+    @pytest.mark.parametrize("tau", [0.9, 11.13, 3326.0, 3.5e13])
+    def test_moment_it_matches_adaptive_values(self, alpha, tau):
+        meta = CoverageMeta(tau, "PTS", PARAMS, RadioParams(1.0, 5e-5, alpha))
+        rows = [r for r in MOMENT_IT_VALUES if r[:2] == (alpha, tau)]
+        assert len(rows) == 7
+        for _, _, t, re, im in rows:
+            assert abs(meta.moment_it(t) - complex(re, im)) <= 2e-12
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 2.5, 3.5, 4.0, 5.0])
+    @pytest.mark.parametrize("tau", [0.9, 11.13])
+    def test_serving_integral_matches_mpmath(self, alpha, tau):
+        # the outer rule alone: mpmath integrates the same integrand,
+        # built from the same inner integral
+        radio = RadioParams(1.0, 5e-5, alpha)
+        meta = CoverageMeta(tau, "PTS", PARAMS, radio)
+        lr = PARAMS.lambda_r
+        for t in (1e-2, 1.0, 64.0, 4096.0, 65536.0):
+            lin = meta._coef * meta._inner(1j * t) + 2 * lr
+            ref = 2 * lr * serving_integral_mp(lin, 1j * t * tau / radio.snr,
+                                               alpha)
+            assert abs(meta.moment(1j * t) - ref) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0])
+    @pytest.mark.parametrize("tau", [0.9, 1e3, 3.5e13, 1e16])
+    def test_real_moments_match_mpmath(self, alpha, tau):
+        # large tau makes the interference slope steep; the moments stay
+        # relatively accurate
+        radio = RadioParams(1.0, 5e-5, alpha)
+        meta = CoverageMeta(tau, "PTS", P35, radio)
+        lr = P35.lambda_r
+        for q in (0.5, 1, 2, 3):
+            lin = meta._coef * inner_hyp_mp(tau, alpha, q) + 2 * lr
+            ref = 2 * lr * serving_integral_mp(lin, q * tau / radio.snr,
+                                               alpha).real
+            assert meta.moment(q) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0])
+    @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+    def test_first_moment_is_coverage(self, traffic, alpha):
+        radio = RadioParams(1.0, 5e-5, alpha)
+        for tau in (0.1, 0.9, 11.13, 1e3):
+            meta = CoverageMeta(tau, traffic, P35, radio)
+            assert meta.moment(1) == pytest.approx(
+                coverage_prob(tau, traffic, P35, radio), rel=1e-12)
 
     def test_noise_bound(self):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)

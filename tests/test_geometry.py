@@ -31,6 +31,10 @@ class TestNetworkParams:
         dict(lambda_r=2e-3, lambda_p=-1e-3, m=5, a=100),
         dict(lambda_r=2e-3, lambda_p=1e-3, m=0, a=100),
         dict(lambda_r=2e-3, lambda_p=1e-3, m=5, a=0),
+        dict(lambda_r=float("nan"), lambda_p=1e-3, m=5, a=100),
+        dict(lambda_r=2e-3, lambda_p=1e-3, m=5, a=float("nan")),
+        dict(lambda_r=2e-3, lambda_p=1e-3, m=5, a=100, lam=float("nan")),
+        dict(lambda_r=2e-3, lambda_p=1e-3, m=float("inf"), a=100),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

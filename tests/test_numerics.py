@@ -8,8 +8,7 @@ from scipy.stats import poisson
 
 from platoonnet.numerics import (NumericsError, func_F, func_G, gamma_lower,
                                  gamma_upper, gil_pelaez_invert, hyp2f1_real,
-                                 intersection_length, poisson_pmf,
-                                 quad_complex)
+                                 intersection_length, poisson_pmf)
 
 
 class TestIncompleteGamma:
@@ -108,13 +107,6 @@ def test_poisson_pmf_matches_scipy(mu):
     n = np.arange(600)
     assert np.allclose(poisson_pmf(n, mu), poisson.pmf(n, mu),
                        rtol=1e-11, atol=1e-300)
-
-
-def test_quad_complex_integrates_both_parts():
-    # int_0^1 exp(ix) dx = sin 1 + i (1 - cos 1)
-    val = quad_complex(lambda x: complex(math.cos(x), math.sin(x)), 0, 1)
-    assert val.real == pytest.approx(math.sin(1.0), rel=1e-12)
-    assert val.imag == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
 
 
 class TestGilPelaez:
