@@ -149,11 +149,14 @@ def laplace_interference_quad(s, r, p_active, lambda_r, radio: RadioParams):
     return math.exp(-2 * p_active * lambda_r * val)
 
 
-def coverage_prob(tau, traffic, params: NetworkParams, radio: RadioParams):
-    """P[SINR > tau] at the typical VU."""
+def coverage_prob(tau, traffic, params: NetworkParams, radio: RadioParams,
+                  p_active=None):
+    """P[SINR > tau] at the typical VU; p_active, when given, is
+    active_prob(traffic, params), so a caller summing over thresholds
+    computes it once."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    p = active_prob(traffic, params)
+    p = active_prob(traffic, params) if p_active is None else p_active
     lr, alpha, snr = params.lambda_r, radio.alpha, radio.snr
     # at s = tau r^alpha / p_t the hypergeometric argument is -tau for
     # every r, so the interference exponent is linear in r
@@ -286,10 +289,11 @@ def rate_coverage(tau_rate, traffic, params, radio: RadioParams):
     if tau_rate <= 0:
         raise ValueError("tau_rate must be positive")
     pmf = _tagged_pmf(traffic, params)
+    p = active_prob(traffic, params)
     total = 0.0
     for k, pk in enumerate(pmf.masses):
         thr = radio.rate_threshold(tau_rate, k + 1)
-        cp = coverage_prob(thr, traffic, params, radio)
+        cp = coverage_prob(thr, traffic, params, radio, p_active=p)
         total += pk * cp
         if cp < 1e-9:
             break

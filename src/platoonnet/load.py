@@ -4,8 +4,10 @@ PTS results mix the interval-count law of the cluster process over the
 cell-length distributions; the tagged cell additionally receives the
 typical VU's own platoon, handled by the conditional law V_m(t/2) below.
 The PTS PMFs are read off the mixture PGF by one FFT at the roots of
-unity, with the aliased mass bounded by a Chernoff tail bound; the
-certified forms pass those masses through `mcp_counts.certified`.
+unity, where the tagged cell multiplies the count PGF by the platoon
+PGF, with the aliased mass bounded by a Chernoff tail bound (summed in
+log form at real radii); the certified forms pass those masses through
+`mcp_counts.certified`.
 N-PTS results are elementary closed forms.
 
 The tagged-platoon count V_m(t/2) admits a clean mixture representation:
@@ -69,10 +71,17 @@ _RHO = 2.0 ** (np.arange(1, 49) / 48)  # Chernoff radii in (1, 2]
 
 
 def _log_pgf_given(s, t, params, tagged):
-    """log E[s^X | cell length t] of the PTS load: the count S(t/2), times
-    the tagged platoon V_m(t/2) in the tagged cell."""
+    """log E[s^X | cell length t] of the PTS load at real s > 0: the count
+    S(t/2), times the tagged platoon V_m(t/2) in the tagged cell."""
     g = g_of(s, t / 2.0, params)
     return g + np.log(pgf_vm(s, t, params)) if tagged else g
+
+
+def _pgf_given(s, t, params, tagged):
+    """E[s^X | cell length t], the product of the two PGFs in the tagged
+    cell: one complex exponential per factor, and no complex log."""
+    pgf = np.exp(g_of(s, t / 2.0, params))
+    return pgf * pgf_vm(s, t, params) if tagged else pgf
 
 
 def _pts_masses(params, tagged, n_min=0):
@@ -82,8 +91,10 @@ def _pts_masses(params, tagged, n_min=0):
     comes out as sum_j p_{k+jN}: each mass is off by at most P[X >= N].
     N is the smallest power of two >= max(64, n_min) whose Chernoff bound
     min_rho G(rho) / rho^N on that tail is below _ALIAS_TOL; a tail that
-    needs N past _N_MAX raises.  The mixture sums run over blocks of
-    nodes to bound the working set.
+    needs N past _N_MAX raises.  The bound sums logs of the conditional
+    PGFs at the real radii; at the roots of unity the tagged cell
+    multiplies the two PGFs.  The mixture sums run over blocks of nodes
+    to bound the working set.
     """
     nodes, wts = _mixture_nodes(params, tagged)
     blocks = [(nodes[i:i + _BLOCK, None], wts[i:i + _BLOCK])
@@ -97,8 +108,7 @@ def _pts_masses(params, tagged, n_min=0):
         raise NumericsError(f"load tail needs an FFT of {need:.3g} points")
     N = 2 ** math.ceil(math.log2(max(64, n_min, need)))
     s = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
-    pgf = sum(w @ np.exp(_log_pgf_given(s, t, params, tagged))
-              for t, w in blocks)
+    pgf = sum(w @ _pgf_given(s, t, params, tagged) for t, w in blocks)
     return np.fft.irfft(pgf, N)
 
 
@@ -199,15 +209,15 @@ def pgf_vm(s, t, params: NetworkParams):
     x = mu0 * z
     near = abs(x) < _VM_BAND
     far = np.where(near, 1.0, z)  # the unused closed form stays finite
+    e = np.exp(mu0 * z)  # off the band far == z, so e is e^{mu0 far} there
     # the closed form divides an O(x^2) cancellation by z^2 (relative
     # error near 2 eps / |x|^2); the series stops before x^8: both are
     # near 5e-14 at |x| = _VM_BAND
     lin = np.where(near,
                    c * (mu0**2 * np.polynomial.polynomial.polyval(
                        x, _VM_SERIES)),
-                   c * (np.exp(mu0 * far) * (mu0 * far - 1.0) + 1.0)
-                   / far**2)[()]
-    return w * np.exp(mu0 * z) + lin
+                   c * (e * (mu0 * far - 1.0) + 1.0) / far**2)[()]
+    return w * e + lin
 
 
 def vm_factorial_moment(order, t, params: NetworkParams):

@@ -88,10 +88,11 @@ def g_of(s, r, params: NetworkParams):
     near = abs(d) < _S1_EPS
     far = d + near  # keeps the unused closed form finite on the band
     # (e^{z(s-1)}-1)/((m/2a)(s-1)) ~ (2a/m)(z + z^2 (s-1)/2 + z^3 (s-1)^2/6)
+    e = np.exp(z * d)  # off the band far == d, so e is e^{z far} there
     frac = np.where(near,
                     (2 * a / m) * (z + z**2 * d / 2 + z**3 * d**2 / 6),
-                    (np.exp(z * far) - 1.0) / ((m / (2 * a)) * far))[()]
-    return 2 * lp * (abs(r - a) * np.exp(z * d) - (r + a) + frac)
+                    (e - 1.0) / ((m / (2 * a)) * far))[()]
+    return 2 * lp * (abs(r - a) * e - (r + a) + frac)
 
 
 def g_deriv_at_zero(i, r, params: NetworkParams):

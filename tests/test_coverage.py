@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from platoonnet import coverage
 from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
                                  coverage_prob, laplace_interference,
                                  laplace_interference_quad, md_coverage,
@@ -296,6 +297,28 @@ class TestActiveProb:
         with pytest.raises(ValueError):
             active_prob("bogus", PARAMS)
 
+    # float.hex of active_prob("PTS") at the load_sweep (a = 100 m) and
+    # meta_sweep (a = 150 m) benchmark points.  These bits must not move:
+    # the meta_sweep reference of the rate term k = 3 (PTS, u = 35,
+    # x = 0.9) is the noise bound only because QAGS fails silently on the
+    # first Gil-Pelaez panel, and that failure flips with changes of M_it
+    # as small as 3e-14, so a roundoff change in p_active can turn the
+    # entry incorrect
+    PTS_BITS = {
+        (5.0, 100.0): "0x1.b9332500b00acp-2",
+        (15.0, 100.0): "0x1.d89bdc7d8f4f8p-2",
+        (25.0, 100.0): "0x1.dea4a960f7840p-2",
+        (35.0, 100.0): "0x1.e1317006193b2p-2",
+        (5.0, 150.0): "0x1.d991cf24d49dap-2",
+        (35.0, 150.0): "0x1.08ef9badb94adp-1",
+    }
+
+    @pytest.mark.parametrize("u, a", list(PTS_BITS))
+    def test_bits_pinned(self, u, a):
+        params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+        assert float(active_prob("PTS", params)).hex() \
+            == self.PTS_BITS[u, a]
+
 
 class TestLaplace:
     @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0])
@@ -373,6 +396,14 @@ class TestCoverageProb:
         cp_p = coverage_prob(0.9, "PTS", PARAMS, RADIO)
         cp_n = coverage_prob(0.9, "NPTS", PARAMS, RADIO)
         assert cp_p > cp_n
+
+    @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+    def test_given_p_active_is_exact(self, traffic):
+        for tau in (0.9, 11.13):
+            assert coverage_prob(
+                tau, traffic, P35, RADIO,
+                p_active=active_prob(traffic, P35)) \
+                == coverage_prob(tau, traffic, P35, RADIO)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
@@ -539,6 +570,46 @@ class TestRate:
             rc_lo = rate_coverage(2e6, traffic, PARAMS, self.RADIO4)
             rc_hi = rate_coverage(9e6, traffic, PARAMS, self.RADIO4)
             assert rc_lo > rc_hi
+
+    @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+    def test_one_active_prob_per_call(self, traffic, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return active_prob(*args)
+
+        monkeypatch.setattr(coverage, "active_prob", spy)
+        rate_coverage(9e6, traffic, P35, self.RADIO4)
+        assert calls == [(traffic, P35)]
+
+    @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+    def test_one_coverage_prob_per_summed_term(self, traffic, monkeypatch):
+        # the sum calls coverage_prob through the module attribute, once
+        # per load term: the benchmark tracer counts those calls
+        calls = []
+
+        def spy(tau, *args, **kwargs):
+            cp = coverage_prob(tau, *args, **kwargs)
+            calls.append((tau, args, kwargs, cp))
+            return cp
+
+        monkeypatch.setattr(coverage, "coverage_prob", spy)
+        rc = rate_coverage(9e6, traffic, PARAMS, self.RADIO4)
+        masses = coverage._tagged_pmf(traffic, PARAMS).masses
+        p = active_prob(traffic, PARAMS)
+        assert 2 <= len(calls) <= masses.size
+        total = 0.0
+        for k, (tau, args, kwargs, cp) in enumerate(calls):
+            assert tau == self.RADIO4.rate_threshold(9e6, k + 1)
+            assert args == (traffic, PARAMS, self.RADIO4)
+            assert kwargs == {"p_active": p}
+            total += masses[k] * cp
+        assert rc == total
+        # the sum stops after the first term below 1e-9
+        cps = [cp for *_, cp in calls]
+        assert min(cps[:-1]) >= 1e-9
+        assert cps[-1] < 1e-9 or len(calls) == masses.size
 
     def test_md_rate_bounds(self):
         val = md_rate(9e6, 0.9, "NPTS", PARAMS, self.RADIO4)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 from platoonnet.geometry import NetworkParams, pdf_tagged_cell
-from platoonnet.load import (_mixture_nodes, _vm_mixture,
+from platoonnet.load import (_mixture_nodes, _pts_masses, _vm_mixture,
                              moments_tagged_npts, moments_tagged_pts,
                              moments_typical_npts, moments_typical_pts,
                              moments_vm, moments_vm_conditional,
@@ -53,6 +53,33 @@ def pgf_tagged_pts(s, params):
     nodes, wts = _mixture_nodes(params, tagged=True)
     vals = np.exp(g_of(s, nodes / 2.0, params)) * pgf_vm(s, nodes, params)
     return float(np.dot(wts, vals))
+
+
+def log_form_masses(params, tagged, N):
+    """Masses on 0..N-1 from the mixture sum of exp(g + log pgf_vm) at
+    the roots of unity, over the same node blocks as load._pts_masses:
+    the tagged PGF as a sum of logs, before the FFT stage multiplied
+    the two PGFs."""
+    nodes, wts = _mixture_nodes(params, tagged)
+    s = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
+    pgf = 0.0
+    for i in range(0, nodes.size, 32):
+        t = nodes[i:i + 32, None]
+        log_pgf = g_of(s, t / 2.0, params)
+        if tagged:
+            log_pgf = log_pgf + np.log(pgf_vm(s, t, params))
+        pgf = pgf + wts[i:i + 32] @ np.exp(log_pgf)
+    return np.fft.irfft(pgf, N)
+
+
+@pytest.mark.parametrize("u", [1.2, 5.0, 15.0, 25.0, 35.0, 50.0, 60.0])
+@pytest.mark.parametrize("a", [100.0, 150.0])
+@pytest.mark.parametrize("tagged", [False, True])
+def test_fft_masses_match_log_form(u, a, tagged):
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    got = _pts_masses(params, tagged)
+    ref = log_form_masses(params, tagged, got.size)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-16)
 
 
 @functools.cache
