@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 
@@ -344,35 +345,47 @@ def run_simulate(target, traffic, cfg):
 
 # ------------------------------------------------------------- validate
 
-def run_validate(cfg, tolerance):
-    """Analytical-vs-simulation cross checks; returns (rows, n_failed)."""
-    params = build_params(cfg)
-    sim = build_sim(cfg)
-    radio = build_radio(cfg)
-    K = int(cfg["k_max"])
-    checks = []
-    for kind, traffic in LOADS:
-        emp = montecarlo.sim_load(kind, traffic, params, sim)
-        analytic = _load_fn("pmf", kind, traffic, "_certified")(params)
-        checks.append((f"load_{kind}_{traffic}", tv_distance(analytic, emp)))
+def validate_checks(cfg, tolerance):
+    """(name, gap, noise bound) of each analytical-vs-simulation check of
+    `validate`, where gap(sim) simulates; worked out before any of that.
+
+    The noise bound of a TV check, 1/2 sum_k sqrt(p_k (1 - p_k) / n) at n
+    replications, bounds the mean TV distance of the empirical PMF from
+    the analytic p (Jensen).  A check whose bound reaches the tolerance
+    can fail on correct code, so then ValueError names the smallest
+    --reps that clears every bound.  Coverage gaps have no bound (None).
+    """
+    if not tolerance > 0:
+        raise ValueError(f"--tolerance must be positive, not {tolerance}")
+    params, radio = build_params(cfg), build_radio(cfg)
     v2v = V2VParams(cfg["r_b_m"], params)
-    for traffic in TRAFFICS:
-        emp = montecarlo.sim_connectivity(traffic, v2v, sim)
-        checks.append((f"connectivity_{traffic}",
-                       tv_distance(connectivity.pmf_degree_certified(
-                           traffic, v2v), emp)))
-    for traffic in TRAFFICS:
-        est = montecarlo.sim_coverage(cfg["tau_sinr"], traffic, params,
-                                      radio, sim)
-        cp = coverage.coverage_prob(cfg["tau_sinr"], traffic, params, radio)
-        checks.append((f"coverage_{traffic}", abs(est.value - cp)))
-    rows = []
-    n_failed = 0
-    for name, gap in checks:
-        ok = gap < tolerance
-        n_failed += not ok
-        rows.append([name, float(gap), "PASS" if ok else "FAIL"])
-    return rows, n_failed
+    n = build_sim(cfg).replications
+    pmfs = [(f"load_{kind}_{traffic}",
+             _load_fn("pmf", kind, traffic, "_certified")(params),
+             partial(montecarlo.sim_load, kind, traffic, params))
+            for kind, traffic in LOADS]
+    pmfs += [(f"connectivity_{traffic}",
+              connectivity.pmf_degree_certified(traffic, v2v),
+              partial(montecarlo.sim_connectivity, traffic, v2v))
+             for traffic in TRAFFICS]
+    checks = [(name, lambda sim, p=p, f=f: tv_distance(p, f(sim)),
+               0.5 * float(np.sqrt(p.masses * (1 - p.masses) / n).sum()))
+              for name, p, f in pmfs]
+    worst = max(bound for *_, bound in checks)
+    if not worst < tolerance:
+        raise ValueError(
+            f"--reps {n} is too few for --tolerance {tolerance}: sampling "
+            f"noise alone may give a TV gap of {worst:.4f}; use --reps "
+            f"{math.floor(n * (worst / tolerance) ** 2) + 1} or more")
+    tau = cfg["tau_sinr"]
+
+    def coverage_gap(traffic, sim):
+        est = montecarlo.sim_coverage(tau, traffic, params, radio, sim)
+        return abs(est.value
+                   - coverage.coverage_prob(tau, traffic, params, radio))
+
+    return checks + [(f"coverage_{traffic}", partial(coverage_gap, traffic),
+                      None) for traffic in TRAFFICS]
 
 
 # ----------------------------------------------------------------- main
@@ -421,6 +434,8 @@ def main(argv=None):
         V2VParams(cfg["r_b_m"], build_params(cfg))
         for u in cfg["u_values"]:
             build_params(cfg, u=u)
+        if args.command == "validate":
+            checks = validate_checks(cfg, args.tolerance)
     except (OSError, ValueError) as exc:
         ap.exit(2, f"{ap.prog}: error: {exc}\n")
     if args.command == "figure":
@@ -441,12 +456,14 @@ def main(argv=None):
                   [[k, v] for k, v in pairs],
                   [f"simulate {args.target} {args.traffic}"])
         return 0
-    rows, n_failed = run_validate(cfg, args.tolerance)
-    write_csv(args.out, cfg, ["check", "gap", "status"], rows,
-              ["validate"])
-    for name, gap, status in rows:
-        print(f"{status} {name}: gap={gap:.5f}", file=sys.stderr)
-    return 1 if n_failed else 0
+    sim, rows = build_sim(cfg), []
+    for name, gap, bound in checks:
+        gap = float(gap(sim))
+        rows.append([name, gap, "PASS" if gap < args.tolerance else "FAIL"])
+        noise = "" if bound is None else f" noise_bound={bound:.5f}"
+        print(f"{rows[-1][2]} {name}: gap={gap:.5f}{noise}", file=sys.stderr)
+    write_csv(args.out, cfg, ["check", "gap", "status"], rows, ["validate"])
+    return 1 if any(row[2] == "FAIL" for row in rows) else 0
 
 
 if __name__ == "__main__":

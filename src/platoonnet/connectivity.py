@@ -30,11 +30,6 @@ class V2VParams:
                              "finite")
 
 
-def pgf_degree_npts(s, v2v: V2VParams):
-    """Poisson PGF exp(lam * R_b * (s - 1))."""
-    return math.exp(v2v.params.lam * v2v.r_b * (s - 1.0))
-
-
 def pmf_degree_npts(K, v2v: V2VParams) -> DiscretePMF:
     return DiscretePMF.of(poisson_pmf(np.arange(K + 1),
                                       v2v.params.lam * v2v.r_b))

@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.integrate import IntegrationWarning
 
 from .geometry import NetworkParams, platooned
 from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
@@ -130,23 +129,6 @@ def laplace_interference(s, r, p_active, lambda_r, radio: RadioParams):
     """LT of the interference from active RSUs beyond the serving
     distance r, conditioned on r."""
     return math.exp(-_interference_exponent(s, r, p_active, lambda_r, radio))
-
-
-def laplace_interference_quad(s, r, p_active, lambda_r, radio: RadioParams):
-    """Quadrature cross-check of the closed-form LT."""
-    import warnings
-
-    alpha, pt = radio.alpha, radio.p_t
-
-    def f(z):
-        return 1.0 - 1.0 / (1.0 + s * pt * z ** (-alpha))
-
-    with warnings.catch_warnings():
-        # roundoff warnings at these tolerances are expected; the value
-        # is still far more accurate than the cross-check needs
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val = quad(f, r, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
-    return math.exp(-2 * p_active * lambda_r * val)
 
 
 def coverage_prob(tau, traffic, params: NetworkParams, radio: RadioParams,

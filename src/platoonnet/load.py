@@ -27,8 +27,8 @@ from scipy import special
 
 from .geometry import NetworkParams, cell_quantile, pdf_tagged_cell, \
     pdf_typical_cell
-from .mcp_counts import DiscretePMF, TAIL_TOL, certified, g_of, kappa, \
-    I_moment, I_tilde_moment
+from .mcp_counts import DiscretePMF, TAIL_TOL, certified, distinct_rows, \
+    g_of, kappa, I_moment, I_tilde_moment
 from .numerics import NumericsError, func_F, func_G, quad
 
 
@@ -202,22 +202,27 @@ def pgf_vm(s, t, params: NetworkParams):
     s (real or complex) and t broadcast against each other.
 
     Uses a series branch near s = 1 where the closed form is 0/0 of
-    order two.
+    order two, evaluated on the band points alone.  The exponential is
+    tabulated over the distinct mu0 (see `distinct_rows`).
     """
     w, mu0, c = _vm_mixture(t, params)
+    mu, at = distinct_rows(mu0, s)
     z = s - 1.0
+    e = np.exp(mu * z)[at]  # off the band far == z: e^{mu0 far} there
     x = mu0 * z
     near = abs(x) < _VM_BAND
     far = np.where(near, 1.0, z)  # the unused closed form stays finite
-    e = np.exp(mu0 * z)  # off the band far == z, so e is e^{mu0 far} there
     # the closed form divides an O(x^2) cancellation by z^2 (relative
     # error near 2 eps / |x|^2); the series stops before x^8: both are
-    # near 5e-14 at |x| = _VM_BAND
-    lin = np.where(near,
-                   c * (mu0**2 * np.polynomial.polynomial.polyval(
-                       x, _VM_SERIES)),
-                   c * (e * (mu0 * far - 1.0) + 1.0) / far**2)[()]
-    return w * e + lin
+    # near 5e-14 at |x| = _VM_BAND.  Its bracket stays per node: numpy
+    # computes e * (temporary) of 256 KiB or more in place as
+    # (temporary) * e, and the order moves the last bit of a complex
+    # product, so a tabulated bracket would change FFT masses
+    lin = np.asarray(c * (e * (mu0 * far - 1.0) + 1.0) / far**2)
+    cn, mn = (np.broadcast_to(v, near.shape)[near] for v in (c, mu0))
+    lin[near] = cn * (mn**2 * np.polynomial.polynomial.polyval(
+        x[near], _VM_SERIES))
+    return w * e + lin[()]
 
 
 def vm_factorial_moment(order, t, params: NetworkParams):
@@ -225,13 +230,6 @@ def vm_factorial_moment(order, t, params: NetworkParams):
     elementwise in t."""
     w, mu0, c = _vm_mixture(t, params)
     return w * mu0**order + c * mu0 ** (order + 2) / (order + 2)
-
-
-def moments_vm_conditional(t, params: NetworkParams):
-    """(mean, variance) of V_m(t/2) for a fixed cell length t."""
-    e1 = vm_factorial_moment(1, t, params)
-    e2 = vm_factorial_moment(2, t, params)
-    return e1, e1 + e2 - e1**2
 
 
 def moments_vm(params: NetworkParams):

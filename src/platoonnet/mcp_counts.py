@@ -75,15 +75,33 @@ def beta_bar(r, a):
     return np.minimum(r, a) / a
 
 
+def distinct_rows(x, s):
+    """(x_u, at) with f(x_u, s)[at] == f(x, s) for a numpy x and an
+    elementwise f.
+
+    When x is a column (a block of mixture nodes) and s a row (the FFT or
+    Chernoff points), x_u holds each distinct value of x once and at
+    takes the rows of an (x_u, s) table back to the block: past t = 2a
+    every node gives the same z and mu0, so a factor of x and s costs one
+    row per distinct value.  Any other x comes back as is, with at = ().
+    """
+    if x.shape[-1:] != (1,) or np.ndim(s) != 1:
+        return x, ()
+    rows = {}  # first-seen order, and far cheaper than np.unique here
+    inv = [rows.setdefault(v, len(rows)) for v in x.ravel().tolist()]
+    return np.array(list(rows))[:, None], np.reshape(inv, x.shape[:-1])
+
+
 def g_of(s, r, params: NetworkParams):
     """Exponent g(s, r) of the PGF of S(r); s (real or complex) and r
     broadcast against each other.
 
     Closed form with a second-order Taylor branch for |s - 1| < 1e-6,
-    where (exp(m*bb*(s-1)) - 1)/(s-1) is a removable 0/0.
+    where (exp(m*bb*(s-1)) - 1)/(s-1) is a removable 0/0.  The factors of
+    s are tabulated over the distinct z = m*bb (see `distinct_rows`).
     """
     lp, m, a = params.lambda_p, params.m, params.a
-    z = m * beta_bar(r, a)
+    z, at = distinct_rows(m * beta_bar(r, a), s)
     d = s - 1.0
     near = abs(d) < _S1_EPS
     far = d + near  # keeps the unused closed form finite on the band
@@ -91,18 +109,8 @@ def g_of(s, r, params: NetworkParams):
     e = np.exp(z * d)  # off the band far == d, so e is e^{z far} there
     frac = np.where(near,
                     (2 * a / m) * (z + z**2 * d / 2 + z**3 * d**2 / 6),
-                    (e - 1.0) / ((m / (2 * a)) * far))[()]
-    return 2 * lp * (abs(r - a) * e - (r + a) + frac)
-
-
-def g_deriv_at_zero(i, r, params: NetworkParams):
-    """i-th derivative of g(s, r) w.r.t. s at s = 0, i >= 1."""
-    if i < 1:
-        raise ValueError("derivative order must be >= 1")
-    lp, m, a = params.lambda_p, params.m, params.a
-    z = m * beta_bar(r, a)
-    return 2 * lp * (z**i * np.exp(-z) * abs(r - a)
-                     + gamma_lower(i + 1, z) / (m / (2 * a)))
+                    (e - 1.0) / ((m / (2 * a)) * far))
+    return 2 * lp * (abs(r - a) * e[at] - (r + a) + frac[at])
 
 
 def kappa(r, k, params: NetworkParams):
@@ -114,11 +122,6 @@ def kappa(r, k, params: NetworkParams):
     beta = 2 * np.minimum(r, a)
     out = 2 * lp * (m * beta / (2 * a)) ** k * (r + a - beta * k / (k + 1))
     return float(out) if out.ndim == 0 else out
-
-
-def pgf_S(s, r, params: NetworkParams):
-    """PGF of the MCP count in a ball of radius r."""
-    return np.exp(g_of(s, r, params))
 
 
 def _pmf_from_log_derivs(c, p0, K):

@@ -15,20 +15,23 @@ from platoonnet.cli import main, tv_distance
 from platoonnet.connectivity import V2VParams, pmf_degree_certified
 from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
                                  coverage_prob, laplace_interference,
-                                 laplace_interference_quad, rate_coverage)
+                                 rate_coverage)
 from platoonnet.geometry import (NetworkParams, pdf_tagged_cell,
                                  pdf_typical_cell)
 from platoonnet.load import (moments_tagged_npts, moments_typical_npts,
-                             moments_typical_pts, moments_vm_conditional,
-                             pgf_vm, pmf_tagged_npts_certified,
+                             moments_typical_pts, pgf_vm,
+                             pmf_tagged_npts_certified,
                              pmf_tagged_pts_certified, pmf_typical_npts,
                              pmf_typical_npts_certified,
                              pmf_typical_pts_certified)
 from platoonnet.mcp_counts import (I_moment, I_tilde_moment, beta_bar,
-                                   g_deriv_at_zero, g_of, kappa, pmf_S)
+                                   g_of, kappa, pmf_S)
 from platoonnet.montecarlo import SimConfig, sim_coverage, sim_connectivity, \
     sim_load
 from platoonnet.numerics import func_F, func_G
+
+from oracles import (g_deriv_at_zero, laplace_interference_quad,
+                     moments_vm_conditional)
 
 BASE = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 FIG8 = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)

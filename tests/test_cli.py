@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from platoonnet import montecarlo
 from platoonnet.cli import (DEFAULT_CONFIG, FIGURE_OVERRIDES, build_params,
-                            figure_8, load_config, main, run_op, tv_distance)
+                            figure_8, load_config, main, run_op,
+                            tv_distance, validate_checks)
 from platoonnet.mcp_counts import DiscretePMF
+from platoonnet.montecarlo import SimEstimate
 
 
 def read_csv(path):
@@ -164,6 +167,8 @@ class TestMain:
         (["figure", "7"], {"r_b_m": -5.0}),
         (["op", "pmf_typical_npts"], {"lam_per_km": "x"}),
         (["op", "md_coverage_pts"], {"sigma2_w": float("inf")}),
+        (["validate", "--tolerance", "0"], None),
+        (["validate", "--tolerance", "nan"], None),
     ])
     def test_bad_simulation_settings_are_usage_errors(
             self, args, config, tmp_path, capsys):
@@ -204,7 +209,7 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["figure", "12"])
 
-    def test_validate_exit_codes(self, tmp_path):
+    def test_validate_exit_codes(self, tmp_path, monkeypatch):
         # a deliberately tiny run with a huge tolerance must pass ...
         out = tmp_path / "val.csv"
         code = main(["validate", "--reps", "300", "--tolerance", "0.9",
@@ -217,7 +222,50 @@ class TestMain:
         assert "connectivity_NPTS" in names
         assert "coverage_PTS" in names
         assert all(r[2] == "PASS" for r in rows)
-        # ... and an impossible tolerance must fail
-        code = main(["validate", "--reps", "300", "--tolerance", "1e-9",
-                     "--out", str(out)])
+        # ... a gap past the tolerance must fail: here a deliberately
+        # wrong coverage estimate, off by more than any probability ...
+        with monkeypatch.context() as mp:
+            mp.setattr(montecarlo, "sim_coverage",
+                       lambda *args: SimEstimate(2.0, 0.0, 300))
+            code = main(["validate", "--reps", "300", "--tolerance", "0.9",
+                         "--out", str(out)])
         assert code == 1
+        _, _, rows = read_csv(out)
+        assert {r[0] for r in rows if r[2] == "FAIL"} == {"coverage_PTS",
+                                                          "coverage_NPTS"}
+        # ... and an impossible tolerance is a usage error before any
+        # simulation
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--reps", "300", "--tolerance", "1e-9",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+
+    def test_validate_refuses_reps_below_its_noise(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # at 5,000 replications sampling noise alone makes TV gaps of
+        # 0.021-0.035 likely on correct code, past the 0.02 default gate
+        def no_replications(*args):
+            raise AssertionError("validate simulated a replication")
+
+        monkeypatch.setattr(montecarlo, "_replicate", no_replications)
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--reps", "5000",
+                  "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("platoonnet: error: --reps 5000 is too few")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+        # the named count clears every bound, one fewer does not
+        reps = int(err.split("use --reps ")[1].split()[0])
+
+        def tv_bounds(**overrides):
+            checks = validate_checks(load_config(None, overrides), 0.02)
+            return [bound for *_, bound in checks if bound is not None]
+        bounds = tv_bounds(replications=reps)
+        assert len(bounds) == 6 and max(bounds) < 0.02
+        with pytest.raises(ValueError, match="too few"):
+            tv_bounds(replications=reps - 1)
+        # the default count is not refused
+        bounds = tv_bounds()
+        assert 0.01 < max(bounds) < 0.0176

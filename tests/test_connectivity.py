@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from platoonnet.connectivity import (V2VParams, pgf_degree_npts,
-                                     pgf_degree_pts, pmf_degree_certified,
-                                     pmf_degree_npts, pmf_degree_pts)
+from platoonnet.connectivity import (V2VParams, pgf_degree_pts,
+                                     pmf_degree_certified, pmf_degree_npts,
+                                     pmf_degree_pts)
 from platoonnet.geometry import NetworkParams
 from platoonnet.mcp_counts import certified
+
+from oracles import pgf_degree_npts
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 V2V = V2VParams(200.0, PARAMS)

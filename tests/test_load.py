@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -7,18 +8,21 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
 from platoonnet.geometry import NetworkParams, pdf_tagged_cell
-from platoonnet.load import (_mixture_nodes, _pts_masses, _vm_mixture,
+from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES,
+                             _mixture_nodes, _pts_masses, _vm_mixture,
                              moments_tagged_npts, moments_tagged_pts,
                              moments_typical_npts, moments_typical_pts,
-                             moments_vm, moments_vm_conditional,
-                             operational_metrics, pgf_vm, pmf_tagged_npts,
-                             pmf_tagged_npts_certified, pmf_tagged_pts,
-                             pmf_tagged_pts_certified, pmf_typical_npts,
-                             pmf_typical_npts_certified, pmf_typical_pts,
-                             pmf_typical_pts_certified, vm_factorial_moment)
-from platoonnet.mcp_counts import (TAIL_TOL, DiscretePMF, certified, g_of,
-                                   pmf_S)
+                             moments_vm, operational_metrics, pgf_vm,
+                             pmf_tagged_npts, pmf_tagged_npts_certified,
+                             pmf_tagged_pts, pmf_tagged_pts_certified,
+                             pmf_typical_npts, pmf_typical_npts_certified,
+                             pmf_typical_pts, pmf_typical_pts_certified,
+                             vm_factorial_moment)
+from platoonnet.mcp_counts import (_S1_EPS, TAIL_TOL, DiscretePMF,
+                                   beta_bar, certified, g_of, pmf_S)
 from platoonnet.numerics import NumericsError, poisson_pmf
+
+from oracles import moments_vm_conditional
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 SWEEP = [NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
@@ -80,6 +84,125 @@ def test_fft_masses_match_log_form(u, a, tagged):
     got = _pts_masses(params, tagged)
     ref = log_form_masses(params, tagged, got.size)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-16)
+
+
+# ------------------------------------ FFT kernel: bits and work count
+
+def g_of_both_branches(s, r, params):
+    """mcp_counts.g_of before it tabulated its factors over the distinct
+    z: one exponential per point, and both sides of the Taylor branch on
+    every point."""
+    lp, m, a = params.lambda_p, params.m, params.a
+    z = m * beta_bar(r, a)
+    d = s - 1.0
+    near = abs(d) < _S1_EPS
+    far = d + near
+    e = np.exp(z * d)
+    frac = np.where(near,
+                    (2 * a / m) * (z + z**2 * d / 2 + z**3 * d**2 / 6),
+                    (e - 1.0) / ((m / (2 * a)) * far))[()]
+    return 2 * lp * (abs(r - a) * e - (r + a) + frac)
+
+
+def pgf_vm_both_branches(s, t, params):
+    """load.pgf_vm before it tabulated its exponential over the distinct
+    mu0: the series and the closed form on every point."""
+    w, mu0, c = _vm_mixture(t, params)
+    z = s - 1.0
+    x = mu0 * z
+    near = abs(x) < _VM_BAND
+    far = np.where(near, 1.0, z)
+    e = np.exp(mu0 * z)
+    lin = np.where(near,
+                   c * (mu0**2 * np.polynomial.polynomial.polyval(
+                       x, _VM_SERIES)),
+                   c * (e * (mu0 * far - 1.0) + 1.0) / far**2)[()]
+    return w * e + lin
+
+
+def kernel_blocks(params):
+    """32-node blocks of cell lengths: one straddling t = 2a, from cells
+    so short that mu0 (s - 1) stays in the pgf_vm series band, and one
+    past 2a, where every row has the same z and mu0."""
+    a2 = 2 * params.a
+    short = np.concatenate([np.geomspace(0.05, a2, 15, endpoint=False),
+                            [a2], np.linspace(1.01 * a2, 6 * a2, 16)])
+    return short[:, None], np.linspace(1.01 * a2, 6 * a2, 32)[:, None]
+
+
+@pytest.mark.parametrize("u, a", [(5.0, 100.0), (35.0, 150.0),
+                                  (50.0, 150.0)])
+def test_kernel_bits_match_both_branch_forms(u, a):
+    # 32 x 513 complex blocks (k = 0 is s = 1) are past the 256 KiB at
+    # which numpy computes a * (b op c) in place as (b op c) * a, which
+    # moves the last bit of a complex product
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    roots = np.exp(-2j * np.pi * np.arange(513) / 1024)
+    for t in kernel_blocks(params):
+        for s in (roots, _RHO):
+            for kernel, oracle, x in ((g_of, g_of_both_branches, t / 2.0),
+                                      (pgf_vm, pgf_vm_both_branches, t)):
+                got = kernel(s, x, params)
+                assert got.shape == (32, s.size)
+                assert got.tobytes() == oracle(s, x, params).tobytes()
+
+
+# sha256 of _pts_masses(params, tagged).tobytes() at every PTS point of
+# the load_sweep benchmark, recorded from the untabulated kernel above
+FFT_MASS_SHA256 = {
+    (5.0, 100.0, False):
+        "a766f1cee19440a108f6c8a825f019d21a001ee6b67121c20b98ab4eefe7a762",
+    (5.0, 100.0, True):
+        "4482501e47500022cb4bd3d2c95c22606bcd99785dc890d3a100aee232367274",
+    (15.0, 100.0, False):
+        "4f3966658ee610614d3b9220f5204a43d79a7a57877114d2596c8c2db943aa00",
+    (15.0, 100.0, True):
+        "63bed31140d0702ae9c29669c5d8c457f548e2c88467f2e04f3707f7e07c2a89",
+    (25.0, 100.0, False):
+        "1294e50ffe8e226ae663061d612d431b976b168620713389c0a25e6c25ff1978",
+    (25.0, 100.0, True):
+        "78e5b2ffe3e5c3a36dc3da21bb3a9ef44623cbef22b5140ee6f84e2d8ed3b996",
+    (35.0, 100.0, False):
+        "82b4b5ef2a2ddca67520d62a8a5c2980109f8de848c0e19572dcdf882182c125",
+    (35.0, 100.0, True):
+        "8b7962425ddaf12413ea91a710982968f4fd11bbb7937aec08a79a36b01a649b",
+    (5.0, 150.0, True):
+        "04029a6398db3372f83d9bdf740dbdf52deb3d77c85b79de4dcec67744846d9c",
+    (35.0, 150.0, True):
+        "56a7fe4f25678fccad96e72a162c60fb927b725ce8fe9f8f0eab3598c36af6c4",
+    (50.0, 150.0, True):
+        "d5eeb2060afec96986254ee9c0982dc9258abf2e2eb44c07b4b530772b93dbae",
+}
+
+
+@pytest.mark.parametrize("u, a, tagged", list(FFT_MASS_SHA256))
+def test_fft_mass_bits_pinned(u, a, tagged):
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    digest = hashlib.sha256(_pts_masses(params, tagged).tobytes())
+    assert digest.hexdigest() == FFT_MASS_SHA256[u, a, tagged]
+
+
+def test_fft_stage_exponentiates_each_distinct_row_once(monkeypatch):
+    params = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)
+    exp, sizes = np.exp, []
+
+    def counting_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np, "exp", counting_exp)
+        N = _pts_masses(params, True).size
+    nodes, _ = _mixture_nodes(params, True)
+    # z and mu0 are functions of min(t, 2a): at most this many distinct
+    # values of each per block
+    rows = sum(np.unique(np.minimum(nodes[i:i + _BLOCK], 2 * params.a)).size
+               for i in range(0, nodes.size, _BLOCK))
+    assert rows < nodes.size / 10
+    # exp(g) at every node, one row per distinct z (g_of) and mu0
+    # (pgf_vm), and the roots of unity themselves
+    assert sum(sizes) <= (N // 2 + 1) * (nodes.size + 2 * rows + 1)
 
 
 @functools.cache

@@ -9,8 +9,9 @@ from platoonnet.geometry import NetworkParams, pdf_tagged_cell, \
     pdf_typical_cell
 from platoonnet.mcp_counts import (DiscretePMF, I_moment, I_tilde_moment,
                                    NumericsError, beta_bar, certified,
-                                   choose_truncation, g_deriv_at_zero, g_of,
-                                   kappa, pgf_S, pmf_S)
+                                   choose_truncation, g_of, kappa, pmf_S)
+
+from oracles import g_deriv_at_zero, pgf_S
 
 PARAMS = NetworkParams(0.002, 0.001, 5.0, 100.0)
 
