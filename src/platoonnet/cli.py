@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from functools import partial
 
 import numpy as np
@@ -121,8 +122,8 @@ def build_radio(cfg):
 
 
 def build_sim(cfg):
-    return SimConfig(replications=int(cfg["replications"]),
-                     master_seed=int(cfg["master_seed"]))
+    return SimConfig(replications=cfg["replications"],
+                     master_seed=cfg["master_seed"])
 
 
 def write_csv(out, cfg, columns, rows, extra_meta=()):
@@ -347,7 +348,8 @@ def run_simulate(target, traffic, cfg):
 
 def validate_checks(cfg, tolerance):
     """(name, gap, noise bound) of each analytical-vs-simulation check of
-    `validate`, where gap(sim) simulates; worked out before any of that.
+    `validate`, where gap(sim) simulates and returns the gap and its MC
+    standard error (None for a TV check); worked out before any of that.
 
     The noise bound of a TV check, 1/2 sum_k sqrt(p_k (1 - p_k) / n) at n
     replications, bounds the mean TV distance of the empirical PMF from
@@ -368,7 +370,7 @@ def validate_checks(cfg, tolerance):
               connectivity.pmf_degree_certified(traffic, v2v),
               partial(montecarlo.sim_connectivity, traffic, v2v))
              for traffic in TRAFFICS]
-    checks = [(name, lambda sim, p=p, f=f: tv_distance(p, f(sim)),
+    checks = [(name, lambda sim, p=p, f=f: (tv_distance(p, f(sim)), None),
                0.5 * float(np.sqrt(p.masses * (1 - p.masses) / n).sum()))
               for name, p, f in pmfs]
     worst = max(bound for *_, bound in checks)
@@ -381,8 +383,8 @@ def validate_checks(cfg, tolerance):
 
     def coverage_gap(traffic, sim):
         est = montecarlo.sim_coverage(tau, traffic, params, radio, sim)
-        return abs(est.value
-                   - coverage.coverage_prob(tau, traffic, params, radio))
+        return abs(est.value - coverage.coverage_prob(
+            tau, traffic, params, radio)), est.std_error
 
     return checks + [(f"coverage_{traffic}", partial(coverage_gap, traffic),
                       None) for traffic in TRAFFICS]
@@ -457,11 +459,16 @@ def main(argv=None):
                   [f"simulate {args.target} {args.traffic}"])
         return 0
     sim, rows = build_sim(cfg), []
-    for name, gap, bound in checks:
-        gap = float(gap(sim))
+    for name, check, bound in checks:
+        start = time.perf_counter()
+        gap, se = check(sim)
+        seconds = time.perf_counter() - start
+        gap = float(gap)
         rows.append([name, gap, "PASS" if gap < args.tolerance else "FAIL"])
-        noise = "" if bound is None else f" noise_bound={bound:.5f}"
-        print(f"{rows[-1][2]} {name}: gap={gap:.5f}{noise}", file=sys.stderr)
+        noise = f" se={se:.5f}" if bound is None \
+            else f" noise_bound={bound:.5f}"
+        print(f"{rows[-1][2]} {name}: gap={gap:.5f}{noise} "
+              f"time={seconds:.2f}s", file=sys.stderr)
     write_csv(args.out, cfg, ["check", "gap", "status"], rows, ["validate"])
     return 1 if any(row[2] == "FAIL" for row in rows) else 0
 

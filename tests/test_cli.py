@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,9 @@ class TestMain:
         (["op", "md_coverage_pts"], {"sigma2_w": float("inf")}),
         (["validate", "--tolerance", "0"], None),
         (["validate", "--tolerance", "nan"], None),
+        (["simulate", "load_typical", "--seed", "-1", "--reps", "10"], None),
+        (["simulate", "load_typical"], {"master_seed": 1.5}),
+        (["simulate", "load_typical"], {"replications": 2.5}),
     ])
     def test_bad_simulation_settings_are_usage_errors(
             self, args, config, tmp_path, capsys):
@@ -239,6 +243,28 @@ class TestMain:
             main(["validate", "--reps", "300", "--tolerance", "1e-9",
                   "--out", str(out)])
         assert exc.value.code == 2
+
+    def test_validate_status_lines(self, tmp_path, capsys, monkeypatch):
+        # one stderr line per check: coverage checks print the MC standard
+        # error next to their gap, TV checks their noise bound, every line
+        # its wall time; the CSV keeps its three columns
+        monkeypatch.setattr(montecarlo, "sim_coverage",
+                            lambda *args: SimEstimate(0.5, 0.01234, 300))
+        out = tmp_path / "val.csv"
+        assert main(["validate", "--reps", "300", "--tolerance", "0.9",
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        _, header, rows = read_csv(out)
+        assert header == ["check", "gap", "status"]
+        assert [line.split()[1] for line in lines] == [
+            f"{name}:" for name, _, _ in rows]
+        for line, (name, gap, status) in zip(lines, rows):
+            assert line.startswith(f"{status} {name}: gap={float(gap):.5f} ")
+            assert re.search(r" time=\d+\.\d\ds$", line)
+            if name.startswith("coverage"):
+                assert " se=0.01234 " in line
+            else:
+                assert " noise_bound=" in line and " se=" not in line
 
     def test_validate_refuses_reps_below_its_noise(self, tmp_path, capsys,
                                                     monkeypatch):

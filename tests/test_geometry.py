@@ -5,7 +5,7 @@ from scipy import integrate
 from platoonnet.geometry import (NetworkParams, cell_quantile,
                                  pdf_tagged_cell, pdf_typical_cell,
                                  replication_rng)
-from platoonnet.montecarlo import _mcp_points, _rsus, _vus
+from platoonnet.montecarlo import _draw_rsus, _draw_vus, _uniform, _vus
 
 LR = 0.002  # 2 RSU/km in per-meter units
 
@@ -41,31 +41,38 @@ class TestNetworkParams:
             NetworkParams(**kwargs)
 
 
+def _placed(traffic, p, half, rng, palm):
+    """VU positions of one replication."""
+    return _vus(traffic, p, half, [_draw_vus(traffic, p, half, rng, palm)])[0]
+
+
 class TestSamplers:
     """The point-process samplers of the Monte Carlo engine."""
 
     def test_ppp_reproducible(self):
         p = NetworkParams(0.01, 0.001, 5.0, 100.0)
         for traffic, palm in (("NPTS", False), ("PTS", False), ("PTS", True)):
-            a, b = (_vus(traffic, p, 1000.0, replication_rng(42, 0), palm)
+            a, b = (_placed(traffic, p, 1000.0, replication_rng(42, 0), palm)
                     for _ in range(2))
             assert np.array_equal(a, b)
-        assert np.array_equal(_rsus(p, 1000.0, replication_rng(42, 0)),
-                              _rsus(p, 1000.0, replication_rng(42, 0)))
+        a, b = (_draw_rsus(p, 1000.0, replication_rng(42, 0), False)
+                for _ in range(2))
+        assert np.array_equal(a, b)
 
     def test_ppp_mean_count(self):
         p = NetworkParams(0.01, 0.001, 5.0, 100.0, lam=0.01)
-        rsus = [_rsus(p, 5000.0, replication_rng(1, i)) for i in range(400)]
+        rsus = [_uniform(-5000.0, 5000.0, _draw_rsus(
+            p, 5000.0, replication_rng(1, i), False)) for i in range(400)]
         assert all(np.all(np.diff(r) >= 0) for r in rsus)
         assert np.mean([r.size for r in rsus]) == pytest.approx(100.0,
                                                                 rel=0.05)
-        vus = [_vus("NPTS", p, 5000.0, replication_rng(1, i), palm=False).size
+        vus = [_placed("NPTS", p, 5000.0, replication_rng(1, i), False).size
                for i in range(400)]
         assert np.mean(vus) == pytest.approx(100.0, rel=0.05)
 
     def test_mcp_mean_count(self):
         p = NetworkParams(LR, 0.001, 5.0, 100.0)
-        counts = [_mcp_points(p, 0, 10000, replication_rng(2, i)).size
+        counts = [_placed("PTS", p, 5000.0, replication_rng(2, i), False).size
                   for i in range(400)]
         # effective density m * lambda_p = 5/km over 10 km
         assert np.mean(counts) == pytest.approx(50.0, rel=0.06)
@@ -75,8 +82,8 @@ class TestSamplers:
         # points Palm sampling adds) lies within 2a of it
         p = NetworkParams(LR, 0.001, 20.0, 100.0)
         for i in range(50):
-            bg = _vus("PTS", p, 2000.0, replication_rng(7, i), palm=False)
-            pts = _vus("PTS", p, 2000.0, replication_rng(7, i), palm=True)
+            bg = _placed("PTS", p, 2000.0, replication_rng(7, i), palm=False)
+            pts = _placed("PTS", p, 2000.0, replication_rng(7, i), palm=True)
             assert np.array_equal(pts[: bg.size], bg)
             assert np.all(np.abs(pts[bg.size:]) <= 2 * p.a)
 
@@ -84,7 +91,7 @@ class TestSamplers:
         p = NetworkParams(LR, 0.001, 20.0, 100.0)
 
         def count(i, palm):
-            return _vus("PTS", p, 500.0, replication_rng(3, i), palm).size
+            return _placed("PTS", p, 500.0, replication_rng(3, i), palm).size
         extra = [count(i, True) - count(i, False) for i in range(300)]
         # the same seed draws the same background, so the difference is
         # the sibling count exactly: Poisson(m), the typical VU excluded

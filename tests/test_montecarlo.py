@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from platoonnet.coverage import RadioParams, coverage_prob
 from platoonnet.geometry import NetworkParams, replication_rng
 from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
-from platoonnet.montecarlo import (SimConfig, _association,
-                                   _coverage_profile, _half_width,
-                                   _interference_reach, _tagged_geometry,
-                                   sim_connectivity, sim_coverage, sim_load,
-                                   sim_md_coverage, sim_rate)
+from platoonnet.montecarlo import (SimConfig, _coverage_profile,
+                                   _half_width, _interference_reach,
+                                   _rate_profile, _uniform, sim_connectivity,
+                                   sim_coverage, sim_load, sim_md_coverage,
+                                   sim_md_rate, sim_rate)
+
+import oracles
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 RADIO = RadioParams(1.0, 5e-5, 3.5)
@@ -39,6 +42,17 @@ class TestConfig:
         # one replication has no standard error
         with pytest.raises(ValueError):
             SimConfig(replications=1)
+        for bad in (2.5, 2.0, math.nan, math.inf, True, "10"):
+            with pytest.raises(ValueError, match="replications"):
+                SimConfig(replications=bad)
+        assert SimConfig(replications=np.int64(2)).replications == 2
+
+    def test_master_seed_validated(self):
+        # each of these would run another seed's streams or none
+        for bad in (-1, 1.5, 1.0, math.nan, True, None):
+            with pytest.raises(ValueError, match="master_seed"):
+                SimConfig(master_seed=bad)
+        assert SimConfig(master_seed=0).master_seed == 0
 
     def test_settable_fields(self):
         assert [f.name for f in dataclasses.fields(SimConfig)] == [
@@ -132,7 +146,7 @@ class TestConnectivity:
 def _fading_average(rsus, vus, tau, radio, rng, draws=100_000):
     """Success probability of one geometry averaged over `draws` Rayleigh
     fading draws (in chunks of 10,000), and its standard error."""
-    serving, occupancy = _association(rsus, vus)
+    serving, occupancy = oracles.mc_association(rsus, vus)
     active = occupancy > 0
     active[serving] = False
     gain = radio.p_t * np.abs(rsus[active]) ** -radio.alpha
@@ -158,8 +172,8 @@ def test_exact_fading_average_matches_fading_draws(traffic):
     half = max(_half_width(PARAMS), _interference_reach(PARAMS, radio))
     interference_bites = False
     for rep, value in enumerate(exact):
-        rsus, vus = _tagged_geometry(traffic, PARAMS, half,
-                                     replication_rng(cfg.master_seed, rep))
+        rsus, vus = oracles.mc_tagged_geometry(
+            traffic, PARAMS, half, replication_rng(cfg.master_seed, rep))
         mean, se = _fading_average(rsus, vus, tau, radio,
                                    np.random.default_rng([99, rep]))
         # the slack covers rounding where no RSU interferes (se = 0)
@@ -205,3 +219,107 @@ class TestCoverage:
         cov = sim_coverage(radio4.rate_threshold(9e6, 1), "NPTS", lonely,
                            radio4, cfg)
         assert (rate.value, rate.std_error) == (cov.value, cov.std_error)
+
+
+@pytest.mark.parametrize("lo, hi", [(-5000.0, 5000.0), (-5150.0, 5150.0),
+                                    (-100.0, 100.0), (-0.3, 1234.567)])
+def test_uniform_from_standard_variates(lo, hi):
+    # the engine draws rng.random() and places the points per chunk; the
+    # stream and every position are those of rng.uniform(lo, hi)
+    a = np.random.default_rng(5).uniform(lo, hi, 200_000)
+    b = _uniform(lo, hi, np.random.default_rng(5).random(200_000))
+    assert np.array_equal(a, b)
+    rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+    assert _uniform(lo, hi, rng.random()) == ref.uniform(lo, hi)
+
+
+class TestAgainstPerReplicationOracle:
+    """The chunked engine against the same draws reduced one replication
+    at a time (`oracles.mc_*`).  Counts are exact; a coverage profile
+    sums its interferers in another order and evaluates `**` and `exp`
+    on arrays, which may move its last bit."""
+    SEEDS = (7, 2024)
+
+    def counts(self):
+        # one short chunk; one chunk less one, exactly one, one more; two
+        # full chunks and a short one
+        chunk = montecarlo.CHUNK
+        return (2, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)
+
+    def check_pmfs(self, run, oracle):
+        """run(cfg) against the empirical PMF of each prefix of the
+        oracle's per-replication counts oracle(cfg)."""
+        counts = self.counts()
+        for seed in self.SEEDS:
+            reference = oracle(SimConfig(counts[-1], seed))
+            for n in counts:
+                assert np.array_equal(run(SimConfig(n, seed)).masses,
+                                      np.bincount(reference[:n]) / n)
+
+    def check_profiles(self, tau, tau_rate, x, traffic, params, radio):
+        """Coverage and rate profiles per replication and their MD
+        indicators at every count, the four estimates at the largest."""
+        cov_thr = lambda load: tau  # noqa: E731
+        rate_thr = lambda load: radio.rate_threshold(  # noqa: E731
+            tau_rate, load + 1)
+        counts = self.counts()
+        for seed in self.SEEDS:
+            big = SimConfig(counts[-1], seed)
+            cov = oracles.mc_coverage_profile(cov_thr, traffic, params,
+                                              radio, big)
+            rate = oracles.mc_coverage_profile(rate_thr, traffic, params,
+                                               radio, big)
+            for n in counts:
+                cfg = SimConfig(n, seed)
+                for got, ref in (
+                        (_coverage_profile(cov_thr, traffic, params, radio,
+                                           cfg), cov[:n]),
+                        (_rate_profile(tau_rate, traffic, params, radio,
+                                       cfg), rate[:n])):
+                    assert got.shape == ref.shape
+                    assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+                    assert np.array_equal(got > x, ref > x)
+            args = (traffic, params, radio, big)
+            for est, ref in ((sim_coverage(tau, *args), cov),
+                             (sim_rate(tau_rate, *args), rate)):
+                assert est.value == pytest.approx(ref.mean(), rel=1e-12)
+            for est, ref in ((sim_md_coverage(tau, x, *args), cov),
+                             (sim_md_rate(tau_rate, x, *args), rate)):
+                assert est.value == (ref > x).mean()
+
+    @pytest.mark.parametrize("a", [100.0, 150.0])
+    @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+    @pytest.mark.parametrize("kind", ["typical", "tagged"])
+    def test_load(self, kind, traffic, a):
+        params = NetworkParams.from_per_km(2.0, 1.0, 5.0, a)
+        self.check_pmfs(lambda cfg: sim_load(kind, traffic, params, cfg),
+                        lambda cfg: oracles.mc_loads(kind, traffic, params,
+                                                     cfg))
+
+    @pytest.mark.parametrize("a", [100.0, 150.0])
+    @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+    def test_connectivity(self, traffic, a):
+        v2v = V2VParams(200.0, NetworkParams.from_per_km(2.0, 1.0, 5.0, a))
+        self.check_pmfs(lambda cfg: sim_connectivity(traffic, v2v, cfg),
+                        lambda cfg: oracles.mc_degrees(traffic, v2v, cfg))
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0])
+    @pytest.mark.parametrize("a", [100.0, 150.0])
+    @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+    def test_coverage_and_rate(self, traffic, a, alpha):
+        self.check_profiles(0.9, 9e6, 0.8, traffic,
+                            NetworkParams.from_per_km(2.0, 1.0, 5.0, a),
+                            RadioParams(1.0, 5e-5, alpha))
+
+
+def test_memory_flat_in_replications():
+    # a chunk at a time: a whole-run batch would hold every replication's
+    # points at once
+    def peak(n):
+        tracemalloc.start()
+        try:
+            sim_coverage(0.9, "PTS", PARAMS, RADIO, SimConfig(n, 7))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(20_000) <= 1.5 * peak(montecarlo.CHUNK)
