@@ -3,15 +3,19 @@ laws of the 1D Poisson Voronoi tessellation.
 
 All densities are per meter.  Point patterns are sampled by the Monte
 Carlo engine (`montecarlo`), which draws every replication from its own
-`replication_rng` stream.
+`replication_rng` stream: bit for bit `np.random.default_rng([master_seed,
+rep])`, with the SeedSequence hash of a block of consecutive replications
+computed in one numpy pass (`_block_words`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,106 @@ def platooned(traffic):
     return traffic == "PTS"
 
 
+# Consecutive replications whose seed words `_block_words` hashes in one
+# pass; no output depends on it.
+_BLOCK = 256
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx): a pool of 4
+# uint32 words, hashmix/mix constants, then the generate_state constants
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init, mult):
+    """(c, c * mult) of each successive round, c starting at `init`:
+    a round xors with c, then multiplies by the next constant."""
+    while True:
+        following = init * mult & _MASK32
+        yield init, following
+        init = following
+
+
+@functools.lru_cache(maxsize=1)
+def _block_words(seed, first, size):
+    """SeedSequence([seed, rep]).generate_state(4, np.uint64) of the reps
+    first, first + 1, ... (`size` of them, stopping below 2**32), one row
+    each.  The rounds run on uint32 arrays with one element per rep, and
+    numpy's uint32 arithmetic wraps modulo 2**32 as the C rounds do.
+    `seed` splits into 32-bit words low first, as SeedSequence splits it;
+    each rep is one word."""
+    reps = np.arange(first, min(first + size, 2**32), dtype=np.uint32)
+    entropy = []
+    while True:
+        entropy.append(np.full(reps.size, seed & _MASK32, np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(reps)
+    rounds = _hash_constants(_INIT_A, _MULT_A)
+
+    def hashmix(value):
+        xor, mult = next(rounds)
+        value = (value ^ xor) * mult
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ out >> 16
+
+    # the entropy, padded with zeros, fills the pool; every pool word is
+    # mixed into every other; entropy past the pool is mixed into each
+    entropy += [np.zeros_like(reps)] * (_POOL - len(entropy))
+    pool = [hashmix(word) for word in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((reps.size, 8), np.uint32)
+    for i, (xor, mult) in zip(range(8), _hash_constants(_INIT_B, _MULT_B)):
+        value = (pool[i % _POOL] ^ xor) * mult
+        state[:, i] = value ^ value >> 16
+    # pairs of words read as little-endian uint64, as SeedSequence reads
+    # them, whatever the byte order of the machine
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state is given: the generate_state(4,
+    np.uint64) words, all that PCG64 asks of its seed sequence."""
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for generate_state(4, np.uint64), the type itself
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only PCG64's 4 uint64 words are given")
+        return self.words
+
+
 def replication_rng(master_seed, rep):
-    """Independent, reproducible stream for replication `rep`."""
-    return np.random.default_rng([int(master_seed), int(rep)])
+    """Independent, reproducible stream for replication `rep`: bit for bit
+    np.random.default_rng([master_seed, rep]), a PCG64 seeded from the
+    words of SeedSequence([master_seed, rep]).  Those words come from the
+    block of `_BLOCK` consecutive replications that holds `rep`, hashed
+    at once; the last block is kept, so replications taken in order hash
+    each block once.  A rep of 2**32 or more (two entropy words) takes
+    default_rng itself, as does a negative value (which it refuses)."""
+    master_seed, rep = int(master_seed), int(rep)
+    if master_seed < 0 or not 0 <= rep < 2**32:
+        return np.random.default_rng([master_seed, rep])
+    first = rep - rep % _BLOCK
+    words = _block_words(master_seed, first, _BLOCK)[rep - first]
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 # cell-length laws of the stationary 1D Poisson Voronoi tessellation

@@ -105,6 +105,47 @@ def test_one_replication_loop():
     assert _src_callers("replication_rng") == ["montecarlo._replicate"]
 
 
+STREAM_NAMES = {"default_rng", "SeedSequence", "PCG64", "Generator"}
+
+
+def _mentions(source, names):
+    """Dotted names of the functions (with their classes) whose code
+    names one of `names`, as a name, an attribute or an import, once per
+    mention."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Name):
+                named = {child.id}
+            elif isinstance(child, ast.Attribute):
+                named = {child.attr}
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                named = {alias.name for alias in child.names}
+            else:
+                named = set()
+            found.extend([".".join(scope) or "<module>"] * len(named & names))
+            visit(child, scope)
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_one_stream_constructor():
+    # every replication stream comes from geometry.replication_rng
+    src = ("from numpy.random import PCG64\n"
+           "def a(seed):\n    return np.random.default_rng(seed)\n"
+           "class B:\n    def c(self):\n        return Generator(PCG64(1))\n")
+    assert _mentions(src, STREAM_NAMES) == ["<module>", "a", "B.c", "B.c"]
+    found = {path.stem: _mentions(path.read_text(), STREAM_NAMES)
+             for path in sorted(SRC.glob("*.py"))}
+    assert set(found.pop("geometry")) == {"replication_rng"}
+    assert not {name: hits for name, hits in found.items() if hits}
+
+
 def test_src_draws_no_fading():
     # Rayleigh fading is averaged in closed form per geometry
     src = "def draw(rng):\n    return rng.exponential(size=3)\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from platoonnet import geometry
 from platoonnet.geometry import (NetworkParams, cell_quantile,
                                  pdf_tagged_cell, pdf_typical_cell,
                                  replication_rng)
@@ -97,6 +98,53 @@ class TestSamplers:
         # the sibling count exactly: Poisson(m), the typical VU excluded
         assert min(extra) >= 0
         assert np.mean(extra) == pytest.approx(p.m, rel=0.1)
+
+
+class TestReplicationStreams:
+    """replication_rng(seed, rep) is default_rng([seed, rep]) bit for bit."""
+    # 2**96 + 5 has 4 words, so with the rep the entropy outgrows the pool
+    SEEDS = (0, 1, 2024, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5)
+
+    @staticmethod
+    def assert_same(rng, ref):
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.random(16), ref.random(16))
+        assert np.array_equal(rng.poisson(3.0, 8), ref.poisson(3.0, 8))
+
+    def reps(self):
+        block = geometry._BLOCK
+        # 2**32 - 1 is the last one-word rep, 2**32 takes default_rng
+        return (0, block - 1, block, block + 1, 2**32 - 1, 2**32)
+
+    def test_equal_to_default_rng(self):
+        # seeds alternate and reps run backwards, so the one cached
+        # block is replaced on every call
+        for rep in reversed(self.reps()):
+            for seed in self.SEEDS + self.SEEDS[::-1]:
+                self.assert_same(replication_rng(seed, rep),
+                                 np.random.default_rng([seed, rep]))
+
+    def test_every_rep_of_a_block(self):
+        reps = range(3 * geometry._BLOCK + 5)
+        for rep in list(reps) + list(reversed(reps)):
+            self.assert_same(replication_rng(7, rep),
+                             np.random.default_rng([7, rep]))
+
+    def test_numpy_integers_and_refusals(self):
+        self.assert_same(replication_rng(np.int64(9), np.uint32(3)),
+                         np.random.default_rng([9, 3]))
+        for seed, rep in ((-1, 0), (1, -1)):
+            with pytest.raises(ValueError):
+                replication_rng(seed, rep)
+        # the seed sequence holds PCG64's 4 uint64 words and nothing else
+        with pytest.raises(ValueError):
+            replication_rng(9, 3).bit_generator.seed_seq.generate_state(8)
+
+    def test_streams_share_no_state(self):
+        a, b = replication_rng(42, 0), replication_rng(42, 0)
+        assert a.bit_generator is not b.bit_generator
+        a.random(100)
+        self.assert_same(b, np.random.default_rng([42, 0]))
 
 
 class TestCellLengthLaws:

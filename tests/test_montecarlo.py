@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from platoonnet import montecarlo
+from platoonnet import geometry, montecarlo
 
 from platoonnet.cli import tv_distance
 from platoonnet.connectivity import V2VParams, pmf_degree_certified
@@ -310,6 +310,22 @@ class TestAgainstPerReplicationOracle:
         self.check_profiles(0.9, 9e6, 0.8, traffic,
                             NetworkParams.from_per_km(2.0, 1.0, 5.0, a),
                             RadioParams(1.0, 5e-5, alpha))
+
+
+def test_stream_block_is_no_knob(monkeypatch):
+    # the replications hashed together set no output bit
+    def outputs():
+        return [run(SimConfig(n, 11)).tobytes() for n in (2, 255, 513)
+                for run in (
+                    lambda cfg: sim_load("tagged", "PTS", PARAMS,
+                                         cfg).masses,
+                    lambda cfg: _coverage_profile(lambda load: 0.9, "PTS",
+                                                  PARAMS, RADIO, cfg))]
+    runs = []
+    for block in (1, 7, 256):
+        monkeypatch.setattr(geometry, "_BLOCK", block)
+        runs.append(outputs())
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_memory_flat_in_replications():
