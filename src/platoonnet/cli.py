@@ -436,6 +436,15 @@ def main(argv=None):
         V2VParams(cfg["r_b_m"], build_params(cfg))
         for u in cfg["u_values"]:
             build_params(cfg, u=u)
+        for key, ok, want in (
+                ("tau_sinr", cfg["tau_sinr"] > 0, "positive"),
+                ("tau_rate_bps", cfg["tau_rate_bps"] > 0, "positive"),
+                ("x_reliability", 0 < cfg["x_reliability"] < 1, "in (0, 1)"),
+                ("k_max", cfg["k_max"] >= 0 and cfg["k_max"] % 1 == 0,
+                 "a non-negative whole number")):
+            if not ok:
+                raise ValueError(f"config key {key!r} must be {want}, "
+                                 f"not {cfg[key]!r}")
         if args.command == "validate":
             checks = validate_checks(cfg, args.tolerance)
     except (OSError, ValueError) as exc:

@@ -117,18 +117,13 @@ def active_prob(traffic, params: NetworkParams):
 
 
 def _interference_exponent(s, r, p_active, lambda_r, radio: RadioParams):
-    """-log of `laplace_interference` (hypergeometric closed form)."""
+    """-log E[exp(-s I) | r] of the interference I from active RSUs beyond
+    the serving distance r (hypergeometric closed form)."""
     alpha = radio.alpha
     z = s * radio.p_t * r ** (-alpha)
     h = hyp2f1_real(1.0, 1.0 - 1.0 / alpha, 2.0 - 1.0 / alpha, -z)
     return 2 * p_active * lambda_r * s * radio.p_t \
         * r ** (1.0 - alpha) / alpha * h / (1.0 - 1.0 / alpha)
-
-
-def laplace_interference(s, r, p_active, lambda_r, radio: RadioParams):
-    """LT of the interference from active RSUs beyond the serving
-    distance r, conditioned on r."""
-    return math.exp(-_interference_exponent(s, r, p_active, lambda_r, radio))
 
 
 def coverage_prob(tau, traffic, params: NetworkParams, radio: RadioParams,

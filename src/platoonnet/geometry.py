@@ -5,7 +5,7 @@ All densities are per meter.  Point patterns are sampled by the Monte
 Carlo engine (`montecarlo`), which draws every replication from its own
 `replication_rng` stream: bit for bit `np.random.default_rng([master_seed,
 rep])`, with the SeedSequence hash of a block of consecutive replications
-computed in one numpy pass (`_block_words`).
+of a one-word seed computed in one numpy pass (`_block_words`).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+from scipy import special
 
 
 @dataclass(frozen=True)
@@ -87,19 +88,11 @@ def _hash_constants(init, mult):
 @functools.lru_cache(maxsize=1)
 def _block_words(seed, first, size):
     """SeedSequence([seed, rep]).generate_state(4, np.uint64) of the reps
-    first, first + 1, ... (`size` of them, stopping below 2**32), one row
-    each.  The rounds run on uint32 arrays with one element per rep, and
-    numpy's uint32 arithmetic wraps modulo 2**32 as the C rounds do.
-    `seed` splits into 32-bit words low first, as SeedSequence splits it;
-    each rep is one word."""
-    reps = np.arange(first, min(first + size, 2**32), dtype=np.uint32)
-    entropy = []
-    while True:
-        entropy.append(np.full(reps.size, seed & _MASK32, np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy.append(reps)
+    first, first + 1, ..., first + size - 1, one row each, for a seed and
+    reps below 2**32 (one entropy word each).  The rounds run on uint32
+    arrays with one element per rep, and numpy's uint32 arithmetic wraps
+    modulo 2**32 as the C rounds do."""
+    reps = np.arange(first, first + size, dtype=np.uint32)
     rounds = _hash_constants(_INIT_A, _MULT_A)
 
     def hashmix(value):
@@ -111,17 +104,15 @@ def _block_words(seed, first, size):
         out = x * _MIX_L - y * _MIX_R
         return out ^ out >> 16
 
-    # the entropy, padded with zeros, fills the pool; every pool word is
-    # mixed into every other; entropy past the pool is mixed into each
-    entropy += [np.zeros_like(reps)] * (_POOL - len(entropy))
-    pool = [hashmix(word) for word in entropy[:_POOL]]
+    # the entropy [seed, rep], padded with zeros, fills the pool; every
+    # pool word is mixed into every other
+    zeros = np.zeros_like(reps)
+    pool = [hashmix(word)
+            for word in (np.full_like(reps, seed), reps, zeros, zeros)]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
     state = np.empty((reps.size, 8), np.uint32)
     for i, (xor, mult) in zip(range(8), _hash_constants(_INIT_B, _MULT_B)):
         value = (pool[i % _POOL] ^ xor) * mult
@@ -151,13 +142,14 @@ class _SeedWords(ISeedSequence):
 def replication_rng(master_seed, rep):
     """Independent, reproducible stream for replication `rep`: bit for bit
     np.random.default_rng([master_seed, rep]), a PCG64 seeded from the
-    words of SeedSequence([master_seed, rep]).  Those words come from the
-    block of `_BLOCK` consecutive replications that holds `rep`, hashed
-    at once; the last block is kept, so replications taken in order hash
-    each block once.  A rep of 2**32 or more (two entropy words) takes
-    default_rng itself, as does a negative value (which it refuses)."""
+    words of SeedSequence([master_seed, rep]).  For a seed and rep in
+    [0, 2**32) those words come from the block of `_BLOCK` consecutive
+    replications that holds `rep`, hashed at once; the last block is
+    kept, so replications taken in order hash each block once.  Any
+    other pair takes default_rng itself, which refuses a negative
+    value."""
     master_seed, rep = int(master_seed), int(rep)
-    if master_seed < 0 or not 0 <= rep < 2**32:
+    if not (0 <= master_seed < 2**32 and 0 <= rep < 2**32):
         return np.random.default_rng([master_seed, rep])
     first = rep - rep % _BLOCK
     words = _block_words(master_seed, first, _BLOCK)[rep - first]
@@ -181,5 +173,4 @@ def pdf_tagged_cell(ell, lambda_r):
 def cell_quantile(q, lambda_r, tagged=False):
     """Quantile of the typical (Gamma(2, 1/2lr)) or tagged (Gamma(3, .))
     cell-length law; used to truncate mixture integrals."""
-    from scipy.stats import gamma
-    return gamma.ppf(q, 3 if tagged else 2, scale=1.0 / (2 * lambda_r))
+    return special.gammaincinv(3 if tagged else 2, q) * (1.0 / (2 * lambda_r))

@@ -153,27 +153,26 @@ def pmf_S(K, r, params: NetworkParams):
         c, np.exp(g_of(0.0, r, params)), K))
 
 
-def choose_truncation(mass_at, tail_tol=TAIL_TOL):
-    """Double K from 8 until mass >= 1 - tail_tol; error past K_CAP.
+def choose_truncation(mass_at):
+    """Double K from 8 until mass >= 1 - TAIL_TOL; error past K_CAP.
 
     mass_at(K) must return the masses array for truncation K.
     """
     K = 8
     while K <= K_CAP:
         masses = mass_at(K)
-        if masses.sum() >= 1.0 - tail_tol:
+        if masses.sum() >= 1.0 - TAIL_TOL:
             return K, masses
         K *= 2
     raise NumericsError(f"PMF tail not certified below K={K_CAP}")
 
 
-def certified(pmf_at, tail_tol=TAIL_TOL) -> DiscretePMF:
+def certified(pmf_at) -> DiscretePMF:
     """PMF with K grown automatically until the tail is certified.
 
     pmf_at(K) must return the DiscretePMF truncated at K.
     """
-    _, masses = choose_truncation(lambda K: pmf_at(K).masses,
-                                  tail_tol=tail_tol)
+    _, masses = choose_truncation(lambda K: pmf_at(K).masses)
     return DiscretePMF.of(masses)
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning
 
-from platoonnet import montecarlo
+from platoonnet import coverage, montecarlo
 from platoonnet.connectivity import V2VParams
 from platoonnet.coverage import RadioParams
 from platoonnet.geometry import NetworkParams, platooned, replication_rng
@@ -17,9 +17,17 @@ from platoonnet.mcp_counts import beta_bar, g_of
 from platoonnet.numerics import gamma_lower, quad
 
 
+def laplace_interference(s, r, p_active, lambda_r, radio: RadioParams):
+    """LT of the interference from active RSUs beyond the serving
+    distance r, conditioned on r: the hypergeometric closed form whose
+    exponent `coverage.coverage_prob` integrates."""
+    return math.exp(-coverage._interference_exponent(s, r, p_active,
+                                                     lambda_r, radio))
+
+
 def laplace_interference_quad(s, r, p_active, lambda_r, radio: RadioParams):
     """Quadrature cross-check of the closed-form LT
-    `coverage.laplace_interference`."""
+    `laplace_interference`."""
     alpha, pt = radio.alpha, radio.p_t
 
     def f(z):

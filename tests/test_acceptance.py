@@ -14,8 +14,7 @@ from scipy import integrate
 from platoonnet.cli import main, tv_distance
 from platoonnet.connectivity import V2VParams, pmf_degree_certified
 from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
-                                 coverage_prob, laplace_interference,
-                                 rate_coverage)
+                                 coverage_prob, rate_coverage)
 from platoonnet.geometry import (NetworkParams, pdf_tagged_cell,
                                  pdf_typical_cell)
 from platoonnet.load import (moments_tagged_npts, moments_typical_npts,
@@ -30,8 +29,8 @@ from platoonnet.montecarlo import SimConfig, sim_coverage, sim_connectivity, \
     sim_load
 from platoonnet.numerics import func_F, func_G
 
-from oracles import (g_deriv_at_zero, laplace_interference_quad,
-                     moments_vm_conditional)
+from oracles import (g_deriv_at_zero, laplace_interference,
+                     laplace_interference_quad, moments_vm_conditional)
 
 BASE = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 FIG8 = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)

@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import platoonnet
 
 SRC = Path(platoonnet.__file__).parent
@@ -179,20 +181,32 @@ def test_load_pmfs_skip_the_count_recurrence():
                 and node.attr == "convolve"]
 
 
-def _mpmath_imports(source):
-    """Lines that import mpmath, at module level or inside a function."""
+def _imports(module, source):
+    """Lines that import `module` or a submodule of it, at module level or
+    inside a function: `import module`, `from module import name` and
+    `from parent import module` alike."""
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [a.name for a in node.names]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            return [node.module] + [f"{node.module}.{a.name}"
+                                    for a in node.names]
+        return []
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-            if (isinstance(node, ast.Import)
-                and any(a.name.split(".")[0] == "mpmath"
-                        for a in node.names))
-            or (isinstance(node, ast.ImportFrom) and node.module
-                and node.module.split(".")[0] == "mpmath"))
+                  if any(n == module or n.startswith(module + ".")
+                         for n in names(node)))
 
 
-def test_src_needs_no_mpmath():
-    src = ("import math\ndef f(q):\n    import mpmath\n"
-           "    return mpmath.gammainc(q)\nfrom mpmath import hyp2f1\n")
-    assert _mpmath_imports(src) == [3, 5]
-    found = {path.name: _mpmath_imports(path.read_text())
+@pytest.mark.parametrize("module, sample, lines", [
+    ("mpmath", "import math\ndef f(q):\n    import mpmath\n"
+     "    return mpmath.gammainc(q)\nfrom mpmath import hyp2f1\n", [3, 5]),
+    ("scipy.stats", "import scipy\nimport scipy.stats\n"
+     "from scipy import special\ndef f(q):\n"
+     "    from scipy.stats import gamma\nfrom scipy import integrate, stats\n",
+     [2, 5, 6]),
+], ids=["mpmath", "scipy.stats"])
+def test_src_does_not_import(module, sample, lines):
+    assert _imports(module, sample) == lines
+    found = {path.name: _imports(module, path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert not {name: hits for name, hits in found.items() if hits}

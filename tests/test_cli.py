@@ -173,6 +173,13 @@ class TestMain:
         (["simulate", "load_typical", "--seed", "-1", "--reps", "10"], None),
         (["simulate", "load_typical"], {"master_seed": 1.5}),
         (["simulate", "load_typical"], {"replications": 2.5}),
+        (["op", "pmf_typical_npts"], {"k_max": -5}),
+        (["op", "pmf_typical_npts"], {"k_max": 2.7}),
+        (["op", "md_coverage_npts"], {"x_reliability": 1.5}),
+        (["op", "md_coverage_npts"], {"x_reliability": 0}),
+        (["op", "coverage_prob_npts"], {"tau_sinr": -1}),
+        (["op", "rate_coverage_npts"], {"tau_rate_bps": 0}),
+        (["validate"], {"tau_sinr": 0}),
     ])
     def test_bad_simulation_settings_are_usage_errors(
             self, args, config, tmp_path, capsys):

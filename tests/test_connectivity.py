@@ -7,7 +7,6 @@ from platoonnet.connectivity import (V2VParams, pgf_degree_pts,
                                      pmf_degree_certified, pmf_degree_npts,
                                      pmf_degree_pts)
 from platoonnet.geometry import NetworkParams
-from platoonnet.mcp_counts import certified
 
 from oracles import pgf_degree_npts
 
@@ -17,7 +16,8 @@ V2V = V2VParams(200.0, PARAMS)
 
 class TestNpts:
     def test_poisson_mean_and_variance(self):
-        pmf = certified(lambda K: pmf_degree_npts(K, V2V), 1e-10)
+        pmf = pmf_degree_npts(255, V2V)
+        assert pmf.tail_mass < 1e-10
         mu = PARAMS.lam * V2V.r_b
         assert pmf.mean() == pytest.approx(mu, rel=1e-8)
         assert pmf.variance() == pytest.approx(mu, rel=1e-7)
@@ -48,7 +48,8 @@ class TestPts:
     def test_mean_includes_own_platoon(self):
         # background contributes lam * R_b; the typical VU's own platoon
         # adds the expected in-range siblings, so the PTS mean is larger
-        pmf = certified(lambda K: pmf_degree_pts(K, V2V), 1e-9)
+        pmf = pmf_degree_pts(255, V2V)
+        assert pmf.tail_mass < 1e-9
         assert pmf.mean() > PARAMS.lam * V2V.r_b
 
     def test_heavier_tail_than_npts(self):
@@ -62,7 +63,8 @@ class TestPts:
         # R_b/2 >= 2a: every platoon sibling is always in range, so the
         # own-platoon factor degenerates to a single Poisson(m) atom
         v2v = V2VParams(4 * PARAMS.a + 100.0, PARAMS)
-        pmf = certified(lambda K: pmf_degree_pts(K, v2v), 1e-9)
+        pmf = pmf_degree_pts(255, v2v)
+        assert pmf.tail_mass < 1e-9
         expect = PARAMS.lam * v2v.r_b + PARAMS.m
         assert pmf.mean() == pytest.approx(expect, rel=1e-6)
 

@@ -10,14 +10,14 @@ from scipy import integrate
 
 from platoonnet import coverage
 from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
-                                 coverage_prob, laplace_interference,
-                                 md_coverage, md_rate, rate_coverage)
+                                 coverage_prob, md_coverage, md_rate,
+                                 rate_coverage)
 from platoonnet.geometry import NetworkParams
 from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
 from platoonnet.numerics import quad
 
-from oracles import laplace_interference_quad
+from oracles import laplace_interference, laplace_interference_quad
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)
 P35 = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)

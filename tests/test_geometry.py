@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from platoonnet import geometry
 from platoonnet.geometry import (NetworkParams, cell_quantile,
@@ -140,6 +140,16 @@ class TestReplicationStreams:
         with pytest.raises(ValueError):
             replication_rng(9, 3).bit_generator.seed_seq.generate_state(8)
 
+    def test_one_word_seeds_take_the_hashed_path(self):
+        # a seed below 2**32 hashes its block; a larger one, which
+        # SeedSequence splits into words, takes default_rng itself
+        geometry._block_words.cache_clear()
+        replication_rng(2**32 - 1, 5)
+        assert geometry._block_words.cache_info().misses == 1
+        replication_rng(2**32, 5)
+        replication_rng(2**40 + 5, 5)
+        assert geometry._block_words.cache_info().misses == 1
+
     def test_streams_share_no_state(self):
         a, b = replication_rng(42, 0), replication_rng(42, 0)
         assert a.bit_generator is not b.bit_generator
@@ -168,6 +178,14 @@ class TestCellLengthLaws:
         q0 = cell_quantile(0.5, LR, tagged=True)
         val, _ = integrate.quad(lambda l: pdf_tagged_cell(l, LR), 0, q0)
         assert val == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_quantile_is_gamma_ppf_bit_for_bit(self, tagged):
+        shape = 3 if tagged else 2
+        for lambda_r in np.geomspace(1e-5, 1.0, 101):
+            for q in (1 - 1e-8, 0.97, 0.5, 1e-3):
+                ref = stats.gamma.ppf(q, shape, scale=1.0 / (2 * lambda_r))
+                assert cell_quantile(q, lambda_r, tagged) == ref
 
 
 def test_tagged_cell_size_biased_empirically():

@@ -27,6 +27,9 @@ from oracles import moments_vm_conditional
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 SWEEP = [NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
          for u in (5.0, 15.0, 35.0)]
+# a truncation past every SWEEP load's bulk: at u = 35 the tagged loads
+# keep more than 1e-10 (N-PTS) and 1e-7 (PTS) beyond K = 255
+K_DEEP = 1023
 
 
 # ------------------------------------------------ recurrence oracle
@@ -281,7 +284,8 @@ class TestTypicalNpts:
 
     @pytest.mark.parametrize("params", SWEEP)
     def test_moments_match_pmf(self, params):
-        pmf = certified(lambda K: pmf_typical_npts(K, params), 1e-10)
+        pmf = pmf_typical_npts(K_DEEP, params)
+        assert pmf.tail_mass < 1e-10
         mo = moments_typical_npts(params)
         assert mo.mean == pytest.approx(pmf.mean(), rel=1e-7)
         assert mo.variance == pytest.approx(pmf.variance(), rel=1e-6)
@@ -297,7 +301,8 @@ class TestTypicalPts:
 
     @pytest.mark.parametrize("params", SWEEP)
     def test_moments_match_pmf(self, params):
-        pmf = certified(lambda K: pmf_typical_pts(K, params), 1e-7)
+        pmf = pmf_typical_pts(K_DEEP, params)
+        assert pmf.tail_mass < 1e-7
         mo = moments_typical_pts(params)
         assert mo.mean == pytest.approx(pmf.mean(), rel=1e-5)
         assert mo.variance == pytest.approx(pmf.variance(), rel=1e-4)
@@ -443,7 +448,8 @@ class TestTaggedNpts:
 
     @pytest.mark.parametrize("params", SWEEP)
     def test_moments_match_pmf(self, params):
-        pmf = certified(lambda K: pmf_tagged_npts(K, params), 1e-10)
+        pmf = pmf_tagged_npts(K_DEEP, params)
+        assert pmf.tail_mass < 1e-10
         mo = moments_tagged_npts(params)
         assert mo.mean == pytest.approx(pmf.mean(), rel=1e-7)
         assert mo.variance == pytest.approx(pmf.variance(), rel=1e-6)
@@ -466,7 +472,8 @@ class TestTaggedPts:
 
     @pytest.mark.parametrize("params", SWEEP)
     def test_mean_matches_pmf(self, params):
-        pmf = certified(lambda K: pmf_tagged_pts(K, params), 1e-7)
+        pmf = pmf_tagged_pts(K_DEEP, params)
+        assert pmf.tail_mass < 1e-7
         mo = moments_tagged_pts(params)
         assert mo.mean == pytest.approx(pmf.mean(), rel=1e-5)
 
@@ -475,7 +482,8 @@ class TestTaggedPts:
         # the variance formula factorizes the platoon/background cross
         # covariance; it understates the exact pmf variance by a few
         # percent but must stay close and keep the right ordering
-        pmf = certified(lambda K: pmf_tagged_pts(K, params), 1e-7)
+        pmf = pmf_tagged_pts(K_DEEP, params)
+        assert pmf.tail_mass < 1e-7
         mo = moments_tagged_pts(params)
         assert mo.variance <= pmf.variance() + 1e-9
         assert mo.variance == pytest.approx(pmf.variance(), rel=0.08)
