@@ -281,8 +281,9 @@ def _rows(out):
     return [("value", float(out))]
 
 
-def run_op(name, cfg):
-    """Evaluate one public operation; returns [(label, value), ...]."""
+def _op(name, cfg):
+    """Zero-argument callable of the public operation `name` on cfg; an
+    unknown name raises ValueError listing the available ones."""
     params = build_params(cfg)
     radio = build_radio(cfg)
     tau, tau_r, x = cfg["tau_sinr"], cfg["tau_rate_bps"], cfg["x_reliability"]
@@ -310,9 +311,14 @@ def run_op(name, cfg):
         ops[f"md_rate_{t}"] = partial(
             coverage.md_rate, tau_r, x, traffic, params, radio)
     if name not in ops:
-        raise SystemExit(
+        raise ValueError(
             f"unknown op {name!r}; available: {', '.join(sorted(ops))}")
-    return _rows(ops[name]())
+    return ops[name]
+
+
+def run_op(name, cfg):
+    """Evaluate one public operation; returns [(label, value), ...]."""
+    return _rows(_op(name, cfg)())
 
 
 # ------------------------------------------------------------- simulate
@@ -445,6 +451,8 @@ def main(argv=None):
             if not ok:
                 raise ValueError(f"config key {key!r} must be {want}, "
                                  f"not {cfg[key]!r}")
+        if args.command == "op":
+            op = _op(args.name, cfg)
         if args.command == "validate":
             checks = validate_checks(cfg, args.tolerance)
     except (OSError, ValueError) as exc:
@@ -457,7 +465,7 @@ def main(argv=None):
         write_csv(args.out, cfg, cols, rows, [f"figure {args.n}"])
         return 0
     if args.command == "op":
-        pairs = run_op(args.name, cfg)
+        pairs = _rows(op())
         write_csv(args.out, cfg, ["quantity", "value"],
                   [[k, v] for k, v in pairs], [f"op {args.name}"])
         return 0

@@ -16,7 +16,7 @@ from scipy import special
 
 from .geometry import NetworkParams, platooned
 from .mcp_counts import DiscretePMF, certified, g_of, pmf_S
-from .numerics import intersection_length, poisson_pmf
+from .numerics import poisson_pmf
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ def pmf_degree_npts(K, v2v: V2VParams) -> DiscretePMF:
 
 def _own_cluster_mixture(v2v: V2VParams):
     """Poisson-mean mixture of the typical VU's own platoon members in
-    range: mean mu = lambda_d * A(R_b/2, a, x) with x ~ U[0, a].
+    range: mean mu = lambda_d |[-r, r] & [x - a, x + a]|, the overlap of
+    the range ball (r = R_b/2) and the cluster ball, with x ~ U[0, a].
 
     Returns (w0, mu0, mu1) -- with probability w0 the mean is the full
     overlap mu0; otherwise the mean is uniform on (mu1, mu0).
@@ -49,7 +50,7 @@ def _own_cluster_mixture(v2v: V2VParams):
     c = abs(r - a)
     if c >= a:
         return 1.0, mu0, mu0
-    mu1 = lam_d * intersection_length(r, a, a)  # overlap at x = a
+    mu1 = lam_d * r  # overlap at x = a, where 0 < r < 2a
     return c / a, mu0, mu1
 
 

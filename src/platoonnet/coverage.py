@@ -25,7 +25,7 @@ from scipy import special
 from .geometry import NetworkParams, platooned
 from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
 from .mcp_counts import g_of
-from .numerics import GP_ABS_TOL, gil_pelaez_invert, hyp2f1_real, quad
+from .numerics import GP_ABS_TOL, NumericsError, gil_pelaez_invert, quad
 
 # fixed rule of CoverageMeta._inner
 _PERIODS = 4       # oscillation periods integrated on the real axis
@@ -116,16 +116,6 @@ def active_prob(traffic, params: NetworkParams):
     return 1.0 - quad(f, 0, np.inf)
 
 
-def _interference_exponent(s, r, p_active, lambda_r, radio: RadioParams):
-    """-log E[exp(-s I) | r] of the interference I from active RSUs beyond
-    the serving distance r (hypergeometric closed form)."""
-    alpha = radio.alpha
-    z = s * radio.p_t * r ** (-alpha)
-    h = hyp2f1_real(1.0, 1.0 - 1.0 / alpha, 2.0 - 1.0 / alpha, -z)
-    return 2 * p_active * lambda_r * s * radio.p_t \
-        * r ** (1.0 - alpha) / alpha * h / (1.0 - 1.0 / alpha)
-
-
 def coverage_prob(tau, traffic, params: NetworkParams, radio: RadioParams,
                   p_active=None):
     """P[SINR > tau] at the typical VU; p_active, when given, is
@@ -135,9 +125,14 @@ def coverage_prob(tau, traffic, params: NetworkParams, radio: RadioParams,
         raise ValueError("tau must be positive")
     p = active_prob(traffic, params) if p_active is None else p_active
     lr, alpha, snr = params.lambda_r, radio.alpha, radio.snr
-    # at s = tau r^alpha / p_t the hypergeometric argument is -tau for
-    # every r, so the interference exponent is linear in r
-    slope = _interference_exponent(tau / radio.p_t, 1.0, p, lr, radio)
+    # given the serving distance r, -log of the interference LT at
+    # s = tau r^alpha / p_t is slope * r (hypergeometric closed form,
+    # argument -tau for every r)
+    b = 1.0 - 1.0 / alpha
+    h = special.hyp2f1(1.0, b, 2.0 - 1.0 / alpha, -tau)
+    if not math.isfinite(h):
+        raise NumericsError(f"hyp2f1 at -tau = {-tau} did not converge")
+    slope = 2 * p * lr * tau / alpha * h / b
 
     def f(r):
         return math.exp(-(slope + 2 * lr) * r - tau * r**alpha / snr)

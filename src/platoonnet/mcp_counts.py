@@ -176,10 +176,6 @@ def certified(pmf_at) -> DiscretePMF:
     return DiscretePMF.of(masses)
 
 
-def _eta1(a, k):
-    return a * (1 - k) / (1 + k)
-
-
 def I_moment(n, k, params: NetworkParams):
     """Closed form of int_0^inf kappa^n(r/2, k) f_L(r) dr."""
     return _I_common(n, k, params, tagged=False)
@@ -194,7 +190,7 @@ def _I_common(n, k, params, tagged):
     if n < 1 or k < 1:
         raise ValueError("n, k must be >= 1")
     lp, m, a, lr = params.lambda_p, params.m, params.a, params.lambda_r
-    eta1 = _eta1(a, k)
+    eta1 = a * (1 - k) / (1 + k)
     j = np.arange(n + 1)
     binom = special.comb(n, j)
     # extra moment order and prefactor distinguish f_L from f_L0

@@ -1,11 +1,9 @@
 """Special functions and quadrature shared by the analytical modules.
 
 Everything here is pure and stateless.  The heavy lifting (incomplete
-gamma, Gauss hypergeometric, adaptive quadrature) is delegated to scipy;
-this module fixes the conventions (upper incomplete gamma is *not*
-regularized, the hypergeometric is only supported for the nonpositive
-real arguments that arise from interference Laplace transforms) and adds
-the Gil-Pelaez inversion used for meta distributions.
+gamma, adaptive quadrature) is delegated to scipy; this module fixes the
+conventions (upper incomplete gamma is *not* regularized) and adds the
+Gil-Pelaez inversion used for meta distributions.
 """
 
 from __future__ import annotations
@@ -44,39 +42,6 @@ def gamma_lower(a, x):
 def poisson_pmf(n, mu):
     """Poisson(mu) mass at n, in log space so large n does not overflow."""
     return np.exp(n * np.log(mu) - mu - special.gammaln(n + 1))
-
-
-def hyp2f1_real(a, b, c, z):
-    """Gauss hypergeometric 2F1(a, b; c; z) for real z <= 0.
-
-    Only the nonpositive-argument regime is supported; it is the one
-    produced by the interference Laplace transform, where z = -s*P*r^-alpha.
-    """
-    if z > 0:
-        raise ValueError("hyp2f1_real only supports z <= 0")
-    if c <= 0 and float(c).is_integer():
-        raise ValueError("c must not be a nonpositive integer")
-    out = special.hyp2f1(a, b, c, z)
-    if not np.isfinite(out):
-        raise NumericsError(f"hyp2f1({a},{b},{c},{z}) did not converge")
-    return float(out)
-
-
-def intersection_length(r, a, x):
-    """Length of the overlap of balls b1(0, r) and b1(x, a) on the line.
-
-    Piecewise: 2*min(r, a) when the small ball is inside the big one
-    (x < |r - a|), r + a - x in the partial-overlap band, 0 when disjoint.
-    """
-    r = np.asarray(r, dtype=float)
-    a = np.asarray(a, dtype=float)
-    x = np.abs(np.asarray(x, dtype=float))
-    full = 2.0 * np.minimum(r, a)
-    partial = r + a - x
-    out = np.where(x < np.abs(r - a), full, np.clip(partial, 0.0, None))
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def quad(f, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200):

@@ -6,9 +6,10 @@ import math
 import warnings
 
 import numpy as np
+from scipy import special
 from scipy.integrate import IntegrationWarning
 
-from platoonnet import coverage, montecarlo
+from platoonnet import montecarlo
 from platoonnet.connectivity import V2VParams
 from platoonnet.coverage import RadioParams
 from platoonnet.geometry import NetworkParams, platooned, replication_rng
@@ -18,11 +19,17 @@ from platoonnet.numerics import gamma_lower, quad
 
 
 def laplace_interference(s, r, p_active, lambda_r, radio: RadioParams):
-    """LT of the interference from active RSUs beyond the serving
-    distance r, conditioned on r: the hypergeometric closed form whose
-    exponent `coverage.coverage_prob` integrates."""
-    return math.exp(-coverage._interference_exponent(s, r, p_active,
-                                                     lambda_r, radio))
+    """LT E[exp(-s I) | r] of the interference I from active RSUs beyond
+    the serving distance r, in hypergeometric closed form:
+    exp(-2 p lambda_r s p_t r^(1-alpha) / alpha 2F1(1, b; b+1; -z) / b),
+    b = 1 - 1/alpha, z = s p_t r^-alpha.  `coverage.coverage_prob` writes
+    its own copy at s = tau r^alpha / p_t."""
+    alpha = radio.alpha
+    b = 1.0 - 1.0 / alpha
+    h = special.hyp2f1(1.0, b, 2.0 - 1.0 / alpha,
+                       -s * radio.p_t * r ** (-alpha))
+    return math.exp(-2 * p_active * lambda_r * s * radio.p_t
+                    * r ** (1.0 - alpha) / alpha * h / b)
 
 
 def laplace_interference_quad(s, r, p_active, lambda_r, radio: RadioParams):

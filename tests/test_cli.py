@@ -86,7 +86,8 @@ class TestOps:
         assert masses.sum() == pytest.approx(1.0, abs=1e-4)
 
     def test_unknown_op(self):
-        with pytest.raises(SystemExit, match="unknown op"):
+        with pytest.raises(ValueError, match="unknown op 'nope'; available: "
+                           "active_prob_npts, "):
             run_op("nope", load_config())
 
 
@@ -180,6 +181,7 @@ class TestMain:
         (["op", "coverage_prob_npts"], {"tau_sinr": -1}),
         (["op", "rate_coverage_npts"], {"tau_rate_bps": 0}),
         (["validate"], {"tau_sinr": 0}),
+        (["op", "nope"], None),
     ])
     def test_bad_simulation_settings_are_usage_errors(
             self, args, config, tmp_path, capsys):

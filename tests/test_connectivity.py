@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from platoonnet.connectivity import (V2VParams, pgf_degree_pts,
-                                     pmf_degree_certified, pmf_degree_npts,
-                                     pmf_degree_pts)
+from platoonnet.connectivity import (V2VParams, _own_cluster_mixture,
+                                     pgf_degree_pts, pmf_degree_certified,
+                                     pmf_degree_npts, pmf_degree_pts)
 from platoonnet.geometry import NetworkParams
 
 from oracles import pgf_degree_npts
@@ -67,6 +68,26 @@ class TestPts:
         assert pmf.tail_mass < 1e-9
         expect = PARAMS.lam * v2v.r_b + PARAMS.m
         assert pmf.mean() == pytest.approx(expect, rel=1e-6)
+
+    # r = R_b/2 below a, at a, between a and 2a, at 2a and beyond 2a
+    @pytest.mark.parametrize("r_b", [30.0, 120.0, 200.0, 300.0, 370.0,
+                                     400.0, 700.0])
+    def test_own_platoon_mean_is_mean_overlap(self, r_b):
+        # the own-platoon Poisson mean is lam_d times the overlap of the
+        # range ball [-r, r] and the cluster ball [x - a, x + a], with
+        # the parent offset x ~ U[0, a]
+        a, r = PARAMS.a, r_b / 2
+        lam_d = PARAMS.m / (2 * a)
+
+        def overlap(x):
+            return max(0.0, min(r, x + a) - max(-r, x - a))
+
+        kinks = [x for x in (r - a, a - r) if 0 < x < a]
+        ref, _ = integrate.quad(overlap, 0.0, a, points=kinks or None,
+                                epsabs=0.0, epsrel=1e-13)
+        w0, mu0, mu1 = _own_cluster_mixture(V2VParams(r_b, PARAMS))
+        mean = w0 * mu0 + (1 - w0) * (mu0 + mu1) / 2
+        assert mean == pytest.approx(lam_d / a * ref, rel=1e-12)
 
 
 class TestInterface:

@@ -15,7 +15,7 @@ from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
 from platoonnet.geometry import NetworkParams
 from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
-from platoonnet.numerics import quad
+from platoonnet.numerics import NumericsError, quad
 
 from oracles import laplace_interference, laplace_interference_quad
 
@@ -397,6 +397,12 @@ class TestCoverageProb:
         cp_p = coverage_prob(0.9, "PTS", PARAMS, RADIO)
         cp_n = coverage_prob(0.9, "NPTS", PARAMS, RADIO)
         assert cp_p > cp_n
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_hypergeometric_raises(self, bad, monkeypatch):
+        monkeypatch.setattr(coverage.special, "hyp2f1", lambda *args: bad)
+        with pytest.raises(NumericsError, match="did not converge"):
+            coverage_prob(0.9, "NPTS", PARAMS, RADIO)
 
     @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
     def test_given_p_active_is_exact(self, traffic):

@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 from scipy.stats import poisson
 
 from platoonnet.numerics import (NumericsError, func_F, func_G, gamma_lower,
-                                 gamma_upper, gil_pelaez_invert, hyp2f1_real,
-                                 intersection_length, poisson_pmf)
+                                 gamma_upper, gil_pelaez_invert, poisson_pmf)
 
 
 class TestIncompleteGamma:
@@ -41,42 +39,6 @@ class TestIncompleteGamma:
             gamma_upper(1.0, -1.0)
         with pytest.raises(ValueError):
             gamma_lower(0.0, 1.0)
-
-
-class TestHyp2f1:
-    @pytest.mark.parametrize("z", [0.0, -0.3, -2.0, -50.0])
-    def test_matches_integral_representation(self, z):
-        # 2F1(a, b; c; z) = B(b, c-b)^-1 int t^(b-1)(1-t)^(c-b-1)(1-zt)^-a
-        a, b, c = 1.0, 0.6, 1.6
-        ref, _ = integrate.quad(
-            lambda t: t ** (b - 1) * (1 - t) ** (c - b - 1)
-            * (1 - z * t) ** (-a), 0, 1)
-        ref /= special.beta(b, c - b)
-        assert hyp2f1_real(a, b, c, z) == pytest.approx(ref, rel=1e-9)
-
-    def test_positive_argument_rejected(self):
-        with pytest.raises(ValueError):
-            hyp2f1_real(1.0, 0.5, 1.5, 0.1)
-
-
-class TestIntersectionLength:
-    def test_piecewise_values(self):
-        assert intersection_length(2.0, 1.0, 0.5) == 2.0       # contained
-        assert intersection_length(2.0, 1.0, 2.5) == 0.5       # partial
-        assert intersection_length(2.0, 1.0, 10.0) == 0.0      # disjoint
-        assert intersection_length(1.0, 3.0, 0.0) == 2.0       # small ball
-
-    @given(r=st.floats(0.01, 50), a=st.floats(0.01, 50),
-           x=st.floats(-100, 100))
-    @settings(max_examples=200, deadline=None)
-    def test_properties(self, r, a, x):
-        val = intersection_length(r, a, x)
-        assert 0.0 <= val <= 2 * min(r, a) + 1e-12
-        assert val == pytest.approx(intersection_length(r, a, -x))
-
-    def test_vectorized(self):
-        out = intersection_length(2.0, 1.0, np.array([0.0, 2.5, 10.0]))
-        assert np.allclose(out, [2.0, 0.5, 0.0])
 
 
 class TestFG:
