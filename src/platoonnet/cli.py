@@ -21,6 +21,7 @@ import math
 import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -53,7 +54,7 @@ DEFAULT_CONFIG = {
     "k_max": 40,
 }
 
-# figure-specific overrides applied on top of the base config
+# figure-specific defaults: the keys a --config file sets win over them
 FIGURE_OVERRIDES = {
     8: {"a_m": 150.0, "alpha": 3.5},
     9: {"a_m": 150.0, "alpha": 4.0, "x_reliability": 0.9},
@@ -436,6 +437,11 @@ def main(argv=None):
     overrides = {"master_seed": args.seed, "replications": args.reps}
     try:
         cfg = load_config(args.config, overrides)
+        if args.command == "figure":  # its defaults, under the file's keys
+            given = json.loads(Path(args.config).read_text()) \
+                if args.config else {}
+            cfg.update((k, v) for k, v in FIGURE_OVERRIDES.get(
+                args.n, {}).items() if k not in given)
         # every parameter set, checked before any work
         build_sim(cfg)
         build_radio(cfg)
@@ -458,9 +464,6 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         ap.exit(2, f"{ap.prog}: error: {exc}\n")
     if args.command == "figure":
-        cfg = dict(cfg, **{k: v for k, v in
-                           FIGURE_OVERRIDES.get(args.n, {}).items()
-                           if args.config is None})
         cols, rows = FIGURES[args.n](cfg)
         write_csv(args.out, cfg, cols, rows, [f"figure {args.n}"])
         return 0

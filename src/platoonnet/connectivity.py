@@ -15,7 +15,7 @@ import numpy as np
 from scipy import special
 
 from .geometry import NetworkParams, platooned
-from .mcp_counts import DiscretePMF, certified, g_of, pmf_S
+from .mcp_counts import DiscretePMF, certified, pmf_S
 from .numerics import poisson_pmf
 
 
@@ -52,21 +52,6 @@ def _own_cluster_mixture(v2v: V2VParams):
         return 1.0, mu0, mu0
     mu1 = lam_d * r  # overlap at x = a, where 0 < r < 2a
     return c / a, mu0, mu1
-
-
-def pgf_degree_pts(s, v2v: V2VParams):
-    """Product of the background-count PGF at radius R_b/2 and the
-    own-platoon factor (uniform parent location on the cluster ball)."""
-    w0, mu0, mu1 = _own_cluster_mixture(v2v)
-    z = s - 1.0
-    own = w0 * math.exp(mu0 * z)
-    if w0 < 1.0:
-        if abs(z) < 1e-9:
-            own += (1 - w0) * (1.0 + 0.5 * (mu0 + mu1) * z)
-        else:
-            own += (1 - w0) * (math.exp(mu0 * z) - math.exp(mu1 * z)) \
-                / (z * (mu0 - mu1))
-    return math.exp(g_of(s, v2v.r_b / 2.0, v2v.params)) * own
 
 
 def _own_cluster_pmf(K, v2v: V2VParams):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -160,10 +159,7 @@ class CoverageMeta:
             else p_active
         self.eta = (1.0 + radio.alpha) / radio.alpha
         self._coef = 2 * self.p * params.lambda_r / radio.alpha
-        # a weak reference: the bound method would make a cycle that keeps
-        # each object and its cache alive until a full garbage collection
-        moment = weakref.WeakMethod(self.moment)
-        self._moment_cached = lru_cache(maxsize=65536)(lambda q: moment()(q))
+        self._moments_it = {}  # M_it by float t
 
     def _inner(self, q):
         """Inner integral of (1 - (1 + tau*y)^(-q)) y^(-eta) over [0, 1],
@@ -218,7 +214,9 @@ class CoverageMeta:
         return m if isinstance(q, complex) else float(m.real)
 
     def moment_it(self, t):
-        return self._moment_cached(1j * float(t))
+        if (t := float(t)) not in self._moments_it:
+            self._moments_it[t] = self.moment(1j * t)
+        return self._moments_it[t]
 
     def md_noise_bound(self, x):
         """Rigorous upper bound on P[conditional CP > x]: even with zero

@@ -1,5 +1,5 @@
 """Network parameterization, replication RNG streams and the cell-length
-laws of the 1D Poisson Voronoi tessellation.
+laws of the 1D Poisson Voronoi tessellation with their closed-form means.
 
 All densities are per meter.  Point patterns are sampled by the Monte
 Carlo engine (`montecarlo`), which draws every replication from its own
@@ -15,8 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial
 from numpy.random.bit_generator import ISeedSequence
 from scipy import special
+
+from .numerics import func_F, func_G
 
 
 @dataclass(frozen=True)
@@ -168,6 +171,34 @@ def pdf_tagged_cell(ell, lambda_r):
     """Density of the tagged (size-biased) cell length."""
     ell = np.asarray(ell, dtype=float)
     return 4 * lambda_r**3 * ell**2 * np.exp(-2 * lambda_r * ell)
+
+
+def cell_average(below, above, lambda_r, a, tagged=False):
+    """E[p(L)] in closed form over the typical or tagged cell length L,
+    of density 4 lr^(d+1) L^d exp(-2 lr L), d = 1 or 2: one func_F or
+    func_G per power of p, given by ascending coefficients as the
+    polynomial sum_i below[i] L^i for L < 2a and the Laurent polynomial
+    sum_i above[i] L^(i - 2) for L > 2a (above[0] = 0 for d = 1)."""
+    d = 2 if tagged else 1
+    rate = 2 * lambda_r
+    return float(4 * lambda_r ** (d + 1) * (
+        sum(c * func_F(rate, i + d, a) for i, c in enumerate(below) if c)
+        + sum(c * func_G(rate, i + d - 2, a)
+              for i, c in enumerate(above) if c)))
+
+
+def cell_product(p, q):
+    """The product of two (below, above) pairs of `cell_average`; the
+    above parts start at L^-2, so it drops the L^-4 and L^-3 terms."""
+    return (polynomial.polymul(p[0], q[0]),
+            polynomial.polymul(p[1], q[1])[2:])
+
+
+def cell_value(ell, below, above, a):
+    """p(ell), elementwise, of a p given as `cell_average` takes it."""
+    hi = np.maximum(ell, 2 * a)  # keeps the unused Laurent branch finite
+    return np.where(ell < 2 * a, polynomial.polyval(ell, below),
+                    polynomial.polyval(hi, above) / hi**2)[()]
 
 
 def cell_quantile(q, lambda_r, tagged=False):

@@ -7,7 +7,7 @@ The PTS PMFs are read off the mixture PGF by one FFT at the roots of
 unity, where the tagged cell multiplies the count PGF by the platoon
 PGF, with the aliased mass bounded by a Chernoff tail bound (summed in
 log form at real radii); the certified forms pass those masses through
-`mcp_counts.certified`.
+`mcp_counts.certified`.  The PTS moments come from `geometry.cell_average`.
 N-PTS results are elementary closed forms.
 
 The tagged-platoon count V_m(t/2) admits a clean mixture representation:
@@ -23,13 +23,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial
 from scipy import special
 
-from .geometry import NetworkParams, cell_quantile, pdf_tagged_cell, \
-    pdf_typical_cell
+from .geometry import NetworkParams, cell_average, cell_product, \
+    cell_quantile, cell_value, pdf_tagged_cell, pdf_typical_cell
 from .mcp_counts import DiscretePMF, TAIL_TOL, certified, distinct_rows, \
-    g_of, kappa, I_moment, I_tilde_moment
-from .numerics import NumericsError, func_F, func_G, quad
+    g_of, kappa, kappa_coefficients, I_moment, I_tilde_moment
+from .numerics import NumericsError
 
 
 @dataclass(frozen=True)
@@ -131,29 +132,19 @@ def pmf_typical_pts_certified(params) -> DiscretePMF:
     return _certified_pts(params, tagged=False)
 
 
-def _kappa_cross_moment(params):
-    """E[kappa(L/2, 1) * kappa(L/2, 2)] over the typical cell length.
-
-    The factorized approximation I(1,1)*I(1,2) understates this product
-    moment enough to flip the skewness ordering at high densities, so the
-    cross term is integrated directly (piecewise smooth, split at 2a).
-    """
-    def f(r):
-        return (kappa(r / 2.0, 1, params) * kappa(r / 2.0, 2, params)
-                * float(pdf_typical_cell(r, params.lambda_r)))
-
-    return (quad(f, 0, 2 * params.a, epsabs=1e-13, epsrel=1e-11)
-            + quad(f, 2 * params.a, np.inf, epsabs=1e-13, epsrel=1e-11))
-
-
 def moments_typical_pts(params: NetworkParams) -> LoadMoments:
     """Mean, variance and third moment of the typical-RSU PTS load."""
     mean = params.m * params.lambda_p / params.lambda_r
     I21 = I_moment(2, 1, params)
     I12 = I_moment(1, 2, params)
     var = mean - mean**2 + I21 + I12
+    # E[kappa(L/2, 1) kappa(L/2, 2)]: the factorized I(1,1) I(1,2)
+    # understates it enough to flip the skewness ordering at high densities
+    cross = cell_average(*cell_product(kappa_coefficients(1, params),
+                                       kappa_coefficients(2, params)),
+                         params.lambda_r, params.a)
     third = (I_moment(3, 1, params) + I_moment(1, 3, params)
-             + 3 * _kappa_cross_moment(params) + 3 * I12 + 3 * I21 + mean)
+             + 3 * cross + 3 * I12 + 3 * I21 + mean)
     return LoadMoments(mean, var, third)
 
 
@@ -225,30 +216,34 @@ def pgf_vm(s, t, params: NetworkParams):
     return w * e + lin[()]
 
 
+def vm_coefficients(j, params: NetworkParams):
+    """The j-th factorial moment E[M^j] of V_m(L/2) in the cell length L,
+    as `cell_average` takes it: a polynomial below L = 2a, and
+    m^j + m^j (4a/(j+2) - 2a)/L above."""
+    a, m = params.a, params.m
+    c = (m / (2 * a)) ** j
+    below = np.append(np.zeros(j), [c, c * (1 / (a * (j + 2)) - 1 / (2 * a))])
+    above = m**j * np.array([0.0, 4 * a / (j + 2) - 2 * a, 1.0])
+    return below, above
+
+
 def vm_factorial_moment(order, t, params: NetworkParams):
     """order-th factorial moment of V_m(t/2) = E[M^order] of the mixture,
     elementwise in t."""
-    w, mu0, c = _vm_mixture(t, params)
-    return w * mu0**order + c * mu0 ** (order + 2) / (order + 2)
+    if not np.asarray(t).min() > 0:  # a NaN fails too
+        raise ValueError("t must be positive")
+    return cell_value(t, *vm_coefficients(order, params), params.a)
 
 
 def moments_vm(params: NetworkParams):
     """(mean, mean conditional variance) of the tagged-platoon count,
-    deconditioned over the tagged cell length.
-
-    Closed forms in the F/G integrals with lambda_d = m/(2a).
-    """
-    a, m, lr = params.a, params.m, params.lambda_r
-    ld = m / (2 * a)
-    F = lambda k: func_F(2 * lr, k, a)
-    G = lambda k: func_G(2 * lr, k, a)
-    mean = 4 * lr**3 * (ld * F(3) - ld / (6 * a) * F(4)
-                        + m * G(2) - (2 * a * m / 3) * G(1))
-    var = 4 * lr**3 * (ld * F(3) - ld / (6 * a) * F(4)
-                       + ld**2 / (12 * a) * F(5) - ld**2 / (36 * a**2) * F(6)
-                       + m * G(2) + (a * m**2 / 3 - 2 * a * m / 3) * G(1)
-                       - (4 * a**2 * m**2 / 9) * G(0))
-    return mean, var
+    deconditioned over the tagged cell length: E[v1] and
+    E[v2 + v1 - v1^2]."""
+    v1, v2 = vm_coefficients(1, params), vm_coefficients(2, params)
+    var = [polynomial.polyadd(polynomial.polysub(x2, x11), x1)
+           for x1, x2, x11 in zip(v1, v2, cell_product(v1, v1))]
+    return tuple(cell_average(*p, params.lambda_r, params.a, tagged=True)
+                 for p in (v1, var))
 
 
 # ---------------------------------------------------------------- tagged
@@ -273,14 +268,11 @@ def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
            + I_tilde_moment(2, 1, params) + I_tilde_moment(1, 2, params))
     # third factorial moment of the product PGF at s=1, deconditioned
     nodes, wts = _mixture_nodes(params, tagged=True)
-    k1 = kappa(nodes / 2.0, 1, params)
-    k2 = kappa(nodes / 2.0, 2, params)
-    k3 = kappa(nodes / 2.0, 3, params)
-    f1 = k1
+    k1, k2, k3 = (kappa(nodes / 2.0, k, params) for k in (1, 2, 3))
     f2 = k1**2 + k2
     f3 = k1**3 + 3 * k2 * k1 + k3
     v1, v2, v3 = (vm_factorial_moment(j, nodes, params) for j in (1, 2, 3))
-    pgf3 = float(np.dot(wts, f3 + 3 * f2 * v1 + 3 * f1 * v2 + v3))
+    pgf3 = float(np.dot(wts, f3 + 3 * f2 * v1 + 3 * k1 * v2 + v3))
     third = pgf3 + 3 * (var + mean**2) - 2 * mean
     return LoadMoments(mean, var, third)
 

@@ -14,12 +14,13 @@ criterion 5.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import special
 
-from .geometry import NetworkParams
-from .numerics import NumericsError, gamma_lower, poisson_pmf
+from .geometry import NetworkParams, cell_average, cell_product, cell_value
+from .numerics import NumericsError, poisson_pmf
 
 TAIL_TOL = 1e-6
 K_CAP = 512
@@ -113,15 +114,23 @@ def g_of(s, r, params: NetworkParams):
     return 2 * lp * (abs(r - a) * e[at] - (r + a) + frac[at])
 
 
-def kappa(r, k, params: NetworkParams):
-    """Limit of the k-th derivative of g(s, r) as s -> 1, k >= 1."""
+def kappa_coefficients(k, params: NetworkParams):
+    """kappa(L/2, k) in the cell length L, as `cell_average` takes it: a
+    polynomial of degree k + 1 below L = 2a, and of degree 1 above."""
     if k < 1:
         raise ValueError("k must be >= 1")
     lp, m, a = params.lambda_p, params.m, params.a
-    r = np.asarray(r, dtype=float)
-    beta = 2 * np.minimum(r, a)
-    out = 2 * lp * (m * beta / (2 * a)) ** k * (r + a - beta * k / (k + 1))
-    return float(out) if out.ndim == 0 else out
+    # 2 lp (m beta / 2a)^k (L/2 + a - beta k/(k+1)), beta = min(L, 2a)
+    c = 2 * lp * (m / (2 * a)) ** k
+    below = np.append(np.zeros(k), [c * a, c * (0.5 - k / (k + 1))])
+    above = 2 * lp * m**k * np.array([0.0, 0.0, a * (1 - k) / (1 + k), 0.5])
+    return below, above
+
+
+def kappa(r, k, params: NetworkParams):
+    """Limit of the k-th derivative of g(s, r) as s -> 1, k >= 1."""
+    return cell_value(2 * np.asarray(r, dtype=float),
+                      *kappa_coefficients(k, params), params.a)
 
 
 def _pmf_from_log_derivs(c, p0, K):
@@ -178,34 +187,16 @@ def certified(pmf_at) -> DiscretePMF:
 
 def I_moment(n, k, params: NetworkParams):
     """Closed form of int_0^inf kappa^n(r/2, k) f_L(r) dr."""
-    return _I_common(n, k, params, tagged=False)
+    return _kappa_power_average(n, k, params, tagged=False)
 
 
 def I_tilde_moment(n, k, params: NetworkParams):
     """Closed form of int_0^inf kappa^n(r/2, k) f_L0(r) dr."""
-    return _I_common(n, k, params, tagged=True)
+    return _kappa_power_average(n, k, params, tagged=True)
 
 
-def _I_common(n, k, params, tagged):
-    if n < 1 or k < 1:
-        raise ValueError("n, k must be >= 1")
-    lp, m, a, lr = params.lambda_p, params.m, params.a, params.lambda_r
-    eta1 = a * (1 - k) / (1 + k)
-    j = np.arange(n + 1)
-    binom = special.comb(n, j)
-    # extra moment order and prefactor distinguish f_L from f_L0
-    off = 3 if tagged else 2
-    pref = 0.5 if tagged else 1.0
-    # r < 2a piece: kappa^n is a polynomial in r of orders nk+j
-    coef = ((1 - k) / (2 * a * (1 + k))) ** j  # 0**0 == 1 handles k=1
-    low = ((2 * lp) ** n * (m / (2 * a)) ** (n * k) * a**n * pref
-           * np.sum(binom * coef
-                    * gamma_lower(n * k + j + off, 4 * lr * a)
-                    / (2 * lr) ** (n * k + j)))
-    # r > 2a piece: kappa^n = (2 lp m^k)^n (r/2 + eta1)^n
-    hi_pref = 4 * lr**3 if tagged else (2 * lr) ** 2
-    high = (hi_pref * (2 * lp * m**k) ** n
-            * np.sum(binom * eta1 ** (n - j) / 2.0**j
-                     * special.gammaincc(j + off, 4 * lr * a)
-                     * special.gamma(j + off) / (2 * lr) ** (j + off)))
-    return float(low + high)
+def _kappa_power_average(n, k, params, tagged):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    power = reduce(cell_product, [kappa_coefficients(k, params)] * n)
+    return cell_average(*power, params.lambda_r, params.a, tagged)

@@ -10,10 +10,11 @@ from scipy import special
 from scipy.integrate import IntegrationWarning
 
 from platoonnet import montecarlo
-from platoonnet.connectivity import V2VParams
+from platoonnet.connectivity import V2VParams, _own_cluster_mixture
 from platoonnet.coverage import RadioParams
-from platoonnet.geometry import NetworkParams, platooned, replication_rng
-from platoonnet.load import vm_factorial_moment
+from platoonnet.geometry import NetworkParams, pdf_tagged_cell, \
+    pdf_typical_cell, platooned, replication_rng
+from platoonnet.load import _vm_mixture
 from platoonnet.mcp_counts import beta_bar, g_of
 from platoonnet.numerics import gamma_lower, quad
 
@@ -68,11 +69,65 @@ def pgf_degree_npts(s, v2v: V2VParams):
     return math.exp(v2v.params.lam * v2v.r_b * (s - 1.0))
 
 
+def pgf_degree_pts(s, v2v: V2VParams):
+    """PGF of the PTS degree: the background-count PGF at radius R_b/2
+    times the own-platoon factor (uniform parent location on the cluster
+    ball)."""
+    w0, mu0, mu1 = _own_cluster_mixture(v2v)
+    z = s - 1.0
+    own = w0 * math.exp(mu0 * z)
+    if w0 < 1.0:
+        if abs(z) < 1e-9:
+            own += (1 - w0) * (1.0 + 0.5 * (mu0 + mu1) * z)
+        else:
+            own += (1 - w0) * (math.exp(mu0 * z) - math.exp(mu1 * z)) \
+                / (z * (mu0 - mu1))
+    return math.exp(g_of(s, v2v.r_b / 2.0, v2v.params)) * own
+
+
 def moments_vm_conditional(t, params: NetworkParams):
-    """(mean, variance) of V_m(t/2) for a fixed cell length t."""
-    e1 = vm_factorial_moment(1, t, params)
-    e2 = vm_factorial_moment(2, t, params)
+    """(mean, variance) of V_m(t/2) for a fixed cell length t, from the
+    factorial moments E[M^j] = w mu0^j + c mu0^(j+2)/(j+2) of its Poisson
+    mean mixture."""
+    w, mu0, c = _vm_mixture(t, params)
+    e1, e2 = (w * mu0**j + c * mu0 ** (j + 2) / (j + 2) for j in (1, 2))
     return e1, e1 + e2 - e1**2
+
+
+# Points spanning the supported box u in [1, 100], a in [50, 300] m and
+# lambda_r in [0.5, 10]/km (lambda_p = 1/km), as NetworkParams
+MOMENT_BOX = [NetworkParams.from_per_km(lr, 1.0, u, a) for lr, u, a in (
+    (0.5, 1.0, 50.0), (0.5, 100.0, 300.0), (10.0, 1.0, 300.0),
+    (10.0, 100.0, 50.0), (2.0, 5.0, 100.0), (2.0, 35.0, 150.0))]
+
+
+def kappa_direct(r, k, params: NetworkParams):
+    """kappa(r, k) = 2 lp (m beta/2a)^k (r + a - beta k/(k+1)), beta =
+    2 min(r, a), written out rather than from coefficients."""
+    lp, m, a = params.lambda_p, params.m, params.a
+    beta = 2 * min(r, a)
+    return 2 * lp * (m * beta / (2 * a)) ** k * (r + a - beta * k / (k + 1))
+
+
+def cell_average_quad(f, params: NetworkParams, tagged):
+    """E[f(L)] over the typical or tagged cell length by adaptive
+    quadrature, split at L = 2a where the moments change form."""
+    pdf = pdf_tagged_cell if tagged else pdf_typical_cell
+
+    def g(ell):
+        return f(ell) * float(pdf(ell, params.lambda_r))
+
+    a2 = 2 * params.a
+    return sum(quad(g, lo, hi, epsabs=0.0, epsrel=1e-12)
+               for lo, hi in ((0.0, a2), (a2, np.inf)))
+
+
+def kappa_cross_moment_quad(params: NetworkParams):
+    """E[kappa(L/2, 1) kappa(L/2, 2)] over the typical cell length, the
+    cross term of the typical PTS third moment."""
+    return cell_average_quad(lambda ell: kappa_direct(ell / 2, 1, params)
+                             * kappa_direct(ell / 2, 2, params),
+                             params, tagged=False)
 
 
 # The Monte Carlo engine reduced one replication at a time: the same

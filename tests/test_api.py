@@ -171,6 +171,14 @@ def test_coverage_moments_run_no_adaptive_quadrature():
                                   if isinstance(node, ast.FunctionDef)}
 
 
+def test_adaptive_quadrature_call_sites():
+    # the cell-averaged load moments are closed forms; what is left of
+    # numerics.quad is the coverage integrals and the Gil-Pelaez panels
+    assert _src_callers("quad") == [
+        "coverage.active_prob", "coverage.coverage_prob", "numerics.quad",
+        "numerics.gil_pelaez_invert"]
+
+
 def test_load_pmfs_skip_the_count_recurrence():
     # the PTS load PMFs come from the PGF by FFT; the recurrence serves
     # the connectivity degree alone

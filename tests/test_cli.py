@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from platoonnet import montecarlo
+from platoonnet import cli, montecarlo
 from platoonnet.cli import (DEFAULT_CONFIG, FIGURE_OVERRIDES, build_params,
                             figure_8, load_config, main, run_op,
                             tv_distance, validate_checks)
@@ -147,6 +147,25 @@ class TestMain:
         assert 0.0 <= got["value"] <= 1.0
         assert got["n"] == 100
         assert got["std_error"] > 0.0
+
+    @pytest.mark.parametrize("n, file, want", [
+        (8, {"master_seed": 7}, {"a_m": "150.0", "alpha": "3.5"}),
+        (9, {"master_seed": 7}, {"a_m": "150.0", "alpha": "4.0",
+                                 "x_reliability": "0.9"}),
+        (9, {"a_m": 100.0, "x_reliability": 0.5},
+         {"a_m": "100.0", "alpha": "4.0", "x_reliability": "0.5"}),
+    ])
+    def test_figure_values_under_config_file(self, tmp_path, monkeypatch,
+                                             n, file, want):
+        # the figure's own values, then the file's keys, then the flags
+        monkeypatch.setitem(cli.FIGURES, n, lambda cfg: (["u"], [[1.0]]))
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "fig.csv"
+        cfg_path.write_text(json.dumps(file))
+        main(["figure", str(n), "--config", str(cfg_path), "--seed", "3",
+              "--out", str(out)])
+        meta, _, _ = read_csv(out)
+        for key, value in dict(want, master_seed="3").items():
+            assert f"# {key} = {value}" in meta
 
     def test_figure_8_row(self):
         cfg = dict(DEFAULT_CONFIG, **FIGURE_OVERRIDES[8], u_values=[5.0])

@@ -5,11 +5,11 @@ import pytest
 from scipy import integrate
 
 from platoonnet.connectivity import (V2VParams, _own_cluster_mixture,
-                                     pgf_degree_pts, pmf_degree_certified,
-                                     pmf_degree_npts, pmf_degree_pts)
+                                     pmf_degree_certified, pmf_degree_npts,
+                                     pmf_degree_pts)
 from platoonnet.geometry import NetworkParams
 
-from oracles import pgf_degree_npts
+from oracles import pgf_degree_npts, pgf_degree_pts
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 V2V = V2VParams(200.0, PARAMS)

@@ -366,7 +366,7 @@ class TestCoverageProb:
                 for tau in (0.9, 11.13, 1e3, 3.5e13):
                     assert coverage_prob(tau, traffic, params, radio) \
                         == pytest.approx(coverage_prob_per_node(
-                            tau, traffic, params, radio), rel=1e-13)
+                            tau, traffic, params, radio), rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("alpha", [3.5, 4.0])
     def test_interference_beyond_exp_underflow(self, alpha):
@@ -380,7 +380,8 @@ class TestCoverageProb:
         cp = coverage_prob(tau, "NPTS", PARAMS, radio)
         assert cp > 0.0
         assert cp == pytest.approx(
-            coverage_prob_per_node(tau, "NPTS", PARAMS, radio), rel=1e-13)
+            coverage_prob_per_node(tau, "NPTS", PARAMS, radio), rel=1e-13,
+            abs=0)
 
     def test_decreasing_in_threshold(self):
         taus = [0.1, 0.5, 0.9, 2.0]

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, special
+from scipy import special
 
-from platoonnet.geometry import NetworkParams, pdf_tagged_cell
+from platoonnet.geometry import NetworkParams
 from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES,
                              _mixture_nodes, _pts_masses, _vm_mixture,
                              moments_tagged_npts, moments_tagged_pts,
@@ -22,7 +22,8 @@ from platoonnet.mcp_counts import (_S1_EPS, TAIL_TOL, DiscretePMF,
                                    beta_bar, certified, g_of, pmf_S)
 from platoonnet.numerics import NumericsError, poisson_pmf
 
-from oracles import moments_vm_conditional
+from oracles import (MOMENT_BOX, cell_average_quad, kappa_cross_moment_quad,
+                     kappa_direct, moments_vm_conditional)
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 SWEEP = [NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
@@ -308,6 +309,21 @@ class TestTypicalPts:
         assert mo.variance == pytest.approx(pmf.variance(), rel=1e-4)
         assert mo.third_moment == pytest.approx(pmf.moment(3), rel=1e-4)
 
+    @pytest.mark.parametrize("params", SWEEP + MOMENT_BOX)
+    def test_third_moment_matches_quadrature(self, params):
+        # every term of the third moment is positive, the cross term
+        # E[kappa_1 kappa_2] among them
+        def I(n, k):
+            return cell_average_quad(
+                lambda ell: kappa_direct(ell / 2, k, params) ** n, params,
+                tagged=False)
+
+        ref = (I(3, 1) + I(1, 3) + 3 * kappa_cross_moment_quad(params)
+               + 3 * I(1, 2) + 3 * I(2, 1)
+               + params.m * params.lambda_p / params.lambda_r)
+        assert moments_typical_pts(params).third_moment == pytest.approx(
+            ref, rel=1e-10, abs=0)
+
     def test_more_dispersed_than_npts(self):
         for params in SWEEP:
             vp = moments_typical_pts(params).variance
@@ -417,26 +433,14 @@ class TestVm:
         assert mean == pytest.approx(pmf.mean(), rel=1e-9)
         assert var == pytest.approx(pmf.variance(), rel=1e-8)
 
-    @pytest.mark.parametrize("params", SWEEP)
+    @pytest.mark.parametrize("params", SWEEP + MOMENT_BOX)
     def test_decondition_matches_quadrature(self, params):
-        def w_mean(t):
-            return moments_vm_conditional(t, params)[0] \
-                * float(pdf_tagged_cell(t, params.lambda_r))
-
-        def w_var(t):
-            return moments_vm_conditional(t, params)[1] \
-                * float(pdf_tagged_cell(t, params.lambda_r))
-
-        a2 = 2 * params.a
-        ref_mean = sum(integrate.quad(w_mean, lo, hi, epsabs=1e-13,
-                                      epsrel=1e-11)[0]
-                       for lo, hi in ((0, a2), (a2, np.inf)))
-        ref_var = sum(integrate.quad(w_var, lo, hi, epsabs=1e-13,
-                                     epsrel=1e-11)[0]
-                      for lo, hi in ((0, a2), (a2, np.inf)))
+        ref_mean, ref_var = (cell_average_quad(
+            lambda t: moments_vm_conditional(t, params)[i], params,
+            tagged=True) for i in (0, 1))
         mean, var = moments_vm(params)
-        assert mean == pytest.approx(ref_mean, rel=1e-6)
-        assert var == pytest.approx(ref_var, rel=1e-6)
+        assert mean == pytest.approx(ref_mean, rel=1e-10, abs=0)
+        assert var == pytest.approx(ref_var, rel=1e-10, abs=0)
 
 
 class TestTaggedNpts:

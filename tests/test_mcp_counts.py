@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
-from platoonnet.geometry import NetworkParams, pdf_tagged_cell, \
-    pdf_typical_cell
+from platoonnet.geometry import NetworkParams
 from platoonnet.mcp_counts import (DiscretePMF, I_moment, I_tilde_moment,
                                    NumericsError, beta_bar,
                                    choose_truncation, g_of, kappa, pmf_S)
 
-from oracles import g_deriv_at_zero, pgf_S
+from oracles import (MOMENT_BOX, cell_average_quad, g_deriv_at_zero,
+                     kappa_direct, pgf_S)
 
 PARAMS = NetworkParams(0.002, 0.001, 5.0, 100.0)
 
@@ -159,6 +158,17 @@ class TestExponent:
             fd = np.gradient(fd, h)
         assert kappa(r, k, PARAMS) == pytest.approx(fd[4], rel=1e-4)
 
+    @pytest.mark.parametrize("p", MOMENT_BOX)
+    def test_kappa_coefficients_match_closed_form(self, p):
+        # both sides of r = a, and r = a itself
+        r = np.append(np.linspace(0.0, 4 * p.a, 81), p.a * (1 + 1e-12))
+        for k in (1, 2, 3):
+            np.testing.assert_allclose(
+                kappa(r, k, p), [kappa_direct(x, k, p) for x in r],
+                rtol=1e-14, atol=0)
+        with pytest.raises(ValueError):
+            kappa(r, 0, p)
+
     def test_beta_bar(self):
         assert beta_bar(50.0, 100.0) == 0.5
         assert beta_bar(300.0, 100.0) == 1.0
@@ -220,35 +230,25 @@ class TestTruncation:
 class TestMixedMoments:
     """The closed-form cell-averaged kappa moments against quadrature."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("m", [5.0, 15.0, 35.0])
-    def test_typical(self, n, k, m):
-        p = NetworkParams(0.002, 0.001, m, 100.0)
-
-        def f(r):
-            return kappa(r / 2.0, k, p) ** n \
-                * float(pdf_typical_cell(r, p.lambda_r))
-
-        lo, _ = integrate.quad(f, 0, 2 * p.a, epsabs=1e-13, epsrel=1e-11)
-        hi, _ = integrate.quad(f, 2 * p.a, np.inf, epsabs=1e-13,
-                               epsrel=1e-11)
-        assert I_moment(n, k, p) == pytest.approx(lo + hi, rel=1e-8)
+    CELLS = [pytest.param(NetworkParams(0.002, 0.001, m, 100.0), id=str(m))
+             for m in (5.0, 15.0, 35.0)] \
+        + [pytest.param(p, id=f"box{i}") for i, p in enumerate(MOMENT_BOX)]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("m", [5.0, 15.0, 35.0])
-    def test_tagged(self, n, k, m):
-        p = NetworkParams(0.002, 0.001, m, 100.0)
+    @pytest.mark.parametrize("p", CELLS)
+    def test_typical(self, n, k, p):
+        ref = cell_average_quad(lambda ell: kappa_direct(ell / 2, k, p)**n,
+                                p, tagged=False)
+        assert I_moment(n, k, p) == pytest.approx(ref, rel=1e-10, abs=0)
 
-        def f(r):
-            return kappa(r / 2.0, k, p) ** n \
-                * float(pdf_tagged_cell(r, p.lambda_r))
-
-        lo, _ = integrate.quad(f, 0, 2 * p.a, epsabs=1e-13, epsrel=1e-11)
-        hi, _ = integrate.quad(f, 2 * p.a, np.inf, epsabs=1e-13,
-                               epsrel=1e-11)
-        assert I_tilde_moment(n, k, p) == pytest.approx(lo + hi, rel=1e-8)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("p", CELLS)
+    def test_tagged(self, n, k, p):
+        ref = cell_average_quad(lambda ell: kappa_direct(ell / 2, k, p)**n,
+                                p, tagged=True)
+        assert I_tilde_moment(n, k, p) == pytest.approx(ref, rel=1e-10, abs=0)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
