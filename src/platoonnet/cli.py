@@ -11,6 +11,10 @@ All output is CSV with a '#'-prefixed metadata header echoing the full
 parameter set and seed, so files are self-describing and byte-identical
 runs are reproducible from the header alone.  Densities in config files
 are per km; they are converted to per meter internally.
+
+A bad --out, config (load_config) or argument is a usage error, exit 2,
+before any work; a NumericsError exits 3.  Either prints one line on
+stderr and writes no file.  A failed validate check exits 1.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +35,7 @@ from .coverage import RadioParams
 from .connectivity import V2VParams
 from .mcp_counts import DiscretePMF
 from .montecarlo import SimConfig, SimEstimate
+from .numerics import NumericsError
 
 # defaults for the verification scenario (load / connectivity figures)
 DEFAULT_CONFIG = {
@@ -89,8 +94,12 @@ def _check_types(cfg):
                              f"not {value!r}")
 
 
-def load_config(path=None, overrides=None):
-    cfg = dict(DEFAULT_CONFIG)
+def load_config(path=None, overrides=None, figure=None):
+    """DEFAULT_CONFIG, then FIGURE_OVERRIDES[figure], then the JSON file's
+    keys, then the non-None overrides; raises ValueError (OSError for an
+    unreadable file) unless each value has its type, each parameter set
+    builds and the thresholds, x_reliability and k_max are in range."""
+    cfg = dict(DEFAULT_CONFIG, **FIGURE_OVERRIDES.get(figure, {}))
     if path:
         with open(path) as fh:
             try:
@@ -103,9 +112,22 @@ def load_config(path=None, overrides=None):
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(user)
-    if overrides:
-        cfg.update({k: v for k, v in overrides.items() if v is not None})
+    cfg.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     _check_types(cfg)
+    build_sim(cfg)
+    build_radio(cfg)
+    V2VParams(cfg["r_b_m"], build_params(cfg))
+    for u in cfg["u_values"]:
+        build_params(cfg, u=u)
+    for key, ok, want in (
+            ("tau_sinr", cfg["tau_sinr"] > 0, "positive"),
+            ("tau_rate_bps", cfg["tau_rate_bps"] > 0, "positive"),
+            ("x_reliability", 0 < cfg["x_reliability"] < 1, "in (0, 1)"),
+            ("k_max", cfg["k_max"] >= 0 and cfg["k_max"] % 1 == 0,
+             "a non-negative whole number")):
+        if not ok:
+            raise ValueError(f"config key {key!r} must be {want}, "
+                             f"not {cfg[key]!r}")
     return cfg
 
 
@@ -127,13 +149,12 @@ def build_sim(cfg):
                      master_seed=cfg["master_seed"])
 
 
-def write_csv(out, cfg, columns, rows, extra_meta=()):
+def write_csv(out, cfg, columns, rows, meta):
     """CSV with '#'-prefixed metadata header; deterministic formatting."""
     lines = ["# platoonnet data series"]
     for k in sorted(cfg):
         lines.append(f"# {k} = {cfg[k]!r}")
-    for item in extra_meta:
-        lines.append(f"# {item}")
+    lines.append(f"# {meta}")
     lines.append(",".join(columns))
     for row in rows:
         # float() first: NumPy 2 reprs its scalars as np.float64(...)
@@ -317,38 +338,27 @@ def _op(name, cfg):
     return ops[name]
 
 
-def run_op(name, cfg):
-    """Evaluate one public operation; returns [(label, value), ...]."""
-    return _rows(_op(name, cfg)())
-
-
 # ------------------------------------------------------------- simulate
 
 SIM_TARGETS = ("load_typical", "load_tagged", "connectivity", "coverage",
                "md_coverage", "rate", "md_rate")
 
 
-def run_simulate(target, traffic, cfg):
-    params = build_params(cfg)
-    radio = build_radio(cfg)
-    sim = build_sim(cfg)
+def _simulation(target, traffic, cfg):
+    """Zero-argument callable of the Monte Carlo estimator `target` of
+    `traffic` on cfg, montecarlo.sim_<target> for the coverage ones."""
+    params, radio, sim = build_params(cfg), build_radio(cfg), build_sim(cfg)
     tau, tau_r, x = cfg["tau_sinr"], cfg["tau_rate_bps"], cfg["x_reliability"]
-    if target in ("load_typical", "load_tagged"):
-        kind = target.split("_")[1]
-        return _rows(montecarlo.sim_load(kind, traffic, params, sim))
-    if target == "connectivity":
-        v2v = V2VParams(cfg["r_b_m"], params)
-        return _rows(montecarlo.sim_connectivity(traffic, v2v, sim))
-    return _rows({
-        "coverage": lambda: montecarlo.sim_coverage(
-            tau, traffic, params, radio, sim),
-        "md_coverage": lambda: montecarlo.sim_md_coverage(
-            tau, x, traffic, params, radio, sim),
-        "rate": lambda: montecarlo.sim_rate(
-            tau_r, traffic, params, radio, sim),
-        "md_rate": lambda: montecarlo.sim_md_rate(
-            tau_r, x, traffic, params, radio, sim),
-    }[target]())
+    table = {f"load_{kind}": partial(montecarlo.sim_load, kind, traffic,
+                                     params, sim)
+             for kind in ("typical", "tagged")}
+    table["connectivity"] = partial(montecarlo.sim_connectivity, traffic,
+                                    V2VParams(cfg["r_b_m"], params), sim)
+    for name, head in (("coverage", (tau,)), ("md_coverage", (tau, x)),
+                       ("rate", (tau_r,)), ("md_rate", (tau_r, x))):
+        table[name] = partial(getattr(montecarlo, f"sim_{name}"), *head,
+                              traffic, params, radio, sim)
+    return table[target]
 
 
 # ------------------------------------------------------------- validate
@@ -431,67 +441,56 @@ def build_parser():
     return ap
 
 
-def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    overrides = {"master_seed": args.seed, "replications": args.reps}
-    try:
-        cfg = load_config(args.config, overrides)
-        if args.command == "figure":  # its defaults, under the file's keys
-            given = json.loads(Path(args.config).read_text()) \
-                if args.config else {}
-            cfg.update((k, v) for k, v in FIGURE_OVERRIDES.get(
-                args.n, {}).items() if k not in given)
-        # every parameter set, checked before any work
-        build_sim(cfg)
-        build_radio(cfg)
-        V2VParams(cfg["r_b_m"], build_params(cfg))
-        for u in cfg["u_values"]:
-            build_params(cfg, u=u)
-        for key, ok, want in (
-                ("tau_sinr", cfg["tau_sinr"] > 0, "positive"),
-                ("tau_rate_bps", cfg["tau_rate_bps"] > 0, "positive"),
-                ("x_reliability", 0 < cfg["x_reliability"] < 1, "in (0, 1)"),
-                ("k_max", cfg["k_max"] >= 0 and cfg["k_max"] % 1 == 0,
-                 "a non-negative whole number")):
-            if not ok:
-                raise ValueError(f"config key {key!r} must be {want}, "
-                                 f"not {cfg[key]!r}")
-        if args.command == "op":
-            op = _op(args.name, cfg)
-        if args.command == "validate":
-            checks = validate_checks(cfg, args.tolerance)
-    except (OSError, ValueError) as exc:
-        ap.exit(2, f"{ap.prog}: error: {exc}\n")
-    if args.command == "figure":
-        cols, rows = FIGURES[args.n](cfg)
-        write_csv(args.out, cfg, cols, rows, [f"figure {args.n}"])
-        return 0
-    if args.command == "op":
-        pairs = _rows(op())
-        write_csv(args.out, cfg, ["quantity", "value"],
-                  [[k, v] for k, v in pairs], [f"op {args.name}"])
-        return 0
-    if args.command == "simulate":
-        pairs = run_simulate(args.target, args.traffic, cfg)
-        write_csv(args.out, cfg, ["quantity", "value"],
-                  [[k, v] for k, v in pairs],
-                  [f"simulate {args.target} {args.traffic}"])
-        return 0
-    sim, rows = build_sim(cfg), []
+def _run_checks(checks, sim, tolerance):
+    """Run the checks of validate_checks with one status line each on
+    stderr; returns the CSV's columns and rows."""
+    rows = []
     for name, check, bound in checks:
         start = time.perf_counter()
         gap, se = check(sim)
         seconds = time.perf_counter() - start
-        gap = float(gap)
-        rows.append([name, gap, "PASS" if gap < args.tolerance else "FAIL"])
+        rows.append([name, gap, "PASS" if gap < tolerance else "FAIL"])
         noise = f" se={se:.5f}" if bound is None \
             else f" noise_bound={bound:.5f}"
         print(f"{rows[-1][2]} {name}: gap={gap:.5f}{noise} "
               f"time={seconds:.2f}s", file=sys.stderr)
-    write_csv(args.out, cfg, ["check", "gap", "status"], rows, ["validate"])
-    return 1 if any(row[2] == "FAIL" for row in rows) else 0
+    return ["check", "gap", "status"], rows
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def _job(args, cfg):
+    """(job, metadata line) of a parsed command line, where job() does the
+    work and returns the CSV's columns and rows.  Raises every usage error
+    of the command before any work."""
+    if args.command == "figure":
+        return partial(FIGURES[args.n], cfg), f"figure {args.n}"
+    if args.command == "validate":
+        return partial(_run_checks, validate_checks(cfg, args.tolerance),
+                       build_sim(cfg), args.tolerance), "validate"
+    if args.command == "op":
+        f, meta = _op(args.name, cfg), f"op {args.name}"
+    else:
+        f = _simulation(args.target, args.traffic, cfg)
+        meta = f"simulate {args.target} {args.traffic}"
+    return lambda: (["quantity", "value"], _rows(f())), meta
+
+
+def main(argv=None):
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    try:
+        try:
+            if args.out not in (None, "-") and (os.path.isdir(args.out) or
+                    not os.access(os.path.dirname(args.out) or ".", os.W_OK)):
+                raise ValueError(f"--out {args.out}: not a writable file")
+            cfg = load_config(args.config, {"master_seed": args.seed,
+                                            "replications": args.reps},
+                              getattr(args, "n", None))
+            job, meta = _job(args, cfg)
+        except (OSError, ValueError) as exc:
+            ap.exit(2, f"{ap.prog}: error: {exc}\n")
+        cols, rows = job()
+    except NumericsError as exc:
+        ap.exit(3, f"{ap.prog}: error: {exc}\n")
+    write_csv(args.out, cfg, cols, rows, meta)
+    failed = args.command == "validate" and "FAIL" in (r[2] for r in rows)
+    return 1 if failed else 0

@@ -1,15 +1,21 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from platoonnet import cli, montecarlo
+import platoonnet
+from platoonnet import cli, mcp_counts, montecarlo
 from platoonnet.cli import (DEFAULT_CONFIG, FIGURE_OVERRIDES, build_params,
-                            figure_8, load_config, main, run_op,
-                            tv_distance, validate_checks)
+                            figure_8, load_config, main, tv_distance,
+                            validate_checks)
 from platoonnet.mcp_counts import DiscretePMF
 from platoonnet.montecarlo import SimEstimate
+from platoonnet.numerics import NumericsError
 
 
 def read_csv(path):
@@ -51,6 +57,23 @@ class TestConfig:
         assert cfg["master_seed"] == 1
         assert cfg["replications"] == DEFAULT_CONFIG["replications"]
 
+    def test_figure_values_then_file_then_flags(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"a_m": 120.0, "master_seed": 5}))
+        cfg = load_config(str(cfg_path),
+                          {"master_seed": 9, "replications": None}, figure=9)
+        assert cfg == dict(DEFAULT_CONFIG, alpha=4.0, x_reliability=0.9,
+                           a_m=120.0, master_seed=9)
+
+    @pytest.mark.parametrize("overrides", [
+        {"replications": 1}, {"tau_sinr": -1}, {"x_reliability": 1.5},
+        {"k_max": 2.7}, {"u_values": [5.0, -1.0]},
+    ], ids=["replications", "tau_sinr", "x_reliability", "k_max",
+            "u_values"])
+    def test_out_of_range_values_rejected(self, overrides):
+        with pytest.raises(ValueError):
+            load_config(None, overrides)
+
 
 class TestTvDistance:
     def test_identical_is_zero(self):
@@ -70,17 +93,17 @@ class TestTvDistance:
 
 class TestOps:
     def test_scalar_op(self):
-        out = dict(run_op("active_prob_npts", load_config()))
+        out = dict(cli._rows(cli._op("active_prob_npts", load_config())()))
         # gamma = 2.5: 1 - 4 / (2.5 + 2)^2
         assert out["value"] == pytest.approx(1.0 - 16.0 / 81.0, rel=1e-10)
 
     def test_moment_op(self):
-        out = dict(run_op("moments_typical_pts", load_config()))
+        out = dict(cli._rows(cli._op("moments_typical_pts", load_config())()))
         assert out["mean"] == pytest.approx(2.5, rel=1e-9)
         assert set(out) == {"mean", "variance", "third_moment", "skewness"}
 
     def test_pmf_op_normalizes(self):
-        out = run_op("pmf_typical_npts", load_config())
+        out = cli._rows(cli._op("pmf_typical_npts", load_config())())
         masses = np.array([v for _, v in out])
         assert masses[0] == pytest.approx(16.0 / 81.0, rel=1e-10)
         assert masses.sum() == pytest.approx(1.0, abs=1e-4)
@@ -88,7 +111,7 @@ class TestOps:
     def test_unknown_op(self):
         with pytest.raises(ValueError, match="unknown op 'nope'; available: "
                            "active_prob_npts, "):
-            run_op("nope", load_config())
+            cli._op("nope", load_config())
 
 
 class TestMain:
@@ -201,15 +224,24 @@ class TestMain:
         (["op", "rate_coverage_npts"], {"tau_rate_bps": 0}),
         (["validate"], {"tau_sinr": 0}),
         (["op", "nope"], None),
+        (["op", "active_prob_npts", "--out", "{tmp}"], None),
+        (["simulate", "coverage", "--out", "{tmp}/missing/out.csv"], None),
     ])
     def test_bad_simulation_settings_are_usage_errors(
-            self, args, config, tmp_path, capsys):
+            self, args, config, tmp_path, capsys, monkeypatch):
+        def no_replications(*args):
+            raise AssertionError("a replication ran before a usage error")
+
+        monkeypatch.setattr(montecarlo, "_replicate", no_replications)
+        args = [a.format(tmp=tmp_path) for a in args]
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
             args = args + ["--config", str(path)]
+        if "--out" not in args:
+            args = args + ["--out", str(tmp_path / "out.csv")]
         with pytest.raises(SystemExit) as exc:
-            main(args + ["--out", str(tmp_path / "out.csv")])
+            main(args)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("platoonnet: error: ")
@@ -235,6 +267,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("platoonnet: error: ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["op", "rate_coverage_pts"],  # raised by the work
+        ["figure", "6"],
+        ["validate", "--reps", "300", "--tolerance", "0.9"],  # by the gate
+    ])
+    def test_numerics_error_exits_3(self, args, tmp_path, capsys,
+                                    monkeypatch):
+        def uncertified(mass_at):
+            raise NumericsError("PMF tail not certified below K=512")
+
+        monkeypatch.setattr(mcp_counts, "choose_truncation", uncertified)
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == (
+            "platoonnet: error: PMF tail not certified below K=512\n")
         assert not (tmp_path / "out.csv").exists()
 
     def test_bad_figure_number(self):
@@ -323,3 +373,21 @@ class TestMain:
         # the default count is not refused
         bounds = tv_bounds()
         assert 0.01 < max(bounds) < 0.0176
+
+
+def test_module_entry_exit_status():
+    src = str(Path(platoonnet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "platoonnet", *args],
+                              env=env, capture_output=True, text=True)
+
+    ok = run("op", "active_prob_npts", "--out", "-")
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("# platoonnet data series\n")
+    bad = run("op", "nope")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert bad.stderr.startswith("platoonnet: error: unknown op 'nope'")
+    assert bad.stderr.count("\n") == 1
