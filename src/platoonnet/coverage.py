@@ -34,14 +34,18 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 _LAG_V, _LAG_W = np.polynomial.laguerre.laggauss(40)
 
 
-@lru_cache(maxsize=32)
-def _jacobi_nodes(eta):
-    """20-node Gauss-Jacobi rule on [0, 1] for the weight u^(1-eta), its
-    weights divided by that weight: it integrates u^(1-eta) times a
-    smooth function directly."""
+@lru_cache(maxsize=128)
+def _inner_table(eta, n):
+    """Nodes, weights and panel index of `_inner`'s rule before scaling.
+    Panel 0 is the 20-node Gauss-Jacobi rule on [0, 1] for the weight
+    u^(1-eta), its weights divided by that weight: it integrates
+    u^(1-eta) times a smooth function directly.  Panels 1..n are the
+    Gauss-Legendre rule on [-1, 1]."""
     x, w = special.roots_jacobi(20, 0.0, 1.0 - eta)
     u = (1.0 + x) / 2
-    return u, w / 2 ** (2 - eta) * u ** (eta - 1)
+    return (np.append(u, np.tile(_GL_X, n)),
+            np.append(w / 2 ** (2 - eta) * u ** (eta - 1), np.tile(_GL_W, n)),
+            np.repeat(np.arange(n + 1), [u.size] + [_GL_X.size] * n))
 
 
 def _panels(edges, x, w):
@@ -57,6 +61,7 @@ def _panels(edges, x, w):
 # r^alpha is not smooth
 _R_V, _R_W = _panels(np.append(0.0, 2.0 ** np.arange(-6, 8)),
                      *np.polynomial.legendre.leggauss(24))
+_R_W = _R_W.astype(complex)  # cast once: `_R_W @ z` casts it for complex z
 
 
 def _serving_integral(lin, noise, alpha):
@@ -186,18 +191,25 @@ class CoverageMeta:
             # as w -> 0
             return np.exp((1 - eta) * w - eta * np.log(-np.expm1(-w)))
 
-        x, wts = _jacobi_nodes(eta)
-        w, c = B * x, B * wts
+        # half-width and midpoint of each panel, the Jacobi panel [0, B]
+        # first (its table nodes are on [0, 1]); the Legendre edges are
+        # np.linspace(B, A, n + 1), in the float arithmetic numpy uses
+        half, mid = [B], [0.0]
         if A > B:
             n = math.ceil((A - B) / min(period, _PANEL_MAX))
-            w_gl, c_gl = _panels(np.linspace(B, A, n + 1), _GL_X, _GL_W)
-            w, c = np.append(w, w_gl), np.append(c, c_gl)
-        val = (c * f(w)) @ -np.expm1(-q * w)
+            step = (A - B) / n
+            edges = [i * step + B for i in range(n)] + [A]
+            half += [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
+            mid += [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+        x, wts, panel = _inner_table(eta, len(half) - 1)
+        h, o = np.array([half, mid]).take(panel, axis=1)
+        w = o + h * x
+        val = -((h * wts * f(w)) @ np.expm1(-q * w))
         if A < W:
+            fv = f(np.array([[A], [W]]) + _LAG_V / q)
             val += (math.expm1(A) ** (1 - eta) - tau ** (1 - eta)) \
                 / (eta - 1) - _LAG_W @ (
-                    cmath.exp(-q * A) * f(A + _LAG_V / q)
-                    - cmath.exp(-q * W) * f(W + _LAG_V / q)) / q
+                    cmath.exp(-q * A) * fv[0] - cmath.exp(-q * W) * fv[1]) / q
         return val * tau ** (eta - 1)
 
     def moment(self, q):

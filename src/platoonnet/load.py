@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial
-from scipy import special
 
 from .geometry import NetworkParams, cell_average, cell_product, \
     cell_quantile, cell_value, pdf_tagged_cell, pdf_typical_cell
@@ -45,19 +44,19 @@ class LoadMoments:
                  - self.mean**3) / self.variance**1.5)
 
 
-_MIX_PANELS, _MIX_ORDER = 60, 10  # Gauss-Legendre panels and their order
+_MIX_PANELS = 60  # Gauss-Legendre panels of 10 nodes each
+_MIX_X, _MIX_W = np.polynomial.legendre.leggauss(10)
 
 
 def _mixture_nodes(params, tagged):
     """Composite Gauss-Legendre nodes/weights on [0, T] with T at the
     1 - 1e-8 quantile of the relevant cell-length law."""
     T = cell_quantile(1 - 1e-8, params.lambda_r, tagged=tagged)
-    x, w = np.polynomial.legendre.leggauss(_MIX_ORDER)
     edges = np.linspace(0.0, T, _MIX_PANELS + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _MIX_X[None, :]).ravel()
+    weights = (half[:, None] * _MIX_W[None, :]).ravel()
     pdf = pdf_tagged_cell(nodes, params.lambda_r) if tagged \
         else pdf_typical_cell(nodes, params.lambda_r)
     return nodes, weights * pdf
@@ -92,17 +91,21 @@ def _pts_masses(params, tagged, n_min=0):
     comes out as sum_j p_{k+jN}: each mass is off by at most P[X >= N].
     N is the smallest power of two >= max(64, n_min) whose Chernoff bound
     min_rho G(rho) / rho^N on that tail is below _ALIAS_TOL; a tail that
-    needs N past _N_MAX raises.  The bound sums logs of the conditional
-    PGFs at the real radii; at the roots of unity the tagged cell
-    multiplies the two PGFs.  The mixture sums run over blocks of nodes
-    to bound the working set.
+    needs N past _N_MAX raises.  The bound sums the conditional PGFs at
+    the real radii in log form, one max-shifted log-sum-exp per block of
+    nodes; at the roots of unity the tagged cell multiplies the two
+    PGFs.  The mixture sums run over blocks of nodes to bound the
+    working set.
     """
     nodes, wts = _mixture_nodes(params, tagged)
     blocks = [(nodes[i:i + _BLOCK, None], wts[i:i + _BLOCK])
               for i in range(0, nodes.size, _BLOCK)]
-    log_g = np.logaddexp.reduce([
-        special.logsumexp(_log_pgf_given(_RHO, t, params, tagged),
-                          b=w[:, None], axis=0) for t, w in blocks])
+    parts = []  # log of each block's share of G at the radii
+    for t, w in blocks:
+        log_pgf = _log_pgf_given(_RHO, t, params, tagged)
+        top = log_pgf.max(axis=0)
+        parts.append(top + np.log(w @ np.exp(log_pgf - top)))
+    log_g = np.logaddexp.reduce(parts)
     # G(rho) / rho^N < tol for N > need at the best rho
     need = np.min((log_g - math.log(_ALIAS_TOL)) / np.log(_RHO))
     if not need <= _N_MAX:  # a NaN fails too

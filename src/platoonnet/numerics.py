@@ -8,6 +8,7 @@ Gil-Pelaez inversion used for meta distributions.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from typing import Callable
@@ -89,7 +90,7 @@ def gil_pelaez_invert(moment_fn: Callable[[float], complex],
 
     def integrand(t):
         m = moment_fn(t)
-        return (complex(np.exp(-1j * t * lnx)) * m).imag / t
+        return (cmath.exp(-1j * t * lnx) * m).imag / t
 
     total = 0.0
     lo, hi = 0.0, 1.0

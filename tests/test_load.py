@@ -186,6 +186,22 @@ def test_fft_mass_bits_pinned(u, a, tagged):
     assert digest.hexdigest() == FFT_MASS_SHA256[u, a, tagged]
 
 
+
+# FFT size N of _pts_masses by u (typical, tagged), the same at a = 50,
+# 100, 150 and 300 m; N is the one output that the Chernoff bound sets
+FFT_SIZE = {1.2: (64, 64), 2.0: (64, 128), 5.0: (128, 256),
+            10.0: (256, 512), 15.0: (512, 512), 20.0: (512, 512),
+            25.0: (1024, 1024), 30.0: (1024, 1024), 35.0: (1024, 1024),
+            50.0: (2048, 2048), 60.0: (2048, 2048)}
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+@pytest.mark.parametrize("u", list(FFT_SIZE))
+def test_fft_size_pinned(u, tagged):
+    for a in (50.0, 100.0, 150.0, 300.0):
+        params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+        assert _pts_masses(params, tagged).size == FFT_SIZE[u][tagged]
+
 def test_fft_stage_exponentiates_each_distinct_row_once(monkeypatch):
     params = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)
     exp, sizes = np.exp, []
