@@ -123,8 +123,9 @@ def load_config(path=None, overrides=None, figure=None):
             ("tau_sinr", cfg["tau_sinr"] > 0, "positive"),
             ("tau_rate_bps", cfg["tau_rate_bps"] > 0, "positive"),
             ("x_reliability", 0 < cfg["x_reliability"] < 1, "in (0, 1)"),
-            ("k_max", cfg["k_max"] >= 0 and cfg["k_max"] % 1 == 0,
-             "a non-negative whole number")):
+            ("k_max", 0 <= cfg["k_max"] < load.N_MAX
+             and cfg["k_max"] % 1 == 0,
+             f"a whole number in [0, {load.N_MAX})")):
         if not ok:
             raise ValueError(f"config key {key!r} must be {want}, "
                              f"not {cfg[key]!r}")

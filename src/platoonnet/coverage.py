@@ -24,7 +24,8 @@ from scipy import special
 from .geometry import NetworkParams, platooned
 from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
 from .mcp_counts import g_of
-from .numerics import GP_ABS_TOL, NumericsError, gil_pelaez_invert, quad
+from .numerics import GP_ABS_TOL, NumericsError, gil_pelaez_invert, \
+    panels, quad
 
 # fixed rule of CoverageMeta._inner
 _PERIODS = 4       # oscillation periods integrated on the real axis
@@ -48,18 +49,10 @@ def _inner_table(eta, n):
             np.repeat(np.arange(n + 1), [u.size] + [_GL_X.size] * n))
 
 
-def _panels(edges, x, w):
-    """Gauss-Legendre nodes x, weights w on [-1, 1] mapped onto each
-    panel between consecutive edges."""
-    half = 0.5 * np.diff(edges)[:, None]
-    return ((0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel(),
-            (half * w).ravel())
-
-
 # fixed rule of _serving_integral: 24-node Gauss-Legendre on the dyadic
 # panels [0, 2^-6], [2^-6, 2^-5], ..., [2^6, 2^7], fine near 0, where
 # r^alpha is not smooth
-_R_V, _R_W = _panels(np.append(0.0, 2.0 ** np.arange(-6, 8)),
+_R_V, _R_W = panels(np.append(0.0, 2.0 ** np.arange(-6, 8)),
                      *np.polynomial.legendre.leggauss(24))
 _R_W = _R_W.astype(complex)  # cast once: `_R_W @ z` casts it for complex z
 

@@ -19,8 +19,6 @@ from numpy.polynomial import polynomial
 from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
-from .numerics import func_F, func_G
-
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -161,29 +159,36 @@ def replication_rng(master_seed, rep):
 
 # cell-length laws of the stationary 1D Poisson Voronoi tessellation
 
-def pdf_typical_cell(ell, lambda_r):
-    """Density of the typical cell length: 4 lr^2 l exp(-2 lr l)."""
+def pdf_cell(ell, lambda_r, tagged=False):
+    """Density 4 lr^(d+1) l^d exp(-2 lr l) of the typical (d = 1) or the
+    tagged, size-biased (d = 2) cell length."""
     ell = np.asarray(ell, dtype=float)
-    return 4 * lambda_r**2 * ell * np.exp(-2 * lambda_r * ell)
-
-
-def pdf_tagged_cell(ell, lambda_r):
-    """Density of the tagged (size-biased) cell length."""
-    ell = np.asarray(ell, dtype=float)
-    return 4 * lambda_r**3 * ell**2 * np.exp(-2 * lambda_r * ell)
+    d = 2 if tagged else 1
+    return 4 * lambda_r ** (d + 1) * ell**d * np.exp(-2 * lambda_r * ell)
 
 
 def cell_average(below, above, lambda_r, a, tagged=False):
     """E[p(L)] in closed form over the typical or tagged cell length L,
-    of density 4 lr^(d+1) L^d exp(-2 lr L), d = 1 or 2: one func_F or
-    func_G per power of p, given by ascending coefficients as the
-    polynomial sum_i below[i] L^i for L < 2a and the Laurent polynomial
-    sum_i above[i] L^(i - 2) for L > 2a (above[0] = 0 for d = 1)."""
+    of density 4 lr^(d+1) L^d exp(-2 lr L), d = 1 or 2, for p given by
+    ascending coefficients as the polynomial sum_i below[i] L^i for
+    L < 2a and the Laurent polynomial sum_i above[i] L^(i - 2) for
+    L > 2a.  Each power L^k of p L^d integrates against exp(-rate L),
+    rate = 2 lr, to an incomplete gamma at (k + 1, 2 rate a) over
+    rate^(k + 1): the lower one (F) below 2a, the upper one (G) above.
+    For d = 1, above[0] must be 0: its G would need Gamma(0)."""
+    if not tagged and len(above) and above[0]:
+        raise ValueError("a typical cell average of L^-2 needs Gamma(0)")
     d = 2 if tagged else 1
     rate = 2 * lambda_r
+
+    def integral(part, k):
+        return part(k + 1, 2.0 * rate * a) * special.gamma(k + 1) \
+            / rate ** (k + 1)
+
     return float(4 * lambda_r ** (d + 1) * (
-        sum(c * func_F(rate, i + d, a) for i, c in enumerate(below) if c)
-        + sum(c * func_G(rate, i + d - 2, a)
+        sum(c * integral(special.gammainc, i + d)
+            for i, c in enumerate(below) if c)
+        + sum(c * integral(special.gammaincc, i + d - 2)
               for i, c in enumerate(above) if c)))
 
 

@@ -26,10 +26,10 @@ import numpy as np
 from numpy.polynomial import polynomial
 
 from .geometry import NetworkParams, cell_average, cell_product, \
-    cell_quantile, cell_value, pdf_tagged_cell, pdf_typical_cell
+    cell_quantile, cell_value, pdf_cell
 from .mcp_counts import DiscretePMF, TAIL_TOL, certified, distinct_rows, \
-    g_of, kappa, kappa_coefficients, I_moment, I_tilde_moment
-from .numerics import NumericsError
+    g_of, kappa, kappa_coefficients, I_moment
+from .numerics import NumericsError, panels
 
 
 @dataclass(frozen=True)
@@ -52,21 +52,16 @@ def _mixture_nodes(params, tagged):
     """Composite Gauss-Legendre nodes/weights on [0, T] with T at the
     1 - 1e-8 quantile of the relevant cell-length law."""
     T = cell_quantile(1 - 1e-8, params.lambda_r, tagged=tagged)
-    edges = np.linspace(0.0, T, _MIX_PANELS + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * _MIX_X[None, :]).ravel()
-    weights = (half[:, None] * _MIX_W[None, :]).ravel()
-    pdf = pdf_tagged_cell(nodes, params.lambda_r) if tagged \
-        else pdf_typical_cell(nodes, params.lambda_r)
-    return nodes, weights * pdf
+    nodes, weights = panels(np.linspace(0.0, T, _MIX_PANELS + 1),
+                            _MIX_X, _MIX_W)
+    return nodes, weights * pdf_cell(nodes, params.lambda_r, tagged)
 
 
 # ------------------------------------------------------- PMFs by FFT
 
 _ALIAS_TOL = 1e-13  # Chernoff bound on the aliased mass P[X >= N]
 _BLOCK = 32         # mixture nodes per block of the PGF sums
-_N_MAX = 2**15      # largest FFT the tail bound may ask for
+N_MAX = 2**15       # largest FFT; the CLI keeps k_max + 1 within it
 _RHO = 2.0 ** (np.arange(1, 49) / 48)  # Chernoff radii in (1, 2]
 
 
@@ -90,11 +85,11 @@ def _pts_masses(params, tagged, n_min=0):
     The mixture PGF G is sampled at the N-th roots of unity, so mass k
     comes out as sum_j p_{k+jN}: each mass is off by at most P[X >= N].
     N is the smallest power of two >= max(64, n_min) whose Chernoff bound
-    min_rho G(rho) / rho^N on that tail is below _ALIAS_TOL; a tail that
-    needs N past _N_MAX raises.  The bound sums the conditional PGFs at
-    the real radii in log form, one max-shifted log-sum-exp per block of
-    nodes; at the roots of unity the tagged cell multiplies the two
-    PGFs.  The mixture sums run over blocks of nodes to bound the
+    min_rho G(rho) / rho^N on that tail is below _ALIAS_TOL; an n_min or
+    a tail that needs N past N_MAX raises.  The bound sums the conditional
+    PGFs at the real radii in log form, one max-shifted log-sum-exp per
+    block of nodes; at the roots of unity the tagged cell multiplies the
+    two PGFs.  The mixture sums run over blocks of nodes to bound the
     working set.
     """
     nodes, wts = _mixture_nodes(params, tagged)
@@ -108,9 +103,11 @@ def _pts_masses(params, tagged, n_min=0):
     log_g = np.logaddexp.reduce(parts)
     # G(rho) / rho^N < tol for N > need at the best rho
     need = np.min((log_g - math.log(_ALIAS_TOL)) / np.log(_RHO))
-    if not need <= _N_MAX:  # a NaN fails too
-        raise NumericsError(f"load tail needs an FFT of {need:.3g} points")
-    N = 2 ** math.ceil(math.log2(max(64, n_min, need)))
+    size = max(need, n_min)  # need first, so a NaN need stays NaN
+    if not size <= N_MAX:  # a NaN fails too
+        raise NumericsError(f"load PMF needs an FFT of {size:.3g} points, "
+                            f"past {N_MAX}")
+    N = 2 ** math.ceil(math.log2(max(64, size)))
     s = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
     pgf = sum(w @ _pgf_given(s, t, params, tagged) for t, w in blocks)
     return np.fft.irfft(pgf, N)
@@ -268,7 +265,8 @@ def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
     mean_vm, var_vm = moments_vm(params)
     mean = mean_s + mean_vm
     var = (var_vm + mean_s - mean_s**2
-           + I_tilde_moment(2, 1, params) + I_tilde_moment(1, 2, params))
+           + I_moment(2, 1, params, tagged=True)
+           + I_moment(1, 2, params, tagged=True))
     # third factorial moment of the product PGF at s=1, deconditioned
     nodes, wts = _mixture_nodes(params, tagged=True)
     k1, k2, k3 = (kappa(nodes / 2.0, k, params) for k in (1, 2, 3))
@@ -315,6 +313,9 @@ def operational_metrics(pmf: DiscretePMF, kind: str) -> dict:
         raise NumericsError("operational metrics need a certified pmf")
     if kind == "typical":
         p_off = float(pmf.masses[0])
+        if not p_off < 1.0:
+            raise NumericsError("the RSU is never active (all load mass "
+                                "at 0): no mean active load")
         s_avg = pmf.mean() / (1 - p_off)
         k_avg = math.floor(s_avg)
         p_b = float(pmf.masses[1: k_avg + 1].sum()) if k_avg >= 1 else 0.0

@@ -185,17 +185,10 @@ def certified(pmf_at) -> DiscretePMF:
     return DiscretePMF.of(masses)
 
 
-def I_moment(n, k, params: NetworkParams):
-    """Closed form of int_0^inf kappa^n(r/2, k) f_L(r) dr."""
-    return _kappa_power_average(n, k, params, tagged=False)
-
-
-def I_tilde_moment(n, k, params: NetworkParams):
-    """Closed form of int_0^inf kappa^n(r/2, k) f_L0(r) dr."""
-    return _kappa_power_average(n, k, params, tagged=True)
-
-
-def _kappa_power_average(n, k, params, tagged):
+def I_moment(n, k, params: NetworkParams, tagged=False):
+    """Closed form of int_0^inf kappa^n(r/2, k) f_L(r) dr over the typical
+    cell-length density f_L; with tagged=True over the tagged f_L0, the
+    paper's I-tilde."""
     if n < 1:
         raise ValueError("n must be >= 1")
     power = reduce(cell_product, [kappa_coefficients(k, params)] * n)

@@ -1,9 +1,8 @@
 """Special functions and quadrature shared by the analytical modules.
 
-Everything here is pure and stateless.  The heavy lifting (incomplete
-gamma, adaptive quadrature) is delegated to scipy; this module fixes the
-conventions (upper incomplete gamma is *not* regularized) and adds the
-Gil-Pelaez inversion used for meta distributions.
+Everything here is pure and stateless: the Poisson mass, the one
+adaptive (QUADPACK) entry point, the composite Gauss-Legendre map and
+the Gil-Pelaez inversion used for meta distributions.
 """
 
 from __future__ import annotations
@@ -21,25 +20,6 @@ class NumericsError(RuntimeError):
     """Raised when a numerical routine cannot reach its tolerance."""
 
 
-def gamma_upper(a, x):
-    """Upper incomplete gamma integral of t^(a-1) exp(-t) on [x, inf).
-
-    Not regularized: gamma_upper(a, 0) == Gamma(a).
-    """
-    if np.any(np.asarray(a) <= 0):
-        raise ValueError("gamma_upper requires a > 0")
-    if np.any(np.asarray(x) < 0):
-        raise ValueError("gamma_upper requires x >= 0")
-    return special.gammaincc(a, x) * special.gamma(a)
-
-
-def gamma_lower(a, x):
-    """Lower incomplete gamma integral of t^(a-1) exp(-t) on [0, x]."""
-    if np.any(np.asarray(a) <= 0):
-        raise ValueError("gamma_lower requires a > 0")
-    return special.gammainc(a, x) * special.gamma(a)
-
-
 def poisson_pmf(n, mu):
     """Poisson(mu) mass at n, in log space so large n does not overflow."""
     return np.exp(n * np.log(mu) - mu - special.gammaln(n + 1))
@@ -55,18 +35,12 @@ def quad(f, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200):
                           limit=limit)[0]
 
 
-def func_F(m, k, a):
-    """Integral of x^k exp(-m x) over [0, 2a]."""
-    if m <= 0:
-        raise ValueError("func_F requires m > 0")
-    return gamma_lower(k + 1, 2.0 * m * a) / m ** (k + 1)
-
-
-def func_G(m, k, a):
-    """Integral of x^k exp(-m x) over [2a, inf)."""
-    if m <= 0:
-        raise ValueError("func_G requires m > 0")
-    return gamma_upper(k + 1, 2.0 * m * a) / m ** (k + 1)
+def panels(edges, x, w):
+    """Gauss-Legendre nodes x, weights w on [-1, 1] mapped onto each
+    panel between consecutive edges: a composite rule, panel by panel."""
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel(),
+            (half * w).ravel())
 
 
 GP_MAX_PANELS = 24  # dyadic panels tried before the integrand must decay

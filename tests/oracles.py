@@ -12,11 +12,11 @@ from scipy.integrate import IntegrationWarning
 from platoonnet import montecarlo
 from platoonnet.connectivity import V2VParams, _own_cluster_mixture
 from platoonnet.coverage import RadioParams
-from platoonnet.geometry import NetworkParams, pdf_tagged_cell, \
-    pdf_typical_cell, platooned, replication_rng
+from platoonnet.geometry import NetworkParams, pdf_cell, platooned, \
+    replication_rng
 from platoonnet.load import _vm_mixture
 from platoonnet.mcp_counts import beta_bar, g_of
-from platoonnet.numerics import gamma_lower, quad
+from platoonnet.numerics import quad
 
 
 def laplace_interference(s, r, p_active, lambda_r, radio: RadioParams):
@@ -61,7 +61,8 @@ def g_deriv_at_zero(i, r, params: NetworkParams):
     lp, m, a = params.lambda_p, params.m, params.a
     z = m * beta_bar(r, a)
     return 2 * lp * (z**i * np.exp(-z) * abs(r - a)
-                     + gamma_lower(i + 1, z) / (m / (2 * a)))
+                     + special.gammainc(i + 1, z) * special.gamma(i + 1)
+                     / (m / (2 * a)))
 
 
 def pgf_degree_npts(s, v2v: V2VParams):
@@ -112,10 +113,8 @@ def kappa_direct(r, k, params: NetworkParams):
 def cell_average_quad(f, params: NetworkParams, tagged):
     """E[f(L)] over the typical or tagged cell length by adaptive
     quadrature, split at L = 2a where the moments change form."""
-    pdf = pdf_tagged_cell if tagged else pdf_typical_cell
-
     def g(ell):
-        return f(ell) * float(pdf(ell, params.lambda_r))
+        return f(ell) * float(pdf_cell(ell, params.lambda_r, tagged))
 
     a2 = 2 * params.a
     return sum(quad(g, lo, hi, epsabs=0.0, epsrel=1e-12)

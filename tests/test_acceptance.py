@@ -15,19 +15,16 @@ from platoonnet.cli import main, tv_distance
 from platoonnet.connectivity import V2VParams, pmf_degree_certified
 from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
                                  coverage_prob, rate_coverage)
-from platoonnet.geometry import (NetworkParams, pdf_tagged_cell,
-                                 pdf_typical_cell)
+from platoonnet.geometry import NetworkParams, cell_average, pdf_cell
 from platoonnet.load import (moments_tagged_npts, moments_typical_npts,
                              moments_typical_pts, pgf_vm,
                              pmf_tagged_npts_certified,
                              pmf_tagged_pts_certified, pmf_typical_npts,
                              pmf_typical_npts_certified,
                              pmf_typical_pts_certified)
-from platoonnet.mcp_counts import (I_moment, I_tilde_moment, beta_bar,
-                                   g_of, kappa, pmf_S)
+from platoonnet.mcp_counts import I_moment, beta_bar, g_of, kappa, pmf_S
 from platoonnet.montecarlo import SimConfig, sim_coverage, sim_connectivity, \
     sim_load
-from platoonnet.numerics import func_F, func_G
 
 from oracles import (g_deriv_at_zero, laplace_interference,
                      laplace_interference_quad, moments_vm_conditional)
@@ -95,27 +92,32 @@ def test_criterion_3_closed_forms_vs_quadrature(capsys):
         p = NetworkParams.from_per_km(2.0, 1.0, m_val, 100.0)
         for n in (1, 2, 3):
             for k in (1, 2, 3):
-                for fn, pdf in ((I_moment, pdf_typical_cell),
-                                (I_tilde_moment, pdf_tagged_cell)):
+                for tagged in (False, True):
                     def f(r):
                         return kappa(r / 2.0, k, p) ** n \
-                            * float(pdf(r, p.lambda_r))
+                            * float(pdf_cell(r, p.lambda_r, tagged))
                     ref = sum(integrate.quad(f, lo, hi, epsabs=1e-13,
                                              epsrel=1e-11)[0]
                               for lo, hi in ((0, 2 * p.a),
                                              (2 * p.a, np.inf)))
-                    worst = max(worst, abs(fn(n, k, p) / ref - 1.0))
+                    worst = max(worst,
+                                abs(I_moment(n, k, p, tagged) / ref - 1.0))
+    # the F and G integrals of cell_average: L^k alone below and above 2a
     for m_rate in (0.001, 0.004, 0.02):
         for k in (0, 1, 3):
             for a in (50.0, 100.0, 300.0):
-                ref_f, _ = integrate.quad(
-                    lambda x: x**k * math.exp(-m_rate * x), 0, 2 * a,
-                    epsabs=1e-15, epsrel=1e-12)
-                ref_g, _ = integrate.quad(
-                    lambda x: x**k * math.exp(-m_rate * x), 2 * a, np.inf,
-                    epsabs=1e-15, epsrel=1e-12)
-                worst = max(worst, abs(func_F(m_rate, k, a) / ref_f - 1.0),
-                            abs(func_G(m_rate, k, a) / ref_g - 1.0))
+                for tagged in (False, True):
+                    def f(x):
+                        return x**k * float(pdf_cell(x, m_rate / 2, tagged))
+                    mono = np.eye(k + 3)
+                    for below, above, lo, hi in (
+                            (mono[k], (), 0, 2 * a),
+                            ((), mono[k + 2], 2 * a, np.inf)):
+                        ref, _ = integrate.quad(f, lo, hi, epsabs=1e-15,
+                                                epsrel=1e-12)
+                        val = cell_average(below, above, m_rate / 2, a,
+                                           tagged)
+                        worst = max(worst, abs(val / ref - 1.0))
     for alpha in (2.5, 3.5, 4.0):
         radio = RadioParams(1.0, 5e-5, alpha)
         for s in (1e-3, 1.0, 50.0):

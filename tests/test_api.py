@@ -107,6 +107,17 @@ def test_one_replication_loop():
     assert _src_callers("replication_rng") == ["montecarlo._replicate"]
 
 
+def test_every_numerics_function_has_an_outside_caller():
+    # a numerics routine that only numerics calls belongs in its caller
+    numerics = ast.parse((SRC / "numerics.py").read_text())
+    names = [node.name for node in numerics.body
+             if isinstance(node, ast.FunctionDef)]
+    assert "quad" in names  # the scan sees the module's functions
+    assert not [name for name in names
+                if all(fn.startswith("numerics.")
+                       for fn in _src_callers(name))]
+
+
 STREAM_NAMES = {"default_rng", "SeedSequence", "PCG64", "Generator"}
 
 

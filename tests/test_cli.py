@@ -67,12 +67,16 @@ class TestConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"replications": 1}, {"tau_sinr": -1}, {"x_reliability": 1.5},
-        {"k_max": 2.7}, {"u_values": [5.0, -1.0]},
+        {"k_max": 2.7}, {"u_values": [5.0, -1.0]}, {"k_max": 2**15},
     ], ids=["replications", "tau_sinr", "x_reliability", "k_max",
-            "u_values"])
+            "u_values", "k_max_past_fft_cap"])
     def test_out_of_range_values_rejected(self, overrides):
         with pytest.raises(ValueError):
             load_config(None, overrides)
+
+    def test_k_max_fills_the_largest_fft(self):
+        # k_max + 1 masses fit the PTS FFT cap exactly
+        assert load_config(None, {"k_max": 2**15 - 1})["k_max"] == 2**15 - 1
 
 
 class TestTvDistance:
@@ -226,6 +230,7 @@ class TestMain:
         (["op", "nope"], None),
         (["op", "active_prob_npts", "--out", "{tmp}"], None),
         (["simulate", "coverage", "--out", "{tmp}/missing/out.csv"], None),
+        (["op", "pmf_typical_pts"], {"k_max": 100_000}),
     ])
     def test_bad_simulation_settings_are_usage_errors(
             self, args, config, tmp_path, capsys, monkeypatch):
@@ -285,6 +290,19 @@ class TestMain:
         assert exc.value.code == 3
         assert capsys.readouterr().err == (
             "platoonnet: error: PMF tail not certified below K=512\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_never_active_rsu_exits_3(self, tmp_path, capsys):
+        # at u = 1e-17 no typical RSU serves a VU: p_off is 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"u_values": [1e-17]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "6", "--config", str(path),
+                  "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("platoonnet: error: the RSU is never active")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 
     def test_bad_figure_number(self):

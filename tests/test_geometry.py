@@ -3,8 +3,7 @@ import pytest
 from scipy import integrate, stats
 
 from platoonnet import geometry
-from platoonnet.geometry import (NetworkParams, cell_quantile,
-                                 pdf_tagged_cell, pdf_typical_cell,
+from platoonnet.geometry import (NetworkParams, cell_quantile, pdf_cell,
                                  replication_rng)
 from platoonnet.montecarlo import _draw_rsus, _draw_vus, _uniform, _vus
 
@@ -159,24 +158,24 @@ class TestReplicationStreams:
 
 class TestCellLengthLaws:
     def test_pdfs_normalize(self):
-        for pdf in (pdf_typical_cell, pdf_tagged_cell):
-            val, _ = integrate.quad(lambda l: pdf(l, LR), 0, np.inf)
+        for tagged in (False, True):
+            val, _ = integrate.quad(lambda l: pdf_cell(l, LR, tagged),
+                                    0, np.inf)
             assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_means(self):
-        m_typ, _ = integrate.quad(lambda l: l * pdf_typical_cell(l, LR),
-                                  0, np.inf)
-        m_tag, _ = integrate.quad(lambda l: l * pdf_tagged_cell(l, LR),
+        m_typ, _ = integrate.quad(lambda l: l * pdf_cell(l, LR), 0, np.inf)
+        m_tag, _ = integrate.quad(lambda l: l * pdf_cell(l, LR, True),
                                   0, np.inf)
         assert m_typ == pytest.approx(1.0 / LR, rel=1e-9)
         assert m_tag == pytest.approx(1.5 / LR, rel=1e-9)
 
     def test_quantile_inverts_cdf(self):
         q = cell_quantile(0.97, LR)
-        val, _ = integrate.quad(lambda l: pdf_typical_cell(l, LR), 0, q)
+        val, _ = integrate.quad(lambda l: pdf_cell(l, LR), 0, q)
         assert val == pytest.approx(0.97, abs=1e-9)
         q0 = cell_quantile(0.5, LR, tagged=True)
-        val, _ = integrate.quad(lambda l: pdf_tagged_cell(l, LR), 0, q0)
+        val, _ = integrate.quad(lambda l: pdf_cell(l, LR, True), 0, q0)
         assert val == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("tagged", [False, True])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from platoonnet.geometry import NetworkParams
-from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES,
+from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES, N_MAX,
                              _mixture_nodes, _pts_masses, _vm_mixture,
                              moments_tagged_npts, moments_tagged_pts,
                              moments_typical_npts, moments_typical_pts,
@@ -201,6 +201,16 @@ def test_fft_size_pinned(u, tagged):
     for a in (50.0, 100.0, 150.0, 300.0):
         params = NetworkParams.from_per_km(2.0, 1.0, u, a)
         assert _pts_masses(params, tagged).size == FFT_SIZE[u][tagged]
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+def test_fft_size_past_the_cap_raises(tagged):
+    # the masses asked for count against the cap as the tail bound does
+    with pytest.raises(NumericsError, match="FFT"):
+        _pts_masses(PARAMS, tagged, n_min=100_001)
+    pmf = pmf_tagged_pts if tagged else pmf_typical_pts
+    with pytest.raises(NumericsError, match="FFT"):
+        pmf(N_MAX, PARAMS)
 
 def test_fft_stage_exponentiates_each_distinct_row_once(monkeypatch):
     params = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)
@@ -534,6 +544,11 @@ class TestOperationalMetrics:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             operational_metrics(pmf_typical_npts_certified(PARAMS), "other")
+
+    def test_never_active_rsu_raises(self):
+        # s_avg conditions on an active RSU, which has probability 0 here
+        with pytest.raises(NumericsError, match="never active"):
+            operational_metrics(DiscretePMF.of([1.0]), "typical")
 
     def test_off_probability_ordering(self):
         # platooning concentrates VUs, leaving more RSUs idle

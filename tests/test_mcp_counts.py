@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platoonnet.geometry import NetworkParams
-from platoonnet.mcp_counts import (DiscretePMF, I_moment, I_tilde_moment,
-                                   NumericsError, beta_bar,
-                                   choose_truncation, g_of, kappa, pmf_S)
+from platoonnet.mcp_counts import (DiscretePMF, I_moment, NumericsError,
+                                   beta_bar, choose_truncation, g_of, kappa,
+                                   pmf_S)
 
 from oracles import (MOMENT_BOX, cell_average_quad, g_deriv_at_zero,
                      kappa_direct, pgf_S)
@@ -248,10 +248,11 @@ class TestMixedMoments:
     def test_tagged(self, n, k, p):
         ref = cell_average_quad(lambda ell: kappa_direct(ell / 2, k, p)**n,
                                 p, tagged=True)
-        assert I_tilde_moment(n, k, p) == pytest.approx(ref, rel=1e-10, abs=0)
+        assert I_moment(n, k, p, tagged=True) == pytest.approx(
+            ref, rel=1e-10, abs=0)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
             I_moment(0, 1, PARAMS)
         with pytest.raises(ValueError):
-            I_tilde_moment(1, 0, PARAMS)
+            I_moment(1, 0, PARAMS, tagged=True)

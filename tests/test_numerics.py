@@ -5,63 +5,61 @@ import pytest
 from scipy import integrate, special
 from scipy.stats import poisson
 
-from platoonnet.numerics import (NumericsError, func_F, func_G, gamma_lower,
-                                 gamma_upper, gil_pelaez_invert, poisson_pmf)
+from platoonnet.geometry import cell_average, pdf_cell
+from platoonnet.numerics import gil_pelaez_invert, poisson_pmf
 
 
-class TestIncompleteGamma:
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.0])
-    @pytest.mark.parametrize("x", [0.1, 1.0, 4.0])
-    def test_upper_matches_quadrature(self, a, x):
-        ref, _ = integrate.quad(lambda t: t ** (a - 1) * math.exp(-t),
-                                x, np.inf, epsabs=1e-15, epsrel=1e-12)
-        assert gamma_upper(a, x) == pytest.approx(ref, rel=1e-10)
-
-    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.0])
-    @pytest.mark.parametrize("x", [0.1, 1.0, 4.0])
-    def test_lower_matches_quadrature(self, a, x):
-        ref, _ = integrate.quad(lambda t: t ** (a - 1) * math.exp(-t), 0, x,
-                                epsabs=1e-15, epsrel=1e-12)
-        assert gamma_lower(a, x) == pytest.approx(ref, rel=1e-10)
-
-    def test_not_regularized(self):
-        assert gamma_upper(3.5, 0.0) == pytest.approx(special.gamma(3.5))
-
-    def test_complementarity(self):
-        a, x = 4.2, 1.7
-        assert gamma_upper(a, x) + gamma_lower(a, x) == pytest.approx(
-            special.gamma(a), rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gamma_upper(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            gamma_upper(1.0, -1.0)
-        with pytest.raises(ValueError):
-            gamma_lower(0.0, 1.0)
+def _monomial(k, a, m, tagged, above):
+    """cell_average of L^k alone, below or above L = 2a, at the cell rate
+    m = 2 lambda_r, and the same average by adaptive quadrature."""
+    coeffs = np.eye(k + 3)[k + 2 if above else k]
+    below, above_part = ((), coeffs) if above else (coeffs, ())
+    lo, hi = (2 * a, np.inf) if above else (0.0, 2 * a)
+    ref, _ = integrate.quad(
+        lambda x: x**k * pdf_cell(x, m / 2, tagged), lo, hi,
+        epsabs=0.0, epsrel=1e-12)
+    return cell_average(below, above_part, m / 2, a, tagged), ref
 
 
 class TestFG:
+    """The F (below 2a) and G (above 2a) integrals of `cell_average`, one
+    monomial at a time, for the typical and the tagged cell."""
+
     @pytest.mark.parametrize("m", [0.001, 0.004, 0.02])
     @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize("a", [50.0, 100.0, 300.0])
     def test_F_matches_quadrature(self, m, k, a):
-        ref, _ = integrate.quad(lambda x: x**k * math.exp(-m * x), 0, 2 * a)
-        assert func_F(m, k, a) == pytest.approx(ref, rel=1e-8)
+        for tagged in (False, True):
+            value, ref = _monomial(k, a, m, tagged, above=False)
+            assert value == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("m", [0.001, 0.004, 0.02])
     @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize("a", [50.0, 100.0, 300.0])
     def test_G_matches_quadrature(self, m, k, a):
-        ref, _ = integrate.quad(lambda x: x**k * math.exp(-m * x),
-                                2 * a, np.inf)
-        assert func_G(m, k, a) == pytest.approx(ref, rel=1e-8)
+        for tagged in (False, True):
+            value, ref = _monomial(k, a, m, tagged, above=True)
+            assert value == pytest.approx(ref, rel=1e-8)
 
     def test_completeness(self):
+        # F + G is the k-th moment Gamma(k + d + 1) / (d! m^k) of the
+        # Gamma(d + 1, 1/m) cell length
         m, k, a = 0.004, 2, 150.0
-        total = func_F(m, k, a) + func_G(m, k, a)
-        assert total == pytest.approx(special.gamma(k + 1) / m ** (k + 1),
-                                      rel=1e-12)
+        for d, tagged in ((1, False), (2, True)):
+            p = np.eye(k + 3)
+            total = cell_average(p[k], p[k + 2], m / 2, a, tagged)
+            assert total == pytest.approx(
+                special.gamma(k + d + 1) / special.gamma(d + 1) / m**k,
+                rel=1e-12)
+
+    def test_typical_inverse_square_raises(self):
+        # the L^-2 term of a typical average would need Gamma(0); in the
+        # tagged cell it is 4 lr^3 exp(-4 lr a) / (2 lr)
+        lr, a = 0.002, 100.0
+        with pytest.raises(ValueError, match="Gamma"):
+            cell_average((), (1.0,), lr, a)
+        assert cell_average((), (1.0,), lr, a, tagged=True) == \
+            pytest.approx(2 * lr**2 * math.exp(-4 * lr * a), rel=1e-12)
 
 
 @pytest.mark.parametrize("mu", [1e-3, 0.7, 5.0, 35.0, 400.0])
