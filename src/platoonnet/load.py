@@ -186,6 +186,10 @@ def _vm_mixture(t, params):
 _VM_BAND = 0.1  # series band |mu0 (s - 1)| < _VM_BAND
 # Taylor coefficients (k + 1)/(k + 2)! of (e^x (x - 1) + 1) / x^2
 _VM_SERIES = [(k + 1) / math.factorial(k + 2) for k in range(8)]
+# numpy reuses the buffer of a temporary operand of a binary operator
+# from this size on (NPY_MIN_ELIDE_BYTES), swapping a commutative
+# product's operands when the temporary is on the right
+_ELIDE_BYTES = 256 * 1024
 
 
 def pgf_vm(s, t, params: NetworkParams):
@@ -193,27 +197,43 @@ def pgf_vm(s, t, params: NetworkParams):
     s (real or complex) and t broadcast against each other.
 
     Uses a series branch near s = 1 where the closed form is 0/0 of
-    order two, evaluated on the band points alone.  The exponential is
-    tabulated over the distinct mu0 (see `distinct_rows`).
+    order two, evaluated on the band points alone.  All that depends on
+    mu0 and s alone (the exponential, the band, the closed form's bracket
+    and z^2, the series) is tabulated over the distinct mu0 (see
+    `distinct_rows`); per node remain the factors c and w and the sum.
     """
     w, mu0, c = _vm_mixture(t, params)
     mu, at = distinct_rows(mu0, s)
+    shape = np.broadcast_shapes(np.shape(mu0), np.shape(s))
     z = s - 1.0
-    e = np.exp(mu * z)[at]  # off the band far == z: e^{mu0 far} there
-    x = mu0 * z
+    x = mu * z
     near = abs(x) < _VM_BAND
-    far = np.where(near, 1.0, z)  # the unused closed form stays finite
+    e = np.exp(x)  # off the band far == z: e^{mu0 far} there
     # the closed form divides an O(x^2) cancellation by z^2 (relative
     # error near 2 eps / |x|^2); the series stops before x^8: both are
-    # near 5e-14 at |x| = _VM_BAND.  Its bracket stays per node: numpy
-    # computes e * (temporary) of 256 KiB or more in place as
-    # (temporary) * e, and the order moves the last bit of a complex
-    # product, so a tabulated bracket would change FFT masses
-    lin = np.asarray(c * (e * (mu0 * far - 1.0) + 1.0) / far**2)
-    cn, mn = (np.broadcast_to(v, near.shape)[near] for v in (c, mu0))
-    lin[near] = cn * (mn**2 * np.polynomial.polynomial.polyval(
-        x[near], _VM_SERIES))
-    return w * e + lin[()]
+    # near 5e-14 at |x| = _VM_BAND
+    series = np.broadcast_to(mu, near.shape)[near]**2 * \
+        np.polynomial.polynomial.polyval(x[near], _VM_SERIES)
+    del x  # each table goes before the next one of block size comes
+    far = np.where(near, 1.0, z)  # the unused closed form stays finite
+    bracket = np.asarray(mu * far - 1.0)
+    # numpy computes e * (temporary) in place as (temporary) * e once the
+    # temporary holds _ELIDE_BYTES, and the order moves the last bit of a
+    # complex product: the table multiplies in the order that a
+    # temporary the size of the whole block would get
+    big = math.prod(shape) * e.itemsize >= _ELIDE_BYTES
+    np.multiply(*((bracket, e) if big else (e, bracket)), out=bracket)
+    bracket += 1.0
+    far **= 2  # z^2 off the band from here on
+    lin = np.asarray(c * bracket[at])
+    del bracket
+    lin /= far[at]
+    far[near] = series  # far's band is spent: it holds the series now
+    near = np.broadcast_to(near[at], shape)
+    lin[near] = np.broadcast_to(c, shape)[near] * \
+        np.broadcast_to(far[at], shape)[near]
+    del far
+    return w * e[at] + lin[()]
 
 
 def vm_coefficients(j, params: NetworkParams):
@@ -323,7 +343,9 @@ def operational_metrics(pmf: DiscretePMF, kind: str) -> dict:
     if kind == "tagged":
         m_avg = math.floor(pmf.mean())
         P_b = float(pmf.masses[1: m_avg + 1].sum()) if m_avg >= 1 else 0.0
+        # a pmf with support {0} has no mass at 1
+        mass_at_one = float(pmf.masses[1]) if pmf.masses.size > 1 else 0.0
         return {"P1_zero_extra_load": float(pmf.masses[0]),
-                "P1_mass_at_one": float(pmf.masses[1]),
+                "P1_mass_at_one": mass_at_one,
                 "m_avg": m_avg, "P_b": P_b}
     raise ValueError(f"unknown kind {kind!r}")

@@ -78,19 +78,26 @@ def beta_bar(r, a):
 
 def distinct_rows(x, s):
     """(x_u, at) with f(x_u, s)[at] == f(x, s) for a numpy x and an
-    elementwise f.
+    elementwise f, up to broadcasting.
 
     When x is a column (a block of mixture nodes) and s a row (the FFT or
     Chernoff points), x_u holds each distinct value of x once and at
     takes the rows of an (x_u, s) table back to the block: past t = 2a
     every node gives the same z and mu0, so a factor of x and s costs one
-    row per distinct value.  Any other x comes back as is, with at = ().
+    row per distinct value.  When that is one row (the whole block lies
+    past 2a), x_u is that row and at = (), so its table broadcasts over
+    the block.  When every row is distinct, and for any other x, x comes
+    back as is, also with at = ().
     """
     if x.shape[-1:] != (1,) or np.ndim(s) != 1:
         return x, ()
     rows = {}  # first-seen order, and far cheaper than np.unique here
     inv = [rows.setdefault(v, len(rows)) for v in x.ravel().tolist()]
-    return np.array(list(rows))[:, None], np.reshape(inv, x.shape[:-1])
+    if len(rows) == x.size:
+        return x, ()
+    x_u = np.array(list(rows))[:, None]
+    return (x_u, ()) if len(rows) == 1 else \
+        (x_u, np.reshape(inv, x.shape[:-1]))
 
 
 def g_of(s, r, params: NetworkParams):
@@ -99,7 +106,8 @@ def g_of(s, r, params: NetworkParams):
 
     Closed form with a second-order Taylor branch for |s - 1| < 1e-6,
     where (exp(m*bb*(s-1)) - 1)/(s-1) is a removable 0/0.  The factors of
-    s are tabulated over the distinct z = m*bb (see `distinct_rows`).
+    s are tabulated over the distinct z = m*bb (see `distinct_rows`) and
+    gathered, or broadcast, to the rows of r.
     """
     lp, m, a = params.lambda_p, params.m, params.a
     z, at = distinct_rows(m * beta_bar(r, a), s)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -116,6 +117,29 @@ class TestOps:
         with pytest.raises(ValueError, match="unknown op 'nope'; available: "
                            "active_prob_npts, "):
             cli._op("nope", load_config())
+
+    # sha256 of the CSV that `op NAME` writes at the default config: the
+    # load layer's PTS masses, and the coverage sums over them, byte for
+    # byte
+    CSV_SHA256 = {
+        "pmf_typical_pts":
+            "4f594dd6fdb6703bbb005cb842e7c48da662c62e95aa64185a73f2c742890e41",
+        "pmf_tagged_pts":
+            "e9bdfa74c1d4d5b6365ba11b0c4805fe772419d6b1cdc76c765feaf6406418bd",
+        "rate_coverage_pts":
+            "541b66d86975a17fbc470073154bbdac6652629745fde6d4cbdacfde4c85320c",
+        "rate_coverage_npts":
+            "f8e6031024c83c693c300deb6c95e1d8877add574d814879cabe30f061019b12",
+        "active_prob_pts":
+            "ee60da27001640f3b5a3cd768c85bb1ccd7e0ca3f6c27a389b05235efb5b9837",
+    }
+
+    @pytest.mark.parametrize("name", list(CSV_SHA256))
+    def test_csv_bytes_pinned(self, name, tmp_path):
+        out = tmp_path / f"{name}.csv"
+        assert main(["op", name, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.CSV_SHA256[name]
 
 
 class TestMain:

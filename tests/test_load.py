@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from platoonnet.geometry import NetworkParams
-from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES, N_MAX,
-                             _mixture_nodes, _pts_masses, _vm_mixture,
-                             moments_tagged_npts, moments_tagged_pts,
-                             moments_typical_npts, moments_typical_pts,
-                             moments_vm, operational_metrics, pgf_vm,
-                             pmf_tagged_npts, pmf_tagged_npts_certified,
-                             pmf_tagged_pts, pmf_tagged_pts_certified,
+from platoonnet.load import (_BLOCK, _ELIDE_BYTES, _RHO, _VM_BAND,
+                             _VM_SERIES, N_MAX, _log_pgf_given,
+                             _mixture_nodes, _pgf_given, _pts_masses,
+                             _vm_mixture, moments_tagged_npts,
+                             moments_tagged_pts, moments_typical_npts,
+                             moments_typical_pts, moments_vm,
+                             operational_metrics, pgf_vm, pmf_tagged_npts,
+                             pmf_tagged_npts_certified, pmf_tagged_pts,
+                             pmf_tagged_pts_certified,
                              pmf_typical_npts, pmf_typical_npts_certified,
                              pmf_typical_pts, pmf_typical_pts_certified,
                              vm_factorial_moment)
@@ -22,8 +24,9 @@ from platoonnet.mcp_counts import (_S1_EPS, TAIL_TOL, DiscretePMF,
                                    beta_bar, certified, g_of, pmf_S)
 from platoonnet.numerics import NumericsError, poisson_pmf
 
-from oracles import (MOMENT_BOX, cell_average_quad, kappa_cross_moment_quad,
-                     kappa_direct, moments_vm_conditional)
+from oracles import (MOMENT_BOX, cell_average_quad, g_of_per_node,
+                     kappa_cross_moment_quad, kappa_direct,
+                     moments_vm_conditional, pgf_vm_per_node)
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 SWEEP = [NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
@@ -151,6 +154,95 @@ def test_kernel_bits_match_both_branch_forms(u, a):
                 assert got.tobytes() == oracle(s, x, params).tobytes()
 
 
+def pgf_given_per_node(s, t, params, tagged):
+    """load._pgf_given over the per-node kernels of tests/oracles.py."""
+    pgf = np.exp(g_of_per_node(s, t / 2.0, params))
+    return pgf * pgf_vm_per_node(s, t, params) if tagged else pgf
+
+
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+    assert np.array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()  # and the signs of zeros
+
+
+def row_blocks(params, rows):
+    """Blocks of `rows` cell lengths by the rows of their tables: all
+    below t = 2a (every row distinct, and the shortest cells keep mu0 (s
+    - 1) in the pgf_vm series band on most columns), all past 2a (one
+    row), and straddling 2a."""
+    a2 = 2 * params.a
+    below = np.geomspace(0.05, 0.99 * a2, rows)
+    past = np.linspace(1.01 * a2, 6 * a2, rows)
+    half = rows // 2
+    return {"below": below[:, None], "past": past[:, None],
+            "straddle": np.concatenate([below[::2][:half],
+                                        past[:rows - half]])[:, None]}
+
+
+@pytest.mark.parametrize("u, a", [(5.0, 100.0), (35.0, 150.0)])
+@pytest.mark.parametrize("N", [512, 1024, 2048])
+@pytest.mark.parametrize("rows", [24, 32])
+def test_row_tables_keep_the_per_node_bits(u, a, N, rows):
+    # 24 x 513 and 32 x 257 complex blocks fall short of the 256 KiB at
+    # which numpy computes e * (temporary) as (temporary) * e, and
+    # 32 x 513 and 24 x 1025 reach it
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    roots = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
+    for kind, t in row_blocks(params, rows).items():
+        distinct = np.unique(np.minimum(t, 2 * params.a)).size
+        assert distinct == {"below": rows, "past": 1,
+                            "straddle": rows // 2 + 1}[kind]
+        for tagged in (False, True):
+            got = _pgf_given(roots, t, params, tagged)
+            assert got.flags.owndata
+            assert_same_bits(got, pgf_given_per_node(roots, t, params,
+                                                     tagged))
+        assert_same_bits(g_of(roots, t / 2.0, params),
+                         g_of_per_node(roots, t / 2.0, params))
+        assert_same_bits(pgf_vm(roots, t, params),
+                         pgf_vm_per_node(roots, t, params))
+
+
+def test_row_tables_keep_the_per_node_bits_near_one_and_on_scalars():
+    params = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)
+    # the g_of Taylor band |s - 1| < 1e-6 and the pgf_vm series band,
+    # from every side of s = 1
+    near = 1.0 + np.geomspace(1e-9, 0.1, 600) * np.exp(
+        1j * np.linspace(0.0, 2 * np.pi, 600))
+    blocks = list(row_blocks(params, 32).values())
+    cases = [(s, t) for t in blocks for s in (near, _RHO)]
+    cases += [(s, t) for t in blocks[:2] for s in (1.0, 0.5, 0.3 + 0.4j)]
+    cases += [(s, t) for t in (0.05, 150.0, 1800.0)
+              for s in (near, 1.0, 0.3 + 0.4j)]
+    for s, t in cases:
+        g = g_of_per_node(s, t / 2.0, params)
+        vm = pgf_vm_per_node(s, t, params)
+        assert_same_bits(g_of(s, t / 2.0, params), g)
+        assert_same_bits(pgf_vm(s, t, params), vm)
+        if s is _RHO:  # exp(g) overflows there: the Chernoff stage's form
+            assert_same_bits(_log_pgf_given(s, t, params, True),
+                             g + np.log(vm))
+        else:
+            assert_same_bits(_pgf_given(s, t, params, True),
+                             pgf_given_per_node(s, t, params, True))
+
+
+@pytest.mark.parametrize("n", [_ELIDE_BYTES // 16 - 1, _ELIDE_BYTES // 16])
+def test_elision_size_is_numpys(n):
+    # pgf_vm orders its bracket product by _ELIDE_BYTES: from that size on
+    # numpy reuses the temporary on the right of e * (temporary) for the
+    # result and so computes (temporary) * e, whose last bit differs
+    rng = np.random.default_rng(20)
+    e, tmp = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+              for _ in range(2))
+    ab, ba = np.multiply(e, tmp), np.multiply(tmp, e)
+    assert not np.array_equal(ab, ba)
+    got = e * (tmp - 0.0)
+    assert got.tobytes() == (ba if n * 16 >= _ELIDE_BYTES else ab).tobytes()
+
+
 # sha256 of _pts_masses(params, tagged).tobytes() at every PTS point of
 # the load_sweep benchmark, recorded from the untabulated kernel above
 FFT_MASS_SHA256 = {
@@ -184,6 +276,46 @@ def test_fft_mass_bits_pinned(u, a, tagged):
     params = NetworkParams.from_per_km(2.0, 1.0, u, a)
     digest = hashlib.sha256(_pts_masses(params, tagged).tobytes())
     assert digest.hexdigest() == FFT_MASS_SHA256[u, a, tagged]
+
+
+# sha256 of the Chernoff stage's conditional log-PGFs at the real radii,
+# _log_pgf_given(_RHO, block, ...).tobytes() over every _BLOCK-node block
+# of the mixture in order, at the FFT_MASS_SHA256 points
+LOG_PGF_SHA256 = {
+    (5.0, 100.0, False):
+        "4a13c6dfc936368bba178ad498b4a04f63b51d4cf65afaeb8a54e299bd041ef0",
+    (5.0, 100.0, True):
+        "327f2d373cfc769dc2c36397147f1947cf6f92722dcfaa331727e3e0cbfa004e",
+    (15.0, 100.0, False):
+        "2233479fa4ef21abe613ac1217be9563df88db3cd392b048f250c950c6109529",
+    (15.0, 100.0, True):
+        "aec7fa9c2f8672e326ed47a4c86020e21b1439b61c030fd93c02b7bb94df838c",
+    (25.0, 100.0, False):
+        "0b301d543c37e2c68639f5852a0582f557178eb6fc80afa6e48fdfe7f1886c95",
+    (25.0, 100.0, True):
+        "cbaa3f287456078eec6adb9af059232adfe5849fa494241cfde1907a4e2ea16b",
+    (35.0, 100.0, False):
+        "6b0dc9b3279464117f18c6c50f6382ce34521c541219292866f3d8bfadd4fdaf",
+    (35.0, 100.0, True):
+        "ac373e31f0ce94a27e22e1b241797d54ceeff951ae1b79c69f5dd39f285e61b1",
+    (5.0, 150.0, True):
+        "614f1735360c320235619e9a9de08df327faa70811bc971474b3e9b55a56ad39",
+    (35.0, 150.0, True):
+        "42edd3d7a94b6d2f45455afc574187c605c62ccb1b16a09adfde49b3591a8a3b",
+    (50.0, 150.0, True):
+        "7c4af969c90701133bd914a17c3acdf0868ec739ccc37ef55863c05bd8d18c40",
+}
+
+
+@pytest.mark.parametrize("u, a, tagged", list(LOG_PGF_SHA256))
+def test_chernoff_log_pgf_bits_pinned(u, a, tagged):
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    nodes, _ = _mixture_nodes(params, tagged)
+    digest = hashlib.sha256()
+    for i in range(0, nodes.size, _BLOCK):
+        digest.update(_log_pgf_given(_RHO, nodes[i:i + _BLOCK, None],
+                                     params, tagged).tobytes())
+    assert digest.hexdigest() == LOG_PGF_SHA256[u, a, tagged]
 
 
 
@@ -549,6 +681,12 @@ class TestOperationalMetrics:
         # s_avg conditions on an active RSU, which has probability 0 here
         with pytest.raises(NumericsError, match="never active"):
             operational_metrics(DiscretePMF.of([1.0]), "typical")
+
+    def test_tagged_load_with_no_mass_at_one(self):
+        # a pmf with support {0}: the tagged VU is alone on its RSU
+        out = operational_metrics(DiscretePMF.of([1.0]), "tagged")
+        assert out == {"P1_zero_extra_load": 1.0, "P1_mass_at_one": 0.0,
+                       "m_avg": 0, "P_b": 0.0}
 
     def test_off_probability_ordering(self):
         # platooning concentrates VUs, leaving more RSUs idle
