@@ -256,8 +256,9 @@ def figure_7(cfg):
     """Connectivity exceedance curves P[N > k] for both traffic models."""
     params = build_params(cfg)
     v2v = V2VParams(cfg["r_b_m"], params)
-    pp, pn = (connectivity.pmf_degree_certified(t, v2v) for t in TRAFFICS)
     K = int(cfg["k_max"])
+    pp, pn = (connectivity.pmf_degree_pts(K, v2v),
+              connectivity.pmf_degree_npts(K, v2v))
     rows = [[k, pp.ccdf(k), pn.ccdf(k)] for k in range(K + 1)]
     return ["k", "p_s_PTS", "p_s_NPTS"], rows
 

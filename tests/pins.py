@@ -1,0 +1,477 @@
+"""The one registry of output bits that must not move, and the tool that
+says how far they moved against another git revision.
+
+PINS maps a pin name to (producer, recorded).  producer() computes the
+pinned value from the platoonnet on sys.path, and recorded is
+record(producer()) as it was when the pin was set: `float.hex` of a
+float, the int itself (an FFT size), the sha256 of the bytes of an array
+or of a CSV file.  tests/test_pins.py checks every entry.  A PR may move
+a pinned value only when that is its point; it then updates the entry and
+states the size of the change, which
+
+    python tests/pins.py REV
+
+prints.  It extracts src/ at REV with `git archive` into a temporary
+directory, runs every producer there in a subprocess and here (this
+checkout's src/) in-process, and prints one line per pin: unchanged;
+moved, with how many values moved and the largest absolute, relative
+and ulp change (a CSV compares its numeric cells); or missing at REV.
+It exits 1 if a pin moved or failed here.
+
+Producers import their platoonnet names inside their own bodies, so a
+name that a later revision renames fails only its own pin at an older
+REV.  `figure 9` and the `md_rate_pts`/`md_rate_npts` ops are not
+pinned: together they take about 45 s, the rest of the CSVs about 7 s.
+"""
+
+import hashlib
+import io
+import os
+import pickle
+import subprocess
+import sys
+import tarfile
+import tempfile
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+
+
+def record(value):
+    """What a pin records of its value: float.hex of a float, an int
+    itself, the sha256 of an array's or a CSV file's bytes."""
+    if isinstance(value, bytes):
+        return hashlib.sha256(value).hexdigest()
+    if isinstance(value, np.ndarray):
+        return hashlib.sha256(value.tobytes()).hexdigest()
+    if isinstance(value, float):
+        return float.hex(value)
+    return int(value)
+
+
+# ------------------------------------------------------------ producers
+
+_LAW = {False: "typical", True: "tagged"}
+
+
+def _params(u, a):
+    from platoonnet.geometry import NetworkParams
+    return NetworkParams.from_per_km(2.0, 1.0, u, a)
+
+
+def fft_masses(u, a, tagged):
+    from platoonnet.load import _pts_masses
+    return _pts_masses(_params(u, a), tagged)
+
+
+def chernoff_log_pgfs(u, a, tagged):
+    """The Chernoff stage's conditional log-PGFs at the real radii, over
+    every block of the mixture nodes in order."""
+    from platoonnet.load import _BLOCK, _RHO, _log_pgf_given, _mixture_nodes
+    params = _params(u, a)
+    nodes, _ = _mixture_nodes(params, tagged)
+    return np.concatenate([
+        _log_pgf_given(_RHO, nodes[i:i + _BLOCK, None], params, tagged)
+        for i in range(0, nodes.size, _BLOCK)])
+
+
+def fft_size(u, a, tagged):
+    from platoonnet.load import _pts_masses
+    return _pts_masses(_params(u, a), tagged).size
+
+
+def active_prob_pts(u, a):
+    from platoonnet.coverage import active_prob
+    return float(active_prob("PTS", _params(u, a)))
+
+
+def g_at_zero(u, a, r):
+    from platoonnet.mcp_counts import g_of
+    return float(g_of(0.0, r, _params(u, a)))
+
+
+# dense in (0, 1], then to 8,192; every t is exact in binary
+MOMENT_T = [k / 64 for k in range(1, 65)] + [
+    m * 2.0**e for e in range(13) for m in (1.0, 1.25, 1.5, 1.75)
+][1:] + [8192.0]
+META_OBJECTS = ("tau=0.9 PTS", "tau=0.9 NPTS", "k=0", "k=3")
+
+
+def coverage_meta(name):
+    """The meta_sweep benchmark object `name` (u = 35, a = 150 m): tau =
+    0.9 for both traffics (alpha = 3.5), or the rate-mapped threshold of
+    the load term k (alpha = 4)."""
+    from platoonnet.coverage import CoverageMeta, RadioParams
+    radio, radio4 = RadioParams(1.0, 5e-5, 3.5), RadioParams(1.0, 5e-5, 4.0)
+    tau, traffic, radio = {
+        "tau=0.9 PTS": (0.9, "PTS", radio),
+        "tau=0.9 NPTS": (0.9, "NPTS", radio),
+        "k=0": (radio4.rate_threshold(9e6, 1), "PTS", radio4),
+        "k=3": (radio4.rate_threshold(9e6, 4), "PTS", radio4),
+    }[name]
+    return CoverageMeta(tau, traffic, _params(35.0, 150.0), radio)
+
+
+def moments_it(name):
+    meta = coverage_meta(name)
+    return np.array([meta.moment(1j * t) for t in MOMENT_T])
+
+
+def moments_q(name):
+    meta = coverage_meta(name)
+    return np.array([meta.moment(q) for q in (0.5, 1, 2, 3)])
+
+
+def md_at(name, x):
+    return float(coverage_meta(name).md(x))
+
+
+def csv(*argv):
+    """The bytes of the CSV that `platoonnet *argv` writes."""
+    from platoonnet.cli import main
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "out.csv")
+        main([*argv, "--out", str(out)])
+        return out.read_bytes()
+
+
+# ----------------------------------------------------------------- pins
+
+PINS = {}
+
+# The FFT load masses, the Chernoff log-PGFs that set their size, and
+# that size, at every PTS point of the load_sweep benchmark (2 RSUs and 1
+# platoon per km); the size at u also at a = 50, 100, 150 and 300 m.
+# Recorded from the per-node kernel; the row tables of the FFT kernel and
+# `load._ELIDE_BYTES` exist to keep every bit.  Retired, with that
+# bit-keeping code, by ROADMAP item 3, whose exact cell-length mixture
+# moves the masses by up to 1.9e-8.
+FFT_MASS_SHA256 = {
+    (5.0, 100.0, False):
+        "a766f1cee19440a108f6c8a825f019d21a001ee6b67121c20b98ab4eefe7a762",
+    (5.0, 100.0, True):
+        "4482501e47500022cb4bd3d2c95c22606bcd99785dc890d3a100aee232367274",
+    (15.0, 100.0, False):
+        "4f3966658ee610614d3b9220f5204a43d79a7a57877114d2596c8c2db943aa00",
+    (15.0, 100.0, True):
+        "63bed31140d0702ae9c29669c5d8c457f548e2c88467f2e04f3707f7e07c2a89",
+    (25.0, 100.0, False):
+        "1294e50ffe8e226ae663061d612d431b976b168620713389c0a25e6c25ff1978",
+    (25.0, 100.0, True):
+        "78e5b2ffe3e5c3a36dc3da21bb3a9ef44623cbef22b5140ee6f84e2d8ed3b996",
+    (35.0, 100.0, False):
+        "82b4b5ef2a2ddca67520d62a8a5c2980109f8de848c0e19572dcdf882182c125",
+    (35.0, 100.0, True):
+        "8b7962425ddaf12413ea91a710982968f4fd11bbb7937aec08a79a36b01a649b",
+    (5.0, 150.0, True):
+        "04029a6398db3372f83d9bdf740dbdf52deb3d77c85b79de4dcec67744846d9c",
+    (35.0, 150.0, True):
+        "56a7fe4f25678fccad96e72a162c60fb927b725ce8fe9f8f0eab3598c36af6c4",
+    (50.0, 150.0, True):
+        "d5eeb2060afec96986254ee9c0982dc9258abf2e2eb44c07b4b530772b93dbae",
+}
+LOG_PGF_SHA256 = {
+    (5.0, 100.0, False):
+        "4a13c6dfc936368bba178ad498b4a04f63b51d4cf65afaeb8a54e299bd041ef0",
+    (5.0, 100.0, True):
+        "327f2d373cfc769dc2c36397147f1947cf6f92722dcfaa331727e3e0cbfa004e",
+    (15.0, 100.0, False):
+        "2233479fa4ef21abe613ac1217be9563df88db3cd392b048f250c950c6109529",
+    (15.0, 100.0, True):
+        "aec7fa9c2f8672e326ed47a4c86020e21b1439b61c030fd93c02b7bb94df838c",
+    (25.0, 100.0, False):
+        "0b301d543c37e2c68639f5852a0582f557178eb6fc80afa6e48fdfe7f1886c95",
+    (25.0, 100.0, True):
+        "cbaa3f287456078eec6adb9af059232adfe5849fa494241cfde1907a4e2ea16b",
+    (35.0, 100.0, False):
+        "6b0dc9b3279464117f18c6c50f6382ce34521c541219292866f3d8bfadd4fdaf",
+    (35.0, 100.0, True):
+        "ac373e31f0ce94a27e22e1b241797d54ceeff951ae1b79c69f5dd39f285e61b1",
+    (5.0, 150.0, True):
+        "614f1735360c320235619e9a9de08df327faa70811bc971474b3e9b55a56ad39",
+    (35.0, 150.0, True):
+        "42edd3d7a94b6d2f45455afc574187c605c62ccb1b16a09adfde49b3591a8a3b",
+    (50.0, 150.0, True):
+        "7c4af969c90701133bd914a17c3acdf0868ec739ccc37ef55863c05bd8d18c40",
+}
+# by u: (typical, tagged)
+FFT_SIZE = {1.2: (64, 64), 2.0: (64, 128), 5.0: (128, 256),
+            10.0: (256, 512), 15.0: (512, 512), 20.0: (512, 512),
+            25.0: (1024, 1024), 30.0: (1024, 1024), 35.0: (1024, 1024),
+            50.0: (2048, 2048), 60.0: (2048, 2048)}
+for (u, a, tagged), digest in FFT_MASS_SHA256.items():
+    PINS[f"fft masses u={u:g} a={a:g} {_LAW[tagged]}"] = (
+        partial(fft_masses, u, a, tagged), digest)
+for (u, a, tagged), digest in LOG_PGF_SHA256.items():
+    PINS[f"chernoff log-pgfs u={u:g} a={a:g} {_LAW[tagged]}"] = (
+        partial(chernoff_log_pgfs, u, a, tagged), digest)
+for u, sizes in FFT_SIZE.items():
+    for tagged in (False, True):
+        for a in (50.0, 100.0, 150.0, 300.0):
+            PINS[f"fft size u={u:g} a={a:g} {_LAW[tagged]}"] = (
+                partial(fft_size, u, a, tagged), sizes[tagged])
+
+# active_prob("PTS") at the load_sweep (a = 100 m) and meta_sweep (a =
+# 150 m) benchmark points, and the g_of(0, r) values it integrates (from
+# before the closed form reused exp(z*d)).  They must not move: the
+# meta_sweep reference of the rate term k = 3 (PTS, u = 35, x = 0.9) is
+# the noise bound only because QAGS fails silently on the first
+# Gil-Pelaez panel, and that failure flips with changes of M_it as small
+# as 3e-14, so a roundoff change in p_active can turn the entry
+# incorrect.  Retired by ROADMAP item 3's active_prob part, which lands
+# with or after item 6.
+ACTIVE_PROB_PTS_BITS = {
+    (5.0, 100.0): "0x1.b9332500b00acp-2",
+    (15.0, 100.0): "0x1.d89bdc7d8f4f8p-2",
+    (25.0, 100.0): "0x1.dea4a960f7840p-2",
+    (35.0, 100.0): "0x1.e1317006193b2p-2",
+    (5.0, 150.0): "0x1.d991cf24d49dap-2",
+    (35.0, 150.0): "0x1.08ef9badb94adp-1",
+}
+G_AT_ZERO_BITS = {
+    (5.0, 100.0, 12.5): "-0x1.81a39a48aa412p-4",
+    (5.0, 100.0, 50.0): "-0x1.bf32a2eb6d49ap-3",
+    (5.0, 100.0, 100.0): "-0x1.483b628eb8962p-2",
+    (5.0, 100.0, 400.0): "-0x1.d53effb028180p-1",
+    (35.0, 150.0, 12.5): "-0x1.2cf50b77b0776p-2",
+    (35.0, 150.0, 75.0): "-0x1.bb3ee6e8553c8p-2",
+    (35.0, 150.0, 150.0): "-0x1.2a6c405d9f739p-1",
+    (35.0, 150.0, 400.0): "-0x1.1536202ecfb9cp+0",
+}
+for (u, a), bits in ACTIVE_PROB_PTS_BITS.items():
+    PINS[f"active_prob PTS u={u:g} a={a:g}"] = (
+        partial(active_prob_pts, u, a), bits)
+for (u, a, r), bits in G_AT_ZERO_BITS.items():
+    PINS[f"g_of(0, r) u={u:g} a={a:g} r={r:g}"] = (
+        partial(g_at_zero, u, a, r), bits)
+
+# CoverageMeta.moment at q = it over MOMENT_T and at q = 0.5, 1, 2, 3,
+# and md(0.9), of the meta_sweep benchmark objects (coverage_meta).  They
+# must not move for the reason above: a roundoff change in any moment can
+# flip the silent QAGS failure behind the k = 3 reference (md(0.9) of
+# k = 3 is the noise bound).  Retired by ROADMAP item 6, the fixed
+# Gil-Pelaez grid, with the edge arithmetic of `coverage._inner`.
+MOMENT_SHA256 = {
+    "tau=0.9 PTS": (
+        "70959183fd1c5969fc90312d39bccb5dd555eef8dbad3737c011e21fa47fbfe2",
+        "439d8092a1a85e0f0e5df263ccd1ac3b6910e7b6d4ef80c5f37db4eaac442ca6"),
+    "tau=0.9 NPTS": (
+        "571f3582a023a2ba10ef88199f7c4a5561bd6466ef93343ab076304056852aae",
+        "57dd99e2dbdab3620e54b7cf619f4188ea721352f99c443a407efccf043fccde"),
+    "k=0": (
+        "0dc3ec4c1608b46e177b749d7ca01c04254961c423a4402bfc576aab4b1ca8d8",
+        "cd2ddb3c23f95c7d1bc507a0751f3b722b2ab91686bf2292a235054f2bda802d"),
+    "k=3": (
+        "4f26eb0e81ddb85455c7705efc8ef937484c69b10811a87ea772b5b477f2273d",
+        "912afa28e38927fb829a87a1198e9dd14bbdcd0463556763606a52e10fe39185"),
+}
+MD_BITS = {"k=0": "0x1.c2947f3037550p-6", "k=3": "0x1.e2a795fb0fca4p-7"}
+for name, (it_digest, q_digest) in MOMENT_SHA256.items():
+    PINS[f"moments it {name}"] = (partial(moments_it, name), it_digest)
+    PINS[f"moments q {name}"] = (partial(moments_q, name), q_digest)
+for name, bits in MD_BITS.items():
+    PINS[f"md(0.9) {name}"] = (partial(md_at, name, 0.9), bits)
+
+# The CSVs of the default config, byte for byte: analytic CSV output keeps
+# its bytes unless changing the numerics is the point of the PR.  A PR
+# that moves one (ROADMAP items 2, 3, 5, 6, 12) updates its entry.
+CSV_SHA256 = {
+    "figure 2":
+        "f9fcb4644cdf9eda367466b3b708ceb4fa6bac02ae6e714576a497bf3c3099ad",
+    "figure 3":
+        "4aa19a560e27a30aa5c98e558e91e52a6bdf10cf231747f497e76dde54f8bb81",
+    "figure 4":
+        "2c51628fd40f546906ca5345ce96b2a221cfc075e7ff1ddae9f1dce16a3dbe37",
+    "figure 5":
+        "6a830b18967aa5f8878415eb121129304964d6d15d52dc98b4d5397a8e6061ed",
+    "figure 6":
+        "9e7737fa2ed18b69ad818278e289a0fb8548ba68090ec30d4f04671753724117",
+    "figure 7":
+        "7704870d10d9c68f1d8ab06a7c0b6736ea252f826dd8fd5f8ec17a21659ddad8",
+    "figure 8":
+        "1f71d3598e7f85742f81dd72bce9e03ee17d3a3ce864527615eec0ae1c8588e7",
+    "op active_prob_npts":
+        "b493aa5bfcbb8a64733d2d5a6154f05774b1443e04b572eccbbdbec708767bcb",
+    "op active_prob_pts":
+        "ee60da27001640f3b5a3cd768c85bb1ccd7e0ca3f6c27a389b05235efb5b9837",
+    "op coverage_prob_npts":
+        "daeefdcc0e5f9385a9ec26bc83ca6cefeae1dd9f1a65c25df80281e1b8a196d6",
+    "op coverage_prob_pts":
+        "f533f59ba6346ec07d4e33203ef6a8f9876a267cf183748445c2aa7b0409414f",
+    "op md_coverage_npts":
+        "2003c03c500a43d5010cc9e363c4fd26572431acefb685dfe3ec08023c6e5200",
+    "op md_coverage_pts":
+        "3aa613117f97a86f02597da768d468de0e663b6304d412f8d971b638ef512fb7",
+    "op moments_tagged_npts":
+        "7fc5022fdd67bf7d76fd7fdd2541e5e0700454de13f971c48e9df80f51cafa80",
+    "op moments_tagged_pts":
+        "b9141cf6b48d47997e8e9c38742d3ac31db1025240923f2436cd32ab409670a2",
+    "op moments_typical_npts":
+        "4c556b1d2b6db5fccfcda151635f5bd617f80a394a2f8bad5b79345c0695617d",
+    "op moments_typical_pts":
+        "94f18d903b1e1de8c39b9ed15d3f69d854483dc183db9dcd8d57e778c62f024c",
+    "op pmf_degree_npts":
+        "c051a796d5f80d4cb1b39c286a582b024ce7df361ec972c57893cdccb6e93a6a",
+    "op pmf_degree_pts":
+        "e5c9ceb0d6712b6f72e6d027454d53b32603573f5d96e15c4f8c6a198351a2b9",
+    "op pmf_tagged_npts":
+        "b1379e6f0dc82c1dc273ca03fcd489a66202c404e0274a0e18fbccf6cc835146",
+    "op pmf_tagged_pts":
+        "e9bdfa74c1d4d5b6365ba11b0c4805fe772419d6b1cdc76c765feaf6406418bd",
+    "op pmf_typical_npts":
+        "f66211dbc59e8fefb4c4bdfb5a9b6d972c6cb34358b84929210a8b9dd5835c6a",
+    "op pmf_typical_pts":
+        "4f594dd6fdb6703bbb005cb842e7c48da662c62e95aa64185a73f2c742890e41",
+    "op rate_coverage_npts":
+        "f8e6031024c83c693c300deb6c95e1d8877add574d814879cabe30f061019b12",
+    "op rate_coverage_pts":
+        "541b66d86975a17fbc470073154bbdac6652629745fde6d4cbdacfde4c85320c",
+}
+for command, digest in CSV_SHA256.items():
+    PINS[f"csv {command}"] = (partial(csv, *command.split()), digest)
+
+
+# ----------------------------------------------------------------- diff
+
+def produce(names):
+    """Each named pin's value, or as a str the error that kept its
+    producer from running."""
+    values = {}
+    for name in names:
+        try:
+            values[name] = PINS[name][0]()
+        except (Exception, SystemExit) as exc:
+            values[name] = f"{type(exc).__name__}: {exc}"
+    return values
+
+
+def _csv_cells(text):
+    """(rows, numbers, texts) of a CSV: its row count, its numeric cells
+    as floats and the rest as strings, each in order."""
+    rows = [line.split(",") for line in text.decode().splitlines()]
+    numbers, texts = [], []
+    for cell in (c for row in rows for c in row):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            texts.append(cell)
+    return len(rows), np.array(numbers), texts
+
+
+def _ordered(x):
+    """The float64 parts of x as integers that count ulps."""
+    bits = np.ascontiguousarray(x).view(np.float64).view(np.int64)
+    return np.where(bits < 0, -(bits & 0x7FFFFFFFFFFFFFFF), bits)
+
+
+def _change(old, new):
+    """None if `new` keeps every bit of `old`, else how far it moved."""
+    if isinstance(old, bytes) != isinstance(new, bytes):
+        return f"moved: {type(old).__name__} -> {type(new).__name__}"
+    texts = 0  # differing text cells of a CSV
+    if isinstance(old, bytes):
+        (n_old, old, old_texts), (n_new, new, new_texts) = map(
+            _csv_cells, (old, new))
+        if (n_old, len(old_texts)) != (n_new, len(new_texts)) \
+                or old.size != new.size:
+            return (f"moved: shape {n_old} rows, {old.size} numbers -> "
+                    f"{n_new} rows, {new.size} numbers")
+        texts = sum(a != b for a, b in zip(old_texts, new_texts))
+    old, new = np.asarray(old), np.asarray(new)
+    if (old.shape, old.dtype) != (new.shape, new.dtype):
+        return (f"moved: shape {old.shape} {old.dtype} -> "
+                f"{new.shape} {new.dtype}")
+    integer = old.dtype.kind in "iub"
+    if integer:
+        old, new = old.astype(np.float64), new.astype(np.float64)
+    # Python ints: the ulps between floats of opposite sign overflow int64
+    ulps = np.abs(_ordered(old).astype(object) - _ordered(new))
+    moved = (ulps.reshape(old.size, -1) > 0).any(axis=1)
+    if not moved.any() and not texts:
+        return None
+    out = f"moved: {moved.sum()} of {old.size} values"
+    if moved.any():
+        a, b = old.reshape(-1)[moved], new.reshape(-1)[moved]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(b - a) / np.abs(a)
+        out += (f", largest change {np.abs(b - a).max():.3g} absolute, "
+                f"{rel.max():.3g} relative")
+        if not integer:
+            out += f" ({ulps.max()} ulp)"
+    if texts:
+        out += f"; {texts} text cells differ"
+    return out
+
+
+def compare(at_rev, here, rev="REV"):
+    """{pin name: status} of the values of `here` against those `at_rev`
+    (maps as produce returns them): unchanged, moved, missing at REV or
+    missing here."""
+    report = {}
+    for name in dict.fromkeys([*here, *at_rev]):
+        old, new = at_rev.get(name, "not pinned"), here.get(name, "not pinned")
+        if isinstance(new, str):
+            report[name] = f"missing here ({new})"
+        elif isinstance(old, str):
+            report[name] = f"missing at {rev} ({old})"
+        else:
+            report[name] = _change(old, new) or "unchanged"
+    return report
+
+
+_CHILD = """
+import pickle, sys
+import pins, platoonnet
+if not platoonnet.__file__.startswith(sys.argv[1]):
+    sys.exit(f"platoonnet came from {platoonnet.__file__}")
+with open(sys.argv[2], "wb") as fh:
+    pickle.dump(pins.produce(sys.argv[3:]), fh)
+"""
+
+
+def diff(rev, names=None):
+    """compare() of the named pins (every pin by default) at git revision
+    `rev` against this process's platoonnet.  rev's src/ is extracted to
+    a temporary directory, removed on return, and its producers run in a
+    subprocess while this process runs its own."""
+    names = list(PINS) if names is None else list(names)
+    tree = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                          capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
+            tar.extractall(tmp)
+        src, out = os.path.join(tmp, "src"), os.path.join(tmp, "values")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join([src, str(TESTS)]))
+        child = subprocess.Popen([sys.executable, "-c", _CHILD, src, out,
+                                  *names], cwd=tmp, env=env)
+        try:
+            here = produce(names)
+        finally:
+            if child.wait():
+                raise RuntimeError(f"producers at {rev} exited with "
+                                   f"status {child.returncode}")
+        with open(out, "rb") as fh:
+            at_rev = pickle.load(fh)
+    return compare(at_rev, here, rev)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/pins.py REV")
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.dont_write_bytecode = True
+    try:
+        report = diff(sys.argv[1])
+    except subprocess.CalledProcessError as exc:
+        sys.exit(exc.stderr.decode().strip())
+    for name, status in report.items():
+        print(f"{name}: {status}")
+    failed = [s for s in report.values()
+              if s.startswith(("moved", "missing here"))]
+    print(f"{len(report)} pins, {len(failed)} moved or missing here")
+    sys.exit(1 if failed else 0)

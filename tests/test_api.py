@@ -229,3 +229,23 @@ def test_src_does_not_import(module, sample, lines):
     found = {path.name: _imports(module, path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert not {name: hits for name, hits in found.items() if hits}
+
+
+def _hex_calls(source):
+    """Lines that call a `.hex()` method, `float.hex(x)` included."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "hex")
+
+
+def test_only_the_pin_registry_records_bits():
+    # a new pin goes into tests/pins.py, which hashes and hex-encodes
+    sample = "import hashlib\nx = 0.5\ny = x.hex()\nz = float.hex(x)\n"
+    assert _imports("hashlib", sample) == [1]
+    assert _hex_calls(sample) == [3, 4]
+    tests = Path(__file__).parent
+    found = {path.name: _imports("hashlib", path.read_text())
+             + _hex_calls(path.read_text())
+             for path in sorted(tests.rglob("*.py")) if path.name != "pins.py"}
+    assert not {name: hits for name, hits in found.items() if hits}

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import re
@@ -12,8 +11,10 @@ import pytest
 import platoonnet
 from platoonnet import cli, mcp_counts, montecarlo
 from platoonnet.cli import (DEFAULT_CONFIG, FIGURE_OVERRIDES, build_params,
-                            figure_8, load_config, main, tv_distance,
-                            validate_checks)
+                            figure_7, figure_8, load_config, main,
+                            tv_distance, validate_checks)
+from platoonnet.connectivity import (V2VParams, pmf_degree_npts,
+                                     pmf_degree_pts)
 from platoonnet.mcp_counts import DiscretePMF
 from platoonnet.montecarlo import SimEstimate
 from platoonnet.numerics import NumericsError
@@ -118,29 +119,6 @@ class TestOps:
                            "active_prob_npts, "):
             cli._op("nope", load_config())
 
-    # sha256 of the CSV that `op NAME` writes at the default config: the
-    # load layer's PTS masses, and the coverage sums over them, byte for
-    # byte
-    CSV_SHA256 = {
-        "pmf_typical_pts":
-            "4f594dd6fdb6703bbb005cb842e7c48da662c62e95aa64185a73f2c742890e41",
-        "pmf_tagged_pts":
-            "e9bdfa74c1d4d5b6365ba11b0c4805fe772419d6b1cdc76c765feaf6406418bd",
-        "rate_coverage_pts":
-            "541b66d86975a17fbc470073154bbdac6652629745fde6d4cbdacfde4c85320c",
-        "rate_coverage_npts":
-            "f8e6031024c83c693c300deb6c95e1d8877add574d814879cabe30f061019b12",
-        "active_prob_pts":
-            "ee60da27001640f3b5a3cd768c85bb1ccd7e0ca3f6c27a389b05235efb5b9837",
-    }
-
-    @pytest.mark.parametrize("name", list(CSV_SHA256))
-    def test_csv_bytes_pinned(self, name, tmp_path):
-        out = tmp_path / f"{name}.csv"
-        assert main(["op", name, "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == self.CSV_SHA256[name]
-
 
 class TestMain:
     def test_figure_5_csv(self, tmp_path):
@@ -153,6 +131,17 @@ class TestMain:
         assert any("figure 5" in line for line in meta)
         for _, p_pts, p_npts in rows:
             assert float(p_pts) > float(p_npts)
+
+    def test_figure_7_is_exact_to_k_max(self):
+        # P[N > k] of the degree PMFs on 0..k_max, as `op` builds them: a
+        # certified PMF stops at its K, past which ccdf(k) stays constant
+        cfg = load_config(figure=7)
+        K = int(cfg["k_max"])
+        v2v = V2VParams(cfg["r_b_m"], build_params(cfg))
+        pmfs = pmf_degree_pts(K, v2v), pmf_degree_npts(K, v2v)
+        cols, rows = figure_7(cfg)
+        assert rows == [[k] + [p.ccdf(k) for p in pmfs] for k in range(K + 1)]
+        assert np.all(np.diff([p_pts for _, p_pts, _ in rows]) < 0)
 
     def test_figure_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,5 +1,4 @@
 import cmath
-import hashlib
 import math
 import weakref
 
@@ -19,6 +18,7 @@ from platoonnet.load import pmf_typical_npts_certified, \
 from platoonnet.numerics import NumericsError, quad
 
 from oracles import laplace_interference, laplace_interference_quad
+from pins import META_OBJECTS, MOMENT_T, coverage_meta
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)
 P35 = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)
@@ -299,28 +299,6 @@ class TestActiveProb:
         with pytest.raises(ValueError):
             active_prob("bogus", PARAMS)
 
-    # float.hex of active_prob("PTS") at the load_sweep (a = 100 m) and
-    # meta_sweep (a = 150 m) benchmark points.  These bits must not move:
-    # the meta_sweep reference of the rate term k = 3 (PTS, u = 35,
-    # x = 0.9) is the noise bound only because QAGS fails silently on the
-    # first Gil-Pelaez panel, and that failure flips with changes of M_it
-    # as small as 3e-14, so a roundoff change in p_active can turn the
-    # entry incorrect
-    PTS_BITS = {
-        (5.0, 100.0): "0x1.b9332500b00acp-2",
-        (15.0, 100.0): "0x1.d89bdc7d8f4f8p-2",
-        (25.0, 100.0): "0x1.dea4a960f7840p-2",
-        (35.0, 100.0): "0x1.e1317006193b2p-2",
-        (5.0, 150.0): "0x1.d991cf24d49dap-2",
-        (35.0, 150.0): "0x1.08ef9badb94adp-1",
-    }
-
-    @pytest.mark.parametrize("u, a", list(PTS_BITS))
-    def test_bits_pinned(self, u, a):
-        params = NetworkParams.from_per_km(2.0, 1.0, u, a)
-        assert float(active_prob("PTS", params)).hex() \
-            == self.PTS_BITS[u, a]
-
 
 class TestLaplace:
     @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0])
@@ -558,59 +536,8 @@ class TestMeta:
 
 
 class TestMomentBits:
-    """Bit pins of CoverageMeta.moment at the meta_sweep benchmark
-    objects (u = 35, a = 150 m): tau = 0.9 for both traffics (alpha =
-    3.5) and the rate-mapped thresholds of the load terms k = 0 and k = 3
-    (alpha = 4).  They must not move: the meta_sweep reference of k = 3
-    (x = 0.9) is the noise bound only because QAGS fails silently on the
-    first Gil-Pelaez panel, and that failure flips with changes of M_it
-    as small as 3e-14, so a roundoff change in any moment can turn the
-    entry incorrect (see TestActiveProb.PTS_BITS)."""
-
-    # dense in (0, 1], then to 8,192; every t is exact in binary
-    T = [k / 64 for k in range(1, 65)] + [
-        m * 2.0**e for e in range(13) for m in (1.0, 1.25, 1.5, 1.75)
-    ][1:] + [8192.0]
-    RADIO4 = RadioParams(1.0, 5e-5, 4.0)
-    OBJECTS = {
-        "tau=0.9 PTS": (0.9, "PTS", RADIO),
-        "tau=0.9 NPTS": (0.9, "NPTS", RADIO),
-        "k=0": (RADIO4.rate_threshold(9e6, 1), "PTS", RADIO4),
-        "k=3": (RADIO4.rate_threshold(9e6, 4), "PTS", RADIO4),
-    }
-    # sha256 of the moments at q = it over T, then at q = 0.5, 1, 2, 3
-    SHA256 = {
-        "tau=0.9 PTS": (
-            "70959183fd1c5969fc90312d39bccb5dd555eef8dbad3737c011e21fa47fbfe2",
-            "439d8092a1a85e0f0e5df263ccd1ac3b6910e7b6d4ef80c5f37db4eaac442ca6"),
-        "tau=0.9 NPTS": (
-            "571f3582a023a2ba10ef88199f7c4a5561bd6466ef93343ab076304056852aae",
-            "57dd99e2dbdab3620e54b7cf619f4188ea721352f99c443a407efccf043fccde"),
-        "k=0": (
-            "0dc3ec4c1608b46e177b749d7ca01c04254961c423a4402bfc576aab4b1ca8d8",
-            "cd2ddb3c23f95c7d1bc507a0751f3b722b2ab91686bf2292a235054f2bda802d"),
-        "k=3": (
-            "4f26eb0e81ddb85455c7705efc8ef937484c69b10811a87ea772b5b477f2273d",
-            "912afa28e38927fb829a87a1198e9dd14bbdcd0463556763606a52e10fe39185"),
-    }
-    # float.hex of md(0.9); k = 3 is the noise bound
-    MD_BITS = {"k=0": "0x1.c2947f3037550p-6", "k=3": "0x1.e2a795fb0fca4p-7"}
-
-    def meta(self, name):
-        tau, traffic, radio = self.OBJECTS[name]
-        return CoverageMeta(tau, traffic, P35, radio)
-
-    @pytest.mark.parametrize("name", list(SHA256))
-    def test_moment_bits_pinned(self, name):
-        meta = self.meta(name)
-        it = np.array([meta.moment(1j * t) for t in self.T])
-        q = np.array([meta.moment(q) for q in (0.5, 1, 2, 3)])
-        assert (hashlib.sha256(it.tobytes()).hexdigest(),
-                hashlib.sha256(q.tobytes()).hexdigest()) == self.SHA256[name]
-
-    @pytest.mark.parametrize("name", list(MD_BITS))
-    def test_md_bits_pinned(self, name):
-        assert float(self.meta(name).md(0.9)).hex() == self.MD_BITS[name]
+    """The M_it bits of the meta_sweep objects are pins (tests/pins.py);
+    their t-grid reaches every branch of the inner rule."""
 
     def test_grid_covers_every_branch(self, monkeypatch):
         # 0 to 3 Legendre panels, and the Laguerre legs past 4 periods
@@ -622,12 +549,12 @@ class TestMomentBits:
             return table(eta, n)
 
         monkeypatch.setattr(coverage, "_inner_table", spy)
-        for name in self.OBJECTS:
-            meta = self.meta(name)
-            for t in self.T:
+        for name in META_OBJECTS:
+            meta = coverage_meta(name)
+            for t in MOMENT_T:
                 meta.moment(1j * t)
             # A = 4 periods < W = ln(1 + tau) at the largest t
-            assert self.T[-1] * math.log1p(meta.tau) \
+            assert MOMENT_T[-1] * math.log1p(meta.tau) \
                 > coverage._PERIODS * 2 * math.pi
         assert set(panels) == {0, 1, 2, 3}
 

