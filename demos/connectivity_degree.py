@@ -8,8 +8,6 @@ platoon members in range, which fattens both tails of the distribution.
 Run:  python3 demos/connectivity_degree.py
 """
 
-import numpy as np
-
 from platoonnet import NetworkParams, SimConfig, V2VParams, sim_connectivity
 from platoonnet.cli import tv_distance
 from platoonnet.connectivity import pmf_degree_certified

@@ -8,8 +8,6 @@ operational metrics an operator would read off the distributions.
 Run:  python3 demos/load_distributions.py
 """
 
-import numpy as np
-
 from platoonnet import (NetworkParams, SimConfig, moments_tagged_npts,
                         moments_tagged_pts, moments_typical_npts,
                         moments_typical_pts, operational_metrics, sim_load)

@@ -5,10 +5,10 @@ process (density p * lambda_r); the Monte Carlo engine implements the
 true dependent thinning so the size of that approximation is measurable.
 
 Every moment M_q of the conditional success probability, real q and
-q = it alike, is one fixed numpy rule (`CoverageMeta.moment`): an inner
-integral in w = ln(1 + tau*y), free of branch cuts in (1 + tau*y)^(-q),
-and a serving-distance integral on a rotated path, with one composite
-Gauss-Legendre table on dyadic panels.
+q = it alike, is one fixed numpy rule (`CoverageMeta.moments`, over a
+batch of q): an inner integral in w = ln(1 + tau*y), free of branch cuts
+in (1 + tau*y)^(-q), and a serving-distance integral on a rotated path,
+with one composite Gauss-Legendre table on dyadic panels.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _inner_table(eta, n):
             np.repeat(np.arange(n + 1), [u.size] + [_GL_X.size] * n))
 
 
-# fixed rule of _serving_integral: 24-node Gauss-Legendre on the dyadic
+# fixed rule of _serving_integrals: 24-node Gauss-Legendre on the dyadic
 # panels [0, 2^-6], [2^-6, 2^-5], ..., [2^6, 2^7], fine near 0, where
 # r^alpha is not smooth
 _R_V, _R_W = panels(np.append(0.0, 2.0 ** np.arange(-6, 8)),
@@ -57,18 +57,24 @@ _R_V, _R_W = panels(np.append(0.0, 2.0 ** np.arange(-6, 8)),
 _R_W = _R_W.astype(complex)  # cast once: `_R_W @ z` casts it for complex z
 
 
-def _serving_integral(lin, noise, alpha):
+def _serving_integrals(lins, noises, alpha):
     """Integral of exp(-lin r - noise r^alpha) over r in [0, inf), with
-    Re lin > 0 and Re noise >= 0.
+    Re lin > 0 and Re noise >= 0, for each (lin, noise) pair.
 
     The path r = rot u, rot = e^(-i arg(noise)/alpha), turns the noise
     term into the real decay |noise| u^alpha, and u = u0 v scales the
-    decay length to O(1) before the fixed dyadic rule in v.
+    decay length to O(1) before the fixed dyadic rule in v.  The
+    exponential runs on one (pair x node) array; each pair keeps its own
+    scalars and its own weighted sum.
     """
-    rot = cmath.exp(-1j * cmath.phase(noise) / alpha)
-    u0 = 1.0 / (abs(lin * rot) + abs(noise) ** (1.0 / alpha))
-    u = u0 * _R_V
-    return rot * u0 * (_R_W @ np.exp(-lin * rot * u - abs(noise) * u**alpha))
+    rots = [cmath.exp(-1j * cmath.phase(noise) / alpha) for noise in noises]
+    u0s = [1.0 / (abs(lin * rot) + abs(noise) ** (1.0 / alpha))
+           for lin, noise, rot in zip(lins, noises, rots)]
+    slope = np.array([-lin * rot for lin, rot in zip(lins, rots)])
+    decay = np.array([abs(noise) for noise in noises])
+    u = np.array(u0s)[:, None] * _R_V
+    e = np.exp(slope[:, None] * u - decay[:, None] * u**alpha)
+    return [rot * u0 * (_R_W @ row) for rot, u0, row in zip(rots, u0s, e)]
 
 
 @dataclass(frozen=True)
@@ -144,6 +150,15 @@ class CoverageMeta:
     Caches the imaginary-order moments M_it, so that the meta
     distribution can be evaluated on a grid of reliability levels x
     without recomputing them.
+
+    One kernel, `moments(qs)`, computes every moment: the q of a batch
+    are grouped by the shape of the inner rule, each q's scalars (panel
+    edges, path rotation, scale) are computed on their own, the node
+    stages run on one (q x node) array per group, and each q's weighted
+    sums are their own dot products.  So a member of a batch has the
+    bits of its one-q call, `moment(q)`.  `md` hands the Gil-Pelaez
+    inversion `moments_it`, which computes a QUADPACK interval's 21 t in
+    one batch.
     """
 
     def __init__(self, tau, traffic, params: NetworkParams,
@@ -159,9 +174,9 @@ class CoverageMeta:
         self._coef = 2 * self.p * params.lambda_r / radio.alpha
         self._moments_it = {}  # M_it by float t
 
-    def _inner(self, q):
-        """Inner integral of (1 - (1 + tau*y)^(-q)) y^(-eta) over [0, 1],
-        for complex q with Re q >= 0, q != 0.
+    def _inners(self, qs):
+        """Inner integral of (1 - (1 + tau*y)^(-q)) y^(-eta) over [0, 1]
+        at each q of qs, complex with Re q >= 0 or real > 0.
 
         With w = ln(1 + tau*y) it is tau^(eta-1) times the integral of
         (1 - e^(-qw)) f(w), f(w) = e^w (e^w - 1)^(-eta), over [0, W],
@@ -172,56 +187,104 @@ class CoverageMeta:
         w = W + v/q, where f is analytic (its only singularities are at
         w = 2 pi i k) and e^(-qw) = e^(-qA) e^(-v) decays: Gauss-Laguerre
         in v.  The node count is bounded whatever q is.
+
+        The q are grouped by the shape of their rule: the Legendre panel
+        count, whether the Laguerre legs run, and real or complex q.
+        Each q's edges are its own floats, the nodes of a group are one
+        (q x node) array, and each q's sums are its own, so no value
+        depends on the other members of qs.
         """
         tau, eta = self.tau, self.eta
         W = math.log1p(tau)
-        period = 2 * math.pi / abs(q)
-        A = min(W, _PERIODS * period)
-        B = min(A, period, _PANEL_MAX)
 
         def f(w):
             # e^w (e^w - 1)^(-eta), continuous for Re w > 0 and accurate
             # as w -> 0
             return np.exp((1 - eta) * w - eta * np.log(-np.expm1(-w)))
 
-        # half-width and midpoint of each panel, the Jacobi panel [0, B]
-        # first (its table nodes are on [0, 1]); the Legendre edges are
-        # np.linspace(B, A, n + 1), in the float arithmetic numpy uses
-        half, mid = [B], [0.0]
-        if A > B:
-            n = math.ceil((A - B) / min(period, _PANEL_MAX))
-            step = (A - B) / n
-            edges = [i * step + B for i in range(n)] + [A]
-            half += [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
-            mid += [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
-        x, wts, panel = _inner_table(eta, len(half) - 1)
-        h, o = np.array([half, mid]).take(panel, axis=1)
-        w = o + h * x
-        val = -((h * wts * f(w)) @ np.expm1(-q * w))
-        if A < W:
-            fv = f(np.array([[A], [W]]) + _LAG_V / q)
-            val += (math.expm1(A) ** (1 - eta) - tau ** (1 - eta)) \
-                / (eta - 1) - _LAG_W @ (
-                    cmath.exp(-q * A) * fv[0] - cmath.exp(-q * W) * fv[1]) / q
-        return val * tau ** (eta - 1)
+        groups = {}
+        for at, q in enumerate(qs):
+            period = 2 * math.pi / abs(q)
+            A = min(W, _PERIODS * period)
+            B = min(A, period, _PANEL_MAX)
+            # half-width and midpoint of each panel, the Jacobi panel
+            # [0, B] first (its table nodes are on [0, 1]); the Legendre
+            # edges are np.linspace(B, A, n + 1), in the float arithmetic
+            # numpy uses
+            half, mid = [B], [0.0]
+            if A > B:
+                n = math.ceil((A - B) / min(period, _PANEL_MAX))
+                step = (A - B) / n
+                edges = [i * step + B for i in range(n)] + [A]
+                half += [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
+                mid += [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+            key = (len(half) - 1, A < W, isinstance(q, complex))
+            groups.setdefault(key, []).append((at, q, A, half, mid))
+        vals = [None] * len(qs)
+        for (n, legs, cplx), group in groups.items():
+            at, q, A, half, mid = zip(*group)
+            qv = np.array(q, dtype=complex if cplx else float)[:, None]
+            x, wts, panel = _inner_table(eta, n)
+            h, o = np.array([half, mid]).take(panel, axis=2)
+            w = o + h * x
+            val = [-(a @ b) for a, b in zip(h * wts * f(w), np.expm1(-qv * w))]
+            if legs:
+                fv = f(np.array([(a, W) for a in A])[:, :, None]
+                       + (_LAG_V / qv)[:, None])
+                e_a = np.array([cmath.exp(-p * a) for p, a in zip(q, A)])
+                e_w = np.array([cmath.exp(-p * W) for p in q])
+                lag = e_a[:, None] * fv[:, 0] - e_w[:, None] * fv[:, 1]
+                val = [v + ((math.expm1(a) ** (1 - eta) - tau ** (1 - eta))
+                            / (eta - 1) - _LAG_W @ row / p)
+                       for v, a, row, p in zip(val, A, lag, q)]
+            for i, v in zip(at, val):
+                vals[i] = v * tau ** (eta - 1)
+        return vals
+
+    def _inner(self, q):
+        return self._inners([q])[0]
+
+    def moments(self, qs):
+        """q-th moment of the conditional coverage probability at each q
+        of qs, complex with Re q >= 0 or real >= 0 (a real q gives a real
+        moment, q = 0 gives 1.0); M_it is the characteristic function of
+        ln CP.  Given the serving distance r, E[CP^q | r] =
+        exp(-coef inner(q) r - q tau r^alpha / snr).  One batch runs the
+        inner and serving-distance rules on (q x node) arrays, and each
+        value is the one moment(q) gives alone."""
+        lr = self.params.lambda_r
+        nonzero = [q for q in qs if q != 0]
+        lins = [self._coef * v + 2 * lr for v in self._inners(nonzero)]
+        serving = iter(_serving_integrals(
+            lins, [q * self.tau / self.radio.snr for q in nonzero],
+            self.radio.alpha))
+        out = []
+        for q in qs:
+            if q == 0:
+                out.append(1.0)
+                continue
+            m = 2 * lr * next(serving)
+            out.append(m if isinstance(q, complex) else float(m.real))
+        return out
 
     def moment(self, q):
-        """q-th moment of the conditional coverage probability, complex
-        q with Re q >= 0 (a real q gives a real moment); M_it is the
-        characteristic function of ln CP.  Given the serving distance r,
-        E[CP^q | r] = exp(-coef inner(q) r - q tau r^alpha / snr)."""
-        if q == 0:
-            return 1.0
-        lr = self.params.lambda_r
-        m = 2 * lr * _serving_integral(
-            self._coef * self._inner(q) + 2 * lr,
-            q * self.tau / self.radio.snr, self.radio.alpha)
-        return m if isinstance(q, complex) else float(m.real)
+        """q-th moment of the conditional coverage probability: one
+        member of `moments`."""
+        return self.moments([q])[0]
 
     def moment_it(self, t):
         if (t := float(t)) not in self._moments_it:
             self._moments_it[t] = self.moment(1j * t)
         return self._moments_it[t]
+
+    def moments_it(self, ts):
+        """M_it at each t of ts: the t not cached yet in one batch of
+        `moments`, then every value read through `moment_it`, so the cache
+        and its calls are those of one t at a time."""
+        new = [t for t in dict.fromkeys(map(float, ts))
+               if t not in self._moments_it]
+        self._moments_it.update(zip(new, self.moments([1j * t for t in new])))
+        return [self.moment_it(t) for t in ts]
 
     def md_noise_bound(self, x):
         """Rigorous upper bound on P[conditional CP > x]: even with zero
@@ -242,7 +305,7 @@ class CoverageMeta:
         bound = self.md_noise_bound(x)
         if bound < GP_ABS_TOL / 10:
             return bound
-        return min(bound, gil_pelaez_invert(self.moment_it, x))
+        return min(bound, gil_pelaez_invert(self.moments_it, x))
 
 
 def md_coverage(tau, x, traffic, params, radio):

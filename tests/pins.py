@@ -254,7 +254,7 @@ for (u, a, r), bits in G_AT_ZERO_BITS.items():
 # must not move for the reason above: a roundoff change in any moment can
 # flip the silent QAGS failure behind the k = 3 reference (md(0.9) of
 # k = 3 is the noise bound).  Retired by ROADMAP item 6, the fixed
-# Gil-Pelaez grid, with the edge arithmetic of `coverage._inner`.
+# Gil-Pelaez grid, with the edge arithmetic of `CoverageMeta._inners`.
 MOMENT_SHA256 = {
     "tau=0.9 PTS": (
         "70959183fd1c5969fc90312d39bccb5dd555eef8dbad3737c011e21fa47fbfe2",

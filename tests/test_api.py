@@ -43,6 +43,14 @@ def test_no_unused_imports_in_src():
     assert not {name: hits for name, hits in found.items() if hits}
 
 
+def test_no_unused_imports_in_tests_and_demos():
+    root = Path(__file__).resolve().parents[1]
+    found = {f"{folder}/{path.name}": _unused_imports(path.read_text())
+             for folder in ("tests", "demos")
+             for path in sorted((root / folder).glob("*.py"))}
+    assert not {name: hits for name, hits in found.items() if hits}
+
+
 def test_unused_import_check_sees_a_dead_import():
     src = "import math\nfrom numpy import pi, e\n__all__ = ['e']\n"
     assert _unused_imports(src) == [(1, "math"), (2, "pi")]

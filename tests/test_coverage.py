@@ -1,14 +1,15 @@
 import cmath
+import gc
 import math
+import random
 import weakref
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
-from platoonnet import coverage
+from platoonnet import coverage, numerics
 from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
                                  coverage_prob, md_coverage, md_rate,
                                  rate_coverage)
@@ -18,7 +19,7 @@ from platoonnet.load import pmf_typical_npts_certified, \
 from platoonnet.numerics import NumericsError, quad
 
 from oracles import laplace_interference, laplace_interference_quad
-from pins import META_OBJECTS, MOMENT_T, coverage_meta
+from pins import META_OBJECTS, MOMENT_T, coverage_meta, record
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)
 P35 = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)
@@ -415,12 +416,20 @@ class TestMeta:
         assert meta.moment_it(-1.5) == pytest.approx(m.conjugate())
 
     def test_freed_without_garbage_collection(self):
-        # the moment cache holds no reference back to its object
-        meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
-        meta.moment_it(1.5)
-        ref = weakref.ref(meta)
-        del meta
-        assert ref() is None
+        # neither the moment cache nor the Gil-Pelaez node map and batch
+        # accessor of md hold a reference back to the object
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for use in (lambda m: m.moment_it(1.5), lambda m: m.md(0.8)):
+                meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
+                use(meta)
+                ref = weakref.ref(meta)
+                del meta
+                assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("t", [40.0, 55.0, 64.0])
     def test_inner_integral_routes_agree(self, t):
@@ -537,7 +546,9 @@ class TestMeta:
 
 class TestMomentBits:
     """The M_it bits of the meta_sweep objects are pins (tests/pins.py);
-    their t-grid reaches every branch of the inner rule."""
+    their t-grid reaches every branch of the inner rule.  A batch keeps
+    the bits of one-q calls, and md computes each moment QAGS asks for
+    once, in whole Kronrod intervals."""
 
     def test_grid_covers_every_branch(self, monkeypatch):
         # 0 to 3 Legendre panels, and the Laguerre legs past 4 periods
@@ -557,6 +568,53 @@ class TestMomentBits:
             assert MOMENT_T[-1] * math.log1p(meta.tau) \
                 > coverage._PERIODS * 2 * math.pi
         assert set(panels) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0])
+    @pytest.mark.parametrize("name", META_OBJECTS)
+    def test_batch_keeps_one_q_bits(self, name, alpha):
+        # every member of a shuffled batch (0 to 3 Legendre panels, the
+        # Laguerre legs, t = 0, negative t and real q) has the bits of
+        # its one-q call, so no value depends on its batch mates
+        base = coverage_meta(name)
+        meta = CoverageMeta(base.tau, "PTS", P35,
+                            RadioParams(1.0, 5e-5, alpha), p_active=base.p)
+        qs = [1j * t for t in [0.0, -1.5, -MOMENT_T[-1], *MOMENT_T]] \
+            + [0.5, 1, 2, 3]
+        random.Random(name).shuffle(qs)
+
+        def bits(m):
+            return type(m), record(complex(m).real), record(complex(m).imag)
+
+        assert [bits(m) for m in meta.moments(qs)] \
+            == [bits(meta.moment(q)) for q in qs]
+
+    @pytest.mark.parametrize("name", META_OBJECTS)
+    def test_md_asks_for_whole_kronrod_intervals(self, name, monkeypatch):
+        # the Gil-Pelaez node map predicts every point QAGS asks for: each
+        # request is one 21-node interval, and no moment is computed that
+        # QAGS did not ask for
+        asked, requests = [], []
+
+        def recording_quad(f, *args, **kwargs):
+            def g(t):
+                asked.append(t)
+                return f(t)
+            return quad(g, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "quad", recording_quad)
+        meta = coverage_meta(name)
+        batch = meta.moments_it
+
+        def spy(ts):
+            requests.append(list(ts))
+            return batch(ts)
+
+        meta.moments_it = spy
+        meta.md(0.9)
+        assert {len(ts) for ts in requests} == {21}
+        computed = [t for ts in requests for t in ts]
+        assert len(set(computed)) == len(computed) == len(asked)
+        assert set(computed) == set(asked)
 
 
 class TestRate:

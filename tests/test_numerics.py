@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, special
 from scipy.stats import poisson
 
+from platoonnet import numerics
 from platoonnet.geometry import cell_average, pdf_cell
 from platoonnet.numerics import gil_pelaez_invert, poisson_pmf
 
@@ -88,6 +89,29 @@ class TestGilPelaez:
         val_hi = gil_pelaez_invert(lambda t: 0.7 ** (1j * t), 0.9)
         assert val_lo > 0.9
         assert val_hi < 0.1
+
+    @pytest.mark.parametrize("moment_fn, x", [
+        (lambda t: 1.0 / (1.0 + 1j * t), 0.2),
+        (lambda t: 1.0 / (1.0 + 1j * t), 0.9),
+        (lambda t: 1.0 / (1.0 + 2j * t), 0.25)],
+        ids=["uniform-0.2", "uniform-0.9", "power-0.25"])
+    def test_unpredicted_points_keep_the_result(self, moment_fn, x,
+                                                monkeypatch):
+        # with wrong Kronrod abscissae the node map predicts no point but
+        # the centres; each other point costs a call of its own, and
+        # QAGS sees the same values
+        sizes = []
+
+        def spy(ts):
+            sizes.append(len(ts))
+            return moment_fn(ts)
+
+        val = gil_pelaez_invert(spy, x)
+        assert set(sizes) == {21}
+        sizes.clear()
+        monkeypatch.setattr(numerics, "_XGK", numerics._XGK / 2)
+        assert gil_pelaez_invert(spy, x) == val
+        assert sizes.count(21) * 20 == sizes.count(1) > 0
 
     def test_domain(self):
         with pytest.raises(ValueError):
