@@ -31,8 +31,10 @@ class V2VParams:
 
 
 def pmf_degree_npts(K, v2v: V2VParams) -> DiscretePMF:
-    return DiscretePMF.of(poisson_pmf(np.arange(K + 1),
-                                      v2v.params.lam * v2v.r_b))
+    """Poisson(lam R_b) degree on 0..K, with its exact tail beyond K."""
+    mu = v2v.params.lam * v2v.r_b
+    return DiscretePMF(poisson_pmf(np.arange(K + 1), mu),
+                       tail_mass=float(special.pdtrc(K, mu)))
 
 
 def _own_cluster_mixture(v2v: V2VParams):

@@ -7,7 +7,11 @@ The PTS PMFs are read off the mixture PGF by one FFT at the roots of
 unity, where the tagged cell multiplies the count PGF by the platoon
 PGF, with the aliased mass bounded by a Chernoff tail bound (summed in
 log form at real radii); the certified forms pass those masses through
-`mcp_counts.certified`.  The PTS moments come from `geometry.cell_average`.
+`mcp_counts.certified`.  Cell lengths past the kink t = 2a hold every
+platoon ball whole, and their share of the mixture PGF is a closed form
+(`_tail_pgf`): only the mixture nodes below the first panel edge at or
+past 2a take the per-node kernel.  The PTS moments come from
+`geometry.cell_average`.
 N-PTS results are elementary closed forms.
 
 The tagged-platoon count V_m(t/2) admits a clean mixture representation:
@@ -28,7 +32,7 @@ from numpy.polynomial import polynomial
 from .geometry import NetworkParams, cell_average, cell_product, \
     cell_quantile, cell_value, pdf_cell
 from .mcp_counts import DiscretePMF, TAIL_TOL, certified, distinct_rows, \
-    g_of, kappa, kappa_coefficients, I_moment
+    g_of, g_rows, kappa, kappa_coefficients, I_moment
 from .numerics import NumericsError, panels
 
 
@@ -48,13 +52,25 @@ _MIX_PANELS = 60  # Gauss-Legendre panels of 10 nodes each
 _MIX_X, _MIX_W = np.polynomial.legendre.leggauss(10)
 
 
-def _mixture_nodes(params, tagged):
-    """Composite Gauss-Legendre nodes/weights on [0, T] with T at the
-    1 - 1e-8 quantile of the relevant cell-length law."""
+def _mixture(params, tagged):
+    """(edges, nodes, weights): _MIX_PANELS equal panels on [0, T], T at
+    the 1 - 1e-8 quantile of the relevant cell-length law, and their
+    composite Gauss-Legendre nodes and weights (times the density)."""
     T = cell_quantile(1 - 1e-8, params.lambda_r, tagged=tagged)
-    nodes, weights = panels(np.linspace(0.0, T, _MIX_PANELS + 1),
-                            _MIX_X, _MIX_W)
-    return nodes, weights * pdf_cell(nodes, params.lambda_r, tagged)
+    edges = np.linspace(0.0, T, _MIX_PANELS + 1)
+    nodes, weights = panels(edges, _MIX_X, _MIX_W)
+    return edges, nodes, weights * pdf_cell(nodes, params.lambda_r, tagged)
+
+
+def _mixture_nodes(params, tagged):
+    """Composite Gauss-Legendre nodes/weights of `_mixture` on [0, T]."""
+    return _mixture(params, tagged)[1:]
+
+
+def _kink_split(edges, params):
+    """The number of panels below t1, the first of the edges at or past
+    the kink t = 2a (the last edge, T, when 2a is past it)."""
+    return min(int(np.searchsorted(edges, 2 * params.a)), _MIX_PANELS)
 
 
 # ------------------------------------------------------- PMFs by FFT
@@ -87,16 +103,16 @@ def _pts_masses(params, tagged, n_min=0):
     N is the smallest power of two >= max(64, n_min) whose Chernoff bound
     min_rho G(rho) / rho^N on that tail is below _ALIAS_TOL; an n_min or
     a tail that needs N past N_MAX raises.  The bound sums the conditional
-    PGFs at the real radii in log form, one max-shifted log-sum-exp per
-    block of nodes; at the roots of unity the tagged cell multiplies the
-    two PGFs.  The mixture sums run over blocks of nodes to bound the
-    working set.
+    PGFs at the real radii over every mixture node in log form, one
+    max-shifted log-sum-exp per block of nodes.  At the roots of unity
+    the nodes below t1, the first panel edge at or past t = 2a, take the
+    per-node kernel, where the tagged cell multiplies the two PGFs, and
+    the panels from t1 to T are integrated exactly (`_tail_pgf`).  The
+    mixture sums run over blocks of nodes to bound the working set.
     """
-    nodes, wts = _mixture_nodes(params, tagged)
-    blocks = [(nodes[i:i + _BLOCK, None], wts[i:i + _BLOCK])
-              for i in range(0, nodes.size, _BLOCK)]
+    edges, nodes, wts = _mixture(params, tagged)
     parts = []  # log of each block's share of G at the radii
-    for t, w in blocks:
+    for t, w in _blocks(nodes, wts):
         log_pgf = _log_pgf_given(_RHO, t, params, tagged)
         top = log_pgf.max(axis=0)
         parts.append(top + np.log(w @ np.exp(log_pgf - top)))
@@ -109,8 +125,57 @@ def _pts_masses(params, tagged, n_min=0):
                             f"past {N_MAX}")
     N = 2 ** math.ceil(math.log2(max(64, size)))
     s = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
-    pgf = sum(w @ _pgf_given(s, t, params, tagged) for t, w in blocks)
+    below = _kink_split(edges, params)
+    kept = below * _MIX_X.size
+    pgf = sum(w @ _pgf_given(s, t, params, tagged)
+              for t, w in _blocks(nodes[:kept], wts[:kept]))
+    if below < _MIX_PANELS:
+        pgf = pgf + _tail_pgf(s, edges[below], edges[-1], params, tagged)
     return np.fft.irfft(pgf, N)
+
+
+def _blocks(nodes, wts):
+    """(cell lengths as a column, weights) of each _BLOCK of nodes."""
+    return [(nodes[i:i + _BLOCK, None], wts[i:i + _BLOCK])
+            for i in range(0, nodes.size, _BLOCK)]
+
+
+def _tail_pgf(s, t1, T, params, tagged):
+    """The share of the cell lengths in [t1, T], t1 >= 2a, of the mixture
+    PGF at s, |s| <= 1, in closed form.
+
+    Past t = 2a every platoon ball lies inside the cell: g(s, t/2) = c0 +
+    c1 t with c1 = lp (E - 1), c0 = 2 lp (F - a (E + 1)) and (E, F) the
+    `g_rows` at z = m, and the tagged platoon's PGF is E + D/t with D =
+    (B/z^2) / (a lam_d^2) - 2a E, B/z^2 from the `_vm_rows` at mu0 = m.
+    Against the density 4 lr^(d+1) t^d e^{-2 lr t} the share is then
+    4 lr^2 e^{c0} J_1 (typical) or 4 lr^3 e^{c0} (E J_2 + D J_1)
+    (tagged), with J_j the integral of t^j e^{-beta t} over [t1, T],
+    beta = 2 lr - c1 (Re beta >= 2 lr), that is j!/beta^(j+1) times
+    [Q_j(beta t) e^{-beta t}] from T to t1, Q_j the exponential series
+    cut after x^j/j!.
+    """
+    lr, lp, a = params.lambda_r, params.lambda_p, params.a
+    E, F = g_rows(s, params.m, params)  # z = m past r = a
+    c1 = lp * (E - 1.0)
+    c0 = 2 * lp * (F - a * (E + 1.0))
+    beta = 2 * lr - c1
+    x1, xT = beta * t1, beta * T
+    e1, eT = np.exp(c0 - x1), np.exp(c0 - xT)
+
+    def j_integral(j):  # e^{c0} J_j
+        q = [1 / math.factorial(k) for k in range(j + 1)]
+        return math.factorial(j) / beta ** (j + 1) * (
+            polynomial.polyval(x1, q) * e1 - polynomial.polyval(xT, q) * eT)
+
+    if not tagged:
+        return 4 * lr**2 * j_integral(1)
+    _, mu0, c = _vm_mixture(t1, params)  # past 2a c t = 1/(a lam_d^2)
+    near, e, bracket, far, series = _vm_rows(s, mu0, np.shape(s))
+    bz2 = bracket / far
+    bz2[near] = series
+    D = c * t1 * bz2 - 2 * a * e
+    return 4 * lr**3 * (e * j_integral(2) + D * j_integral(1))
 
 
 def _certified_pts(params, tagged):
@@ -198,17 +263,35 @@ def pgf_vm(s, t, params: NetworkParams):
 
     Uses a series branch near s = 1 where the closed form is 0/0 of
     order two, evaluated on the band points alone.  All that depends on
-    mu0 and s alone (the exponential, the band, the closed form's bracket
-    and z^2, the series) is tabulated over the distinct mu0 (see
+    mu0 and s alone (`_vm_rows`) is tabulated over the distinct mu0 (see
     `distinct_rows`); per node remain the factors c and w and the sum.
     """
     w, mu0, c = _vm_mixture(t, params)
     mu, at = distinct_rows(mu0, s)
     shape = np.broadcast_shapes(np.shape(mu0), np.shape(s))
+    near, e, bracket, far, series = _vm_rows(s, mu, shape)
+    lin = np.asarray(c * bracket[at])
+    del bracket
+    lin /= far[at]
+    far[near] = series  # far's band is spent: it holds the series now
+    near = np.broadcast_to(near[at], shape)
+    lin[near] = np.broadcast_to(c, shape)[near] * \
+        np.broadcast_to(far[at], shape)[near]
+    del far
+    return w * e[at] + lin[()]
+
+
+def _vm_rows(s, mu, shape):
+    """The terms of `pgf_vm` that depend on the max mean mu and s alone:
+    (near, e, bracket, far, series) with z = s - 1, the series band near =
+    |mu z| < _VM_BAND, e = e^{mu z}, the closed form's bracket B = e (mu z
+    - 1) + 1 and far = z^2 off the band (1 on it), and the series of
+    B / z^2 at the band points.  shape is that of the block the terms
+    serve, which fixes the operand order of the bracket's product."""
     z = s - 1.0
     x = mu * z
     near = abs(x) < _VM_BAND
-    e = np.exp(x)  # off the band far == z: e^{mu0 far} there
+    e = np.exp(x)  # off the band far == z: e^{mu far} there
     # the closed form divides an O(x^2) cancellation by z^2 (relative
     # error near 2 eps / |x|^2); the series stops before x^8: both are
     # near 5e-14 at |x| = _VM_BAND
@@ -225,15 +308,7 @@ def pgf_vm(s, t, params: NetworkParams):
     np.multiply(*((bracket, e) if big else (e, bracket)), out=bracket)
     bracket += 1.0
     far **= 2  # z^2 off the band from here on
-    lin = np.asarray(c * bracket[at])
-    del bracket
-    lin /= far[at]
-    far[near] = series  # far's band is spent: it holds the series now
-    near = np.broadcast_to(near[at], shape)
-    lin[near] = np.broadcast_to(c, shape)[near] * \
-        np.broadcast_to(far[at], shape)[near]
-    del far
-    return w * e[at] + lin[()]
+    return near, e, bracket, far, series
 
 
 def vm_coefficients(j, params: NetworkParams):

@@ -65,10 +65,11 @@ class DiscretePMF:
         return self.moment(2) - self.mean() ** 2
 
     def ccdf(self, k):
-        """P[X > k]; k = -1 returns 1."""
+        """P[X > k], the masses above k plus the tail mass, so a small
+        tail keeps its digits; k = -1 returns 1."""
         if k < 0:
             return 1.0
-        return float(1.0 - self.masses[: k + 1].sum())
+        return float(self.masses[k + 1:].sum() + self.tail_mass)
 
 
 def beta_bar(r, a):
@@ -106,11 +107,21 @@ def g_of(s, r, params: NetworkParams):
 
     Closed form with a second-order Taylor branch for |s - 1| < 1e-6,
     where (exp(m*bb*(s-1)) - 1)/(s-1) is a removable 0/0.  The factors of
-    s are tabulated over the distinct z = m*bb (see `distinct_rows`) and
-    gathered, or broadcast, to the rows of r.
+    s (`g_rows`) are tabulated over the distinct z = m*bb (see
+    `distinct_rows`) and gathered, or broadcast, to the rows of r.
     """
     lp, m, a = params.lambda_p, params.m, params.a
     z, at = distinct_rows(m * beta_bar(r, a), s)
+    e, frac = g_rows(s, z, params)
+    return 2 * lp * (abs(r - a) * e[at] - (r + a) + frac[at])
+
+
+def g_rows(s, z, params: NetworkParams):
+    """(e, frac) of g(s, r) = 2 lp (|r - a| e - (r + a) + frac) at
+    z = m min(r, a) / a: e = e^{z(s-1)} and frac = (e - 1)/((m/2a)(s-1)),
+    by its Taylor series for |s - 1| < 1e-6.  Past r = a, z = m and g is
+    linear in r."""
+    m, a = params.m, params.a
     d = s - 1.0
     near = abs(d) < _S1_EPS
     far = d + near  # keeps the unused closed form finite on the band
@@ -119,7 +130,7 @@ def g_of(s, r, params: NetworkParams):
     frac = np.where(near,
                     (2 * a / m) * (z + z**2 * d / 2 + z**3 * d**2 / 6),
                     (e - 1.0) / ((m / (2 * a)) * far))
-    return 2 * lp * (abs(r - a) * e[at] - (r + a) + frac[at])
+    return e, frac
 
 
 def kappa_coefficients(k, params: NetworkParams):

@@ -141,6 +141,22 @@ def pgf_vm_per_node(s, t, params: NetworkParams):
     return w * e + lin[()]
 
 
+def tail_pgf_quad(s, t1, T, params: NetworkParams, tagged):
+    """The share of the cell lengths in [t1, T] of the PTS load's mixture
+    PGF at a scalar s: the cell-length density times the conditional PGF
+    of the per-node kernels, by adaptive quadrature of its real and
+    imaginary parts."""
+    def pgf(t):
+        value = np.exp(g_of_per_node(s, t / 2.0, params))
+        if tagged:
+            value = value * pgf_vm_per_node(s, t, params)
+        return complex(pdf_cell(t, params.lambda_r, tagged) * value)
+
+    return complex(*(quad(lambda t: part(pgf(t)), t1, T, epsabs=0.0,
+                          epsrel=1e-13, limit=400)
+                     for part in (np.real, np.imag)))
+
+
 # Points spanning the supported box u in [1, 100], a in [50, 300] m and
 # lambda_r in [0.5, 10]/km (lambda_p = 1/km), as NetworkParams
 MOMENT_BOX = [NetworkParams.from_per_km(lr, 1.0, u, a) for lr, u, a in (

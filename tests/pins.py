@@ -146,33 +146,37 @@ PINS = {}
 # The FFT load masses, the Chernoff log-PGFs that set their size, and
 # that size, at every PTS point of the load_sweep benchmark (2 RSUs and 1
 # platoon per km); the size at u also at a = 50, 100, 150 and 300 m.
-# Recorded from the per-node kernel; the row tables of the FFT kernel and
-# `load._ELIDE_BYTES` exist to keep every bit.  Retired, with that
-# bit-keeping code, by ROADMAP item 3, whose exact cell-length mixture
-# moves the masses by up to 1.9e-8.
+# The log-PGFs and sizes are the per-node kernel's over every mixture
+# node.  The masses moved at roundoff (by at most 2.2e-16 per mass) when
+# the share of the cell lengths past the kink panel became a closed form,
+# and were recorded again; the row tables of the FFT kernel and
+# `load._ELIDE_BYTES` keep the bits of the nodes below the kink.  Retired,
+# with that bit-keeping code and the per-node oracles of
+# tests/oracles.py, by ROADMAP item 3, whose graded rule on [0, 2a] moves
+# the masses by up to 1.9e-8.
 FFT_MASS_SHA256 = {
     (5.0, 100.0, False):
-        "a766f1cee19440a108f6c8a825f019d21a001ee6b67121c20b98ab4eefe7a762",
+        "7871d68219c350c8121dfeafa4aef2be2d5e379b2f53e67dbc36eac4b51b1f78",
     (5.0, 100.0, True):
-        "4482501e47500022cb4bd3d2c95c22606bcd99785dc890d3a100aee232367274",
+        "6b238c04a74d745d0bf1f68e4ed131ecd420fad5b2c6dc78e0a17f2e749ccc12",
     (15.0, 100.0, False):
-        "4f3966658ee610614d3b9220f5204a43d79a7a57877114d2596c8c2db943aa00",
+        "07a5a04d38c9927895a736f7f9e065820b735e9e6cfa255fe9d637712bed592d",
     (15.0, 100.0, True):
-        "63bed31140d0702ae9c29669c5d8c457f548e2c88467f2e04f3707f7e07c2a89",
+        "904aa7c4f6905201589d07d43e1c9cb9c950e29e062c6b5928e53f0fc59ef05f",
     (25.0, 100.0, False):
-        "1294e50ffe8e226ae663061d612d431b976b168620713389c0a25e6c25ff1978",
+        "4a04db7e11627658bb7032be38fde5ec5af0dd07da7b90080ca891d9fd0f60ce",
     (25.0, 100.0, True):
-        "78e5b2ffe3e5c3a36dc3da21bb3a9ef44623cbef22b5140ee6f84e2d8ed3b996",
+        "67392ee68b061078f11da40bfa409dfb93bd3906e79ae21c83ba6d75548840ac",
     (35.0, 100.0, False):
-        "82b4b5ef2a2ddca67520d62a8a5c2980109f8de848c0e19572dcdf882182c125",
+        "59116a8601578136135dbacad4f8944be85489b6589a4412d5ea6b10623a5cb1",
     (35.0, 100.0, True):
-        "8b7962425ddaf12413ea91a710982968f4fd11bbb7937aec08a79a36b01a649b",
+        "727bc62ccd6b7ce69686ae7f6cfba3725b5a492ec851df87a7b7bebae1943eab",
     (5.0, 150.0, True):
-        "04029a6398db3372f83d9bdf740dbdf52deb3d77c85b79de4dcec67744846d9c",
+        "c31259f858de2287c2b516dcfa45ef4576a7f8214ae305bc421b45ef494791ee",
     (35.0, 150.0, True):
-        "56a7fe4f25678fccad96e72a162c60fb927b725ce8fe9f8f0eab3598c36af6c4",
+        "b7dba0e9402333a5dd17489677026d74a24b1b3a5eda65c2f04cbb4c00feb68c",
     (50.0, 150.0, True):
-        "d5eeb2060afec96986254ee9c0982dc9258abf2e2eb44c07b4b530772b93dbae",
+        "9a9b0457ffaa823470e4947086e961d5825aafec5e33189c2dde711e7088fe3a",
 }
 LOG_PGF_SHA256 = {
     (5.0, 100.0, False):
@@ -281,7 +285,7 @@ for name, bits in MD_BITS.items():
 # that moves one (ROADMAP items 2, 3, 5, 6, 12) updates its entry.
 CSV_SHA256 = {
     "figure 2":
-        "f9fcb4644cdf9eda367466b3b708ceb4fa6bac02ae6e714576a497bf3c3099ad",
+        "b22d2dde5a2def03ea5b3eb88dc774862b1fe89bdf5e418dde16a498e1e13999",
     "figure 3":
         "4aa19a560e27a30aa5c98e558e91e52a6bdf10cf231747f497e76dde54f8bb81",
     "figure 4":
@@ -289,9 +293,9 @@ CSV_SHA256 = {
     "figure 5":
         "6a830b18967aa5f8878415eb121129304964d6d15d52dc98b4d5397a8e6061ed",
     "figure 6":
-        "9e7737fa2ed18b69ad818278e289a0fb8548ba68090ec30d4f04671753724117",
+        "89b80e5eec7f0e373ae4754e117fb04d63c6fd1649218c1b5dc6985b59b1025b",
     "figure 7":
-        "7704870d10d9c68f1d8ab06a7c0b6736ea252f826dd8fd5f8ec17a21659ddad8",
+        "55bd336f97181abed54bedbd64f5428a42ef24347469935b36205169a183403b",
     "figure 8":
         "1f71d3598e7f85742f81dd72bce9e03ee17d3a3ce864527615eec0ae1c8588e7",
     "op active_prob_npts":
@@ -321,15 +325,15 @@ CSV_SHA256 = {
     "op pmf_tagged_npts":
         "b1379e6f0dc82c1dc273ca03fcd489a66202c404e0274a0e18fbccf6cc835146",
     "op pmf_tagged_pts":
-        "e9bdfa74c1d4d5b6365ba11b0c4805fe772419d6b1cdc76c765feaf6406418bd",
+        "fc84b14c65085e87ffdd279646f82e36d5dadb8d26628aa35190f4632fba3191",
     "op pmf_typical_npts":
         "f66211dbc59e8fefb4c4bdfb5a9b6d972c6cb34358b84929210a8b9dd5835c6a",
     "op pmf_typical_pts":
-        "4f594dd6fdb6703bbb005cb842e7c48da662c62e95aa64185a73f2c742890e41",
+        "2d29812329af714a19ea6df190bf204a0464435e34dbb27aa0679e65b35d0a90",
     "op rate_coverage_npts":
         "f8e6031024c83c693c300deb6c95e1d8877add574d814879cabe30f061019b12",
     "op rate_coverage_pts":
-        "541b66d86975a17fbc470073154bbdac6652629745fde6d4cbdacfde4c85320c",
+        "b47ec0ff48c46f4e5a3725915e53fed0d9a982ccf0260a29cdfe443cd63b21d3",
 }
 for command, digest in CSV_SHA256.items():
     PINS[f"csv {command}"] = (partial(csv, *command.split()), digest)

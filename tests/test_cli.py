@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 import platoonnet
 from platoonnet import cli, mcp_counts, montecarlo
@@ -142,6 +143,17 @@ class TestMain:
         cols, rows = figure_7(cfg)
         assert rows == [[k] + [p.ccdf(k) for p in pmfs] for k in range(K + 1)]
         assert np.all(np.diff([p_pts for _, p_pts, _ in rows]) < 0)
+
+    def test_figure_7_npts_column_is_the_poisson_tail(self):
+        # P[N > k] of the Poisson degree to k_max, past where 1 - sum
+        # loses it to cancellation (k >= 17 at the default lam R_b = 1)
+        cfg = load_config(figure=7)
+        mu = build_params(cfg).lam * cfg["r_b_m"]
+        _, rows = figure_7(cfg)
+        assert len(rows) == 41
+        for k, _, p_npts in rows:
+            assert p_npts == pytest.approx(special.pdtrc(k, mu), rel=1e-12,
+                                           abs=0)
 
     def test_figure_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

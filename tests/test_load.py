@@ -8,8 +8,9 @@ from scipy import special
 
 from platoonnet.geometry import NetworkParams
 from platoonnet.load import (_BLOCK, _ELIDE_BYTES, _RHO, _VM_BAND,
-                             _VM_SERIES, N_MAX, _log_pgf_given,
-                             _mixture_nodes, _pgf_given, _pts_masses,
+                             _VM_SERIES, N_MAX, _kink_split,
+                             _log_pgf_given, _mixture, _mixture_nodes,
+                             _pgf_given, _pts_masses, _tail_pgf,
                              _vm_mixture, moments_tagged_npts,
                              moments_tagged_pts, moments_typical_npts,
                              moments_typical_pts, moments_vm,
@@ -25,7 +26,8 @@ from platoonnet.numerics import NumericsError, poisson_pmf
 
 from oracles import (MOMENT_BOX, cell_average_quad, g_of_per_node,
                      kappa_cross_moment_quad, kappa_direct,
-                     moments_vm_conditional, pgf_vm_per_node)
+                     moments_vm_conditional, pgf_vm_per_node,
+                     tail_pgf_quad)
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 SWEEP = [NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
@@ -65,13 +67,28 @@ def pgf_tagged_pts(s, params):
     return float(np.dot(wts, vals))
 
 
+def roots_of_unity(N):
+    """The upper N-th roots of unity e^{-2 pi i k/N}, k = 0..N/2."""
+    return np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
+
+
+def kink_split(params, tagged):
+    """(kept, t1, T): the count of mixture nodes below t1, the first
+    panel edge at or past t = 2a (T if 2a is past T), and T."""
+    edges = _mixture(params, tagged)[0]
+    below = _kink_split(edges, params)
+    return below * 10, edges[below], edges[-1]
+
+
 def log_form_masses(params, tagged, N):
     """Masses on 0..N-1 from the mixture sum of exp(g + log pgf_vm) at
-    the roots of unity, over the same node blocks as load._pts_masses:
-    the tagged PGF as a sum of logs, before the FFT stage multiplied
-    the two PGFs."""
-    nodes, wts = _mixture_nodes(params, tagged)
-    s = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
+    the roots of unity over the nodes below t1, in the node blocks of
+    load._pts_masses, plus the same closed-form share of [t1, T]: the
+    tagged PGF as a sum of logs, before the FFT stage multiplied the two
+    PGFs."""
+    kept, t1, T = kink_split(params, tagged)
+    nodes, wts = (x[:kept] for x in _mixture_nodes(params, tagged))
+    s = roots_of_unity(N)
     pgf = 0.0
     for i in range(0, nodes.size, 32):
         t = nodes[i:i + 32, None]
@@ -79,6 +96,19 @@ def log_form_masses(params, tagged, N):
         if tagged:
             log_pgf = log_pgf + np.log(pgf_vm(s, t, params))
         pgf = pgf + wts[i:i + 32] @ np.exp(log_pgf)
+    if t1 < T:
+        pgf = pgf + _tail_pgf(s, t1, T, params, tagged)
+    return np.fft.irfft(pgf, N)
+
+
+def full_mixture_masses(params, tagged, N):
+    """Masses on 0..N-1 from the per-node kernel summed over every block
+    of the mixture nodes, the share past t1 too."""
+    nodes, wts = _mixture_nodes(params, tagged)
+    s = roots_of_unity(N)
+    pgf = sum(wts[i:i + _BLOCK] @ _pgf_given(s, nodes[i:i + _BLOCK, None],
+                                             params, tagged)
+              for i in range(0, nodes.size, _BLOCK))
     return np.fft.irfft(pgf, N)
 
 
@@ -90,6 +120,72 @@ def test_fft_masses_match_log_form(u, a, tagged):
     got = _pts_masses(params, tagged)
     ref = log_form_masses(params, tagged, got.size)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-16)
+
+
+# ---------------------------- the closed-form share of cell lengths >= t1
+
+TAIL_S = np.concatenate([roots_of_unity(1024)[[0, 1, 7, 64, 256, 511, 512]],
+                         [1e-3, 0.3, 0.9, 1 - 1e-7]])
+
+
+def assert_tail_matches_quadrature(params, tagged):
+    # on the unit circle (k = 0 is s = 1, k = 512 is s = -1) and at real
+    # s in (0, 1], one inside the g_of Taylor band
+    _, t1, T = kink_split(params, tagged)
+    got = _tail_pgf(TAIL_S, t1, T, params, tagged)
+    ref = np.array([tail_pgf_quad(s, t1, T, params, tagged)
+                    for s in TAIL_S])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("u", [1.2, 5.0, 35.0, 100.0])
+@pytest.mark.parametrize("a", [50.0, 100.0, 150.0, 300.0])
+@pytest.mark.parametrize("tagged", [False, True])
+def test_tail_matches_quadrature(u, a, tagged):
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    _, t1, T = kink_split(params, tagged)
+    assert t1 - T / 60 < 2 * a <= t1 < T  # a panel straddles 2a
+    assert_tail_matches_quadrature(params, tagged)
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+@pytest.mark.parametrize("panel", [1, 3, 10])
+def test_tail_from_2a_on_a_panel_edge(tagged, panel):
+    # the edges depend on lambda_r alone: half an edge is exact in binary
+    edges = _mixture(PARAMS, tagged)[0]
+    params = NetworkParams.from_per_km(2.0, 1.0, 35.0, edges[panel] / 2)
+    kept, t1, _ = kink_split(params, tagged)
+    assert (kept, t1) == (10 * panel, 2 * params.a)
+    assert_tail_matches_quadrature(params, tagged)
+    masses = _pts_masses(params, tagged)
+    np.testing.assert_allclose(
+        masses, full_mixture_masses(params, tagged, masses.size), rtol=0,
+        atol=4.5e-16)
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+@pytest.mark.parametrize("lambda_r, a", [(10.0, 700.0), (50.0, 300.0)])
+def test_no_tail_when_2a_is_past_T(tagged, lambda_r, a):
+    # every node keeps the per-node kernel, and the masses their bits
+    params = NetworkParams.from_per_km(lambda_r, 1.0, 5.0, a)
+    kept, t1, T = kink_split(params, tagged)
+    assert (kept, t1) == (600, T) and 2 * a >= T
+    masses = _pts_masses(params, tagged)
+    assert masses.tobytes() == full_mixture_masses(
+        params, tagged, masses.size).tobytes()
+
+
+@pytest.mark.parametrize("u, a", [(5.0, 100.0), (35.0, 150.0),
+                                  (60.0, 50.0)])
+@pytest.mark.parametrize("tagged", [False, True])
+def test_fft_masses_match_the_full_mixture(u, a, tagged):
+    # the closed form replaces the Gauss-Legendre panels past t1 at
+    # roundoff
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    masses = _pts_masses(params, tagged)
+    np.testing.assert_allclose(
+        masses, full_mixture_masses(params, tagged, masses.size), rtol=0,
+        atol=4.5e-16)
 
 
 # ------------------------------------ FFT kernel: bits and work count
@@ -263,15 +359,17 @@ def test_fft_stage_exponentiates_each_distinct_row_once(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(np, "exp", counting_exp)
         N = _pts_masses(params, True).size
-    nodes, _ = _mixture_nodes(params, True)
+    kept = kink_split(params, True)[0]
+    assert kept <= 40
+    nodes = _mixture_nodes(params, True)[0][:kept]
     # z and mu0 are functions of min(t, 2a): at most this many distinct
-    # values of each per block
+    # values of each per block of the nodes below t1
     rows = sum(np.unique(np.minimum(nodes[i:i + _BLOCK], 2 * params.a)).size
-               for i in range(0, nodes.size, _BLOCK))
-    assert rows < nodes.size / 10
-    # exp(g) at every node, one row per distinct z (g_of) and mu0
-    # (pgf_vm), and the roots of unity themselves
-    assert sum(sizes) <= (N // 2 + 1) * (nodes.size + 2 * rows + 1)
+               for i in range(0, kept, _BLOCK))
+    # exp(g) at every node below t1, one row per distinct z (g_of) and
+    # mu0 (pgf_vm) there, the roots of unity themselves, and the share
+    # past t1: the z = m and mu0 = m rows and the two ends of [t1, T]
+    assert sum(sizes) <= (N // 2 + 1) * (kept + 2 * rows + 5)
 
 
 @functools.cache

@@ -54,6 +54,12 @@ class TestDiscretePMF:
         assert pmf.ccdf(0) == pytest.approx(0.8)
         assert pmf.ccdf(-1) == 1.0
 
+    def test_ccdf_sums_the_tail(self):
+        # a tail below roundoff, which 1 - sum would read as 0
+        pmf = DiscretePMF(np.array([0.75, 0.25]), 3e-20)
+        assert pmf.ccdf(0) == 0.25 + 3e-20
+        assert pmf.ccdf(1) == pmf.ccdf(5) == 3e-20
+
     def test_negative_mass_rejected(self):
         with pytest.raises(NumericsError):
             DiscretePMF(np.array([1.1, -0.1]), 0.0)
