@@ -98,7 +98,10 @@ def load_config(path=None, overrides=None, figure=None):
     """DEFAULT_CONFIG, then FIGURE_OVERRIDES[figure], then the JSON file's
     keys, then the non-None overrides; raises ValueError (OSError for an
     unreadable file) unless each value has its type, each parameter set
-    builds and the thresholds, x_reliability and k_max are in range."""
+    builds and the thresholds, x_reliability and k_max are in range.
+    tau_rate_bps must also keep the one-user SINR threshold
+    2^(tau_rate_bps / B) - 1 a finite float: 2^x overflows from x = 1024
+    on."""
     cfg = dict(DEFAULT_CONFIG, **FIGURE_OVERRIDES.get(figure, {}))
     if path:
         with open(path) as fh:
@@ -121,7 +124,9 @@ def load_config(path=None, overrides=None, figure=None):
         build_params(cfg, u=u)
     for key, ok, want in (
             ("tau_sinr", cfg["tau_sinr"] > 0, "positive"),
-            ("tau_rate_bps", cfg["tau_rate_bps"] > 0, "positive"),
+            ("tau_rate_bps", 0 < cfg["tau_rate_bps"] / cfg["bandwidth_hz"]
+             < sys.float_info.max_exp,
+             f"positive and below {sys.float_info.max_exp} * bandwidth_hz"),
             ("x_reliability", 0 < cfg["x_reliability"] < 1, "in (0, 1)"),
             ("k_max", 0 <= cfg["k_max"] < load.N_MAX
              and cfg["k_max"] % 1 == 0,

@@ -27,7 +27,7 @@ from .mcp_counts import g_of
 from .numerics import GP_ABS_TOL, NumericsError, gil_pelaez_invert, \
     panels, quad
 
-# fixed rule of CoverageMeta._inner
+# fixed rule of CoverageMeta._inners
 _PERIODS = 4       # oscillation periods integrated on the real axis
 _PANEL_MAX = 2.0   # widest real-axis panel; w^eta f(w) is analytic
                    # for |w| < 2 pi
@@ -37,7 +37,7 @@ _LAG_V, _LAG_W = np.polynomial.laguerre.laggauss(40)
 
 @lru_cache(maxsize=128)
 def _inner_table(eta, n):
-    """Nodes, weights and panel index of `_inner`'s rule before scaling.
+    """Nodes, weights and panel index of `_inners`'s rule before scaling.
     Panel 0 is the 20-node Gauss-Jacobi rule on [0, 1] for the weight
     u^(1-eta), its weights divided by that weight: it integrates
     u^(1-eta) times a smooth function directly.  Panels 1..n are the
@@ -240,9 +240,6 @@ class CoverageMeta:
             for i, v in zip(at, val):
                 vals[i] = v * tau ** (eta - 1)
         return vals
-
-    def _inner(self, q):
-        return self._inners([q])[0]
 
     def moments(self, qs):
         """q-th moment of the conditional coverage probability at each q

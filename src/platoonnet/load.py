@@ -31,8 +31,8 @@ from numpy.polynomial import polynomial
 
 from .geometry import NetworkParams, cell_average, cell_product, \
     cell_quantile, cell_value, pdf_cell
-from .mcp_counts import DiscretePMF, TAIL_TOL, certified, distinct_rows, \
-    g_of, g_rows, kappa, kappa_coefficients, I_moment
+from .mcp_counts import DiscretePMF, TAIL_TOL, certified, g_of, g_rows, \
+    kappa, kappa_coefficients, I_moment
 from .numerics import NumericsError, panels
 
 
@@ -171,8 +171,8 @@ def _tail_pgf(s, t1, T, params, tagged):
     if not tagged:
         return 4 * lr**2 * j_integral(1)
     _, mu0, c = _vm_mixture(t1, params)  # past 2a c t = 1/(a lam_d^2)
-    near, e, bracket, far, series = _vm_rows(s, mu0, np.shape(s))
-    bz2 = bracket / far
+    near, e, bracket, far, series = _vm_rows(s, mu0)
+    bz2 = bracket / far**2
     bz2[near] = series
     D = c * t1 * bz2 - 2 * a * e
     return 4 * lr**3 * (e * j_integral(2) + D * j_integral(1))
@@ -251,10 +251,6 @@ def _vm_mixture(t, params):
 _VM_BAND = 0.1  # series band |mu0 (s - 1)| < _VM_BAND
 # Taylor coefficients (k + 1)/(k + 2)! of (e^x (x - 1) + 1) / x^2
 _VM_SERIES = [(k + 1) / math.factorial(k + 2) for k in range(8)]
-# numpy reuses the buffer of a temporary operand of a binary operator
-# from this size on (NPY_MIN_ELIDE_BYTES), swapping a commutative
-# product's operands when the temporary is on the right
-_ELIDE_BYTES = 256 * 1024
 
 
 def pgf_vm(s, t, params: NetworkParams):
@@ -262,32 +258,21 @@ def pgf_vm(s, t, params: NetworkParams):
     s (real or complex) and t broadcast against each other.
 
     Uses a series branch near s = 1 where the closed form is 0/0 of
-    order two, evaluated on the band points alone.  All that depends on
-    mu0 and s alone (`_vm_rows`) is tabulated over the distinct mu0 (see
-    `distinct_rows`); per node remain the factors c and w and the sum.
+    order two, evaluated on the band points alone.
     """
     w, mu0, c = _vm_mixture(t, params)
-    mu, at = distinct_rows(mu0, s)
-    shape = np.broadcast_shapes(np.shape(mu0), np.shape(s))
-    near, e, bracket, far, series = _vm_rows(s, mu, shape)
-    lin = np.asarray(c * bracket[at])
-    del bracket
-    lin /= far[at]
-    far[near] = series  # far's band is spent: it holds the series now
-    near = np.broadcast_to(near[at], shape)
-    lin[near] = np.broadcast_to(c, shape)[near] * \
-        np.broadcast_to(far[at], shape)[near]
-    del far
-    return w * e[at] + lin[()]
+    near, e, bracket, far, series = _vm_rows(s, mu0)
+    lin = np.asarray(c * bracket / far**2)
+    lin[near] = np.broadcast_to(c, near.shape)[near] * series
+    return w * e + lin[()]
 
 
-def _vm_rows(s, mu, shape):
+def _vm_rows(s, mu):
     """The terms of `pgf_vm` that depend on the max mean mu and s alone:
     (near, e, bracket, far, series) with z = s - 1, the series band near =
     |mu z| < _VM_BAND, e = e^{mu z}, the closed form's bracket B = e (mu z
-    - 1) + 1 and far = z^2 off the band (1 on it), and the series of
-    B / z^2 at the band points.  shape is that of the block the terms
-    serve, which fixes the operand order of the bracket's product."""
+    - 1) + 1 with far = z off the band (1 on it), and the series of
+    B / z^2 at the band points."""
     z = s - 1.0
     x = mu * z
     near = abs(x) < _VM_BAND
@@ -297,18 +282,8 @@ def _vm_rows(s, mu, shape):
     # near 5e-14 at |x| = _VM_BAND
     series = np.broadcast_to(mu, near.shape)[near]**2 * \
         np.polynomial.polynomial.polyval(x[near], _VM_SERIES)
-    del x  # each table goes before the next one of block size comes
     far = np.where(near, 1.0, z)  # the unused closed form stays finite
-    bracket = np.asarray(mu * far - 1.0)
-    # numpy computes e * (temporary) in place as (temporary) * e once the
-    # temporary holds _ELIDE_BYTES, and the order moves the last bit of a
-    # complex product: the table multiplies in the order that a
-    # temporary the size of the whole block would get
-    big = math.prod(shape) * e.itemsize >= _ELIDE_BYTES
-    np.multiply(*((bracket, e) if big else (e, bracket)), out=bracket)
-    bracket += 1.0
-    far **= 2  # z^2 off the band from here on
-    return near, e, bracket, far, series
+    return near, e, e * (mu * far - 1.0) + 1.0, far, series
 
 
 def vm_coefficients(j, params: NetworkParams):

@@ -77,43 +77,16 @@ def beta_bar(r, a):
     return np.minimum(r, a) / a
 
 
-def distinct_rows(x, s):
-    """(x_u, at) with f(x_u, s)[at] == f(x, s) for a numpy x and an
-    elementwise f, up to broadcasting.
-
-    When x is a column (a block of mixture nodes) and s a row (the FFT or
-    Chernoff points), x_u holds each distinct value of x once and at
-    takes the rows of an (x_u, s) table back to the block: past t = 2a
-    every node gives the same z and mu0, so a factor of x and s costs one
-    row per distinct value.  When that is one row (the whole block lies
-    past 2a), x_u is that row and at = (), so its table broadcasts over
-    the block.  When every row is distinct, and for any other x, x comes
-    back as is, also with at = ().
-    """
-    if x.shape[-1:] != (1,) or np.ndim(s) != 1:
-        return x, ()
-    rows = {}  # first-seen order, and far cheaper than np.unique here
-    inv = [rows.setdefault(v, len(rows)) for v in x.ravel().tolist()]
-    if len(rows) == x.size:
-        return x, ()
-    x_u = np.array(list(rows))[:, None]
-    return (x_u, ()) if len(rows) == 1 else \
-        (x_u, np.reshape(inv, x.shape[:-1]))
-
-
 def g_of(s, r, params: NetworkParams):
     """Exponent g(s, r) of the PGF of S(r); s (real or complex) and r
     broadcast against each other.
 
     Closed form with a second-order Taylor branch for |s - 1| < 1e-6,
-    where (exp(m*bb*(s-1)) - 1)/(s-1) is a removable 0/0.  The factors of
-    s (`g_rows`) are tabulated over the distinct z = m*bb (see
-    `distinct_rows`) and gathered, or broadcast, to the rows of r.
+    where (exp(m*bb*(s-1)) - 1)/(s-1) is a removable 0/0.
     """
     lp, m, a = params.lambda_p, params.m, params.a
-    z, at = distinct_rows(m * beta_bar(r, a), s)
-    e, frac = g_rows(s, z, params)
-    return 2 * lp * (abs(r - a) * e[at] - (r + a) + frac[at])
+    e, frac = g_rows(s, m * beta_bar(r, a), params)
+    return 2 * lp * (abs(r - a) * e - (r + a) + frac)
 
 
 def g_rows(s, z, params: NetworkParams):
@@ -196,12 +169,18 @@ def choose_truncation(mass_at):
 
 
 def certified(pmf_at) -> DiscretePMF:
-    """PMF with K grown automatically until the tail is certified.
+    """PMF with K grown automatically until the tail is certified: the
+    one that pmf_at(K) built at the certified K, its tail mass too.
 
     pmf_at(K) must return the DiscretePMF truncated at K.
     """
-    _, masses = choose_truncation(lambda K: pmf_at(K).masses)
-    return DiscretePMF.of(masses)
+    pmfs = {}
+
+    def mass_at(K):
+        pmfs[K] = pmf_at(K)
+        return pmfs[K].masses
+    K, _ = choose_truncation(mass_at)
+    return pmfs[K]
 
 
 def I_moment(n, k, params: NetworkParams, tagged=False):

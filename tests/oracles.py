@@ -14,8 +14,8 @@ from platoonnet.connectivity import V2VParams, _own_cluster_mixture
 from platoonnet.coverage import RadioParams
 from platoonnet.geometry import NetworkParams, pdf_cell, platooned, \
     replication_rng
-from platoonnet.load import _VM_BAND, _VM_SERIES, _vm_mixture
-from platoonnet.mcp_counts import _S1_EPS, beta_bar, g_of
+from platoonnet.load import _vm_mixture, pgf_vm
+from platoonnet.mcp_counts import beta_bar, g_of
 from platoonnet.numerics import quad
 
 
@@ -95,61 +95,15 @@ def moments_vm_conditional(t, params: NetworkParams):
     return e1, e1 + e2 - e1**2
 
 
-def _rows_per_node(x, s):
-    """mcp_counts.distinct_rows before a table could broadcast: the
-    distinct rows of a column x, and at that gathers one row per node
-    however many distinct rows there are."""
-    if x.shape[-1:] != (1,) or np.ndim(s) != 1:
-        return x, ()
-    rows = {}  # first-seen order, and far cheaper than np.unique here
-    inv = [rows.setdefault(v, len(rows)) for v in x.ravel().tolist()]
-    return np.array(list(rows))[:, None], np.reshape(inv, x.shape[:-1])
-
-
-def g_of_per_node(s, r, params: NetworkParams):
-    """mcp_counts.g_of with its tabulated factors gathered to every node,
-    as it was before the tables broadcast."""
-    lp, m, a = params.lambda_p, params.m, params.a
-    z, at = _rows_per_node(m * beta_bar(r, a), s)
-    d = s - 1.0
-    near = abs(d) < _S1_EPS
-    far = d + near  # keeps the unused closed form finite on the band
-    # (e^{z(s-1)}-1)/((m/2a)(s-1)) ~ (2a/m)(z + z^2 (s-1)/2 + z^3 (s-1)^2/6)
-    e = np.exp(z * d)  # off the band far == d, so e is e^{z far} there
-    frac = np.where(near,
-                    (2 * a / m) * (z + z**2 * d / 2 + z**3 * d**2 / 6),
-                    (e - 1.0) / ((m / (2 * a)) * far))
-    return 2 * lp * (abs(r - a) * e[at] - (r + a) + frac[at])
-
-
-def pgf_vm_per_node(s, t, params: NetworkParams):
-    """load.pgf_vm with only its exponential tabulated: the bracket, z^2
-    and the series per node, as it was before the row tables.  numpy
-    computes e * (temporary) of 256 KiB or more in place as (temporary) *
-    e, so this form fixes the operand order that the tables reproduce."""
-    w, mu0, c = _vm_mixture(t, params)
-    mu, at = _rows_per_node(mu0, s)
-    z = s - 1.0
-    e = np.exp(mu * z)[at]  # off the band far == z: e^{mu0 far} there
-    x = mu0 * z
-    near = abs(x) < _VM_BAND
-    far = np.where(near, 1.0, z)  # the unused closed form stays finite
-    lin = np.asarray(c * (e * (mu0 * far - 1.0) + 1.0) / far**2)
-    cn, mn = (np.broadcast_to(v, near.shape)[near] for v in (c, mu0))
-    lin[near] = cn * (mn**2 * np.polynomial.polynomial.polyval(
-        x[near], _VM_SERIES))
-    return w * e + lin[()]
-
-
 def tail_pgf_quad(s, t1, T, params: NetworkParams, tagged):
     """The share of the cell lengths in [t1, T] of the PTS load's mixture
     PGF at a scalar s: the cell-length density times the conditional PGF
-    of the per-node kernels, by adaptive quadrature of its real and
-    imaginary parts."""
+    of the kernels `g_of` and `pgf_vm`, by adaptive quadrature of its real
+    and imaginary parts."""
     def pgf(t):
-        value = np.exp(g_of_per_node(s, t / 2.0, params))
+        value = np.exp(g_of(s, t / 2.0, params))
         if tagged:
-            value = value * pgf_vm_per_node(s, t, params)
+            value = value * pgf_vm(s, t, params)
         return complex(pdf_cell(t, params.lambda_r, tagged) * value)
 
     return complex(*(quad(lambda t: part(pgf(t)), t1, T, epsabs=0.0,

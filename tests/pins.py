@@ -94,6 +94,66 @@ def g_at_zero(u, a, r):
     return float(g_of(0.0, r, _params(u, a)))
 
 
+def row_blocks(params, rows):
+    """Blocks of `rows` cell lengths: all below t = 2a (the shortest
+    cells keep mu0 (s - 1) in the pgf_vm series band on most columns),
+    all past 2a, and straddling 2a."""
+    a2 = 2 * params.a
+    below = np.geomspace(0.05, 0.99 * a2, rows)
+    past = np.linspace(1.01 * a2, 6 * a2, rows)
+    half = rows // 2
+    return [below[:, None], past[:, None],
+            np.concatenate([below[::2][:half], past[:rows - half]])[:, None]]
+
+
+def _kernel(name, params):
+    """The FFT kernel `name` as a function of (s, cell length t)."""
+    from platoonnet.load import _log_pgf_given, _pgf_given, pgf_vm
+    from platoonnet.mcp_counts import g_of
+    return {"g_of": lambda s, t: g_of(s, t / 2.0, params),
+            "pgf_vm": lambda s, t: pgf_vm(s, t, params),
+            "typical": lambda s, t: _pgf_given(s, t, params, False),
+            "tagged": lambda s, t: _pgf_given(s, t, params, True),
+            "log tagged": lambda s, t: _log_pgf_given(s, t, params, True),
+            }[name]
+
+
+def kernel_at_roots(name, u, a, N, rows):
+    """The kernel `name` at the upper N-th roots of unity over each of the
+    row_blocks, stacked."""
+    params = _params(u, a)
+    roots = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
+    kernel = _kernel(name, params)
+    return np.concatenate([kernel(roots, t)
+                           for t in row_blocks(params, rows)])
+
+
+def kernel_near_one(name, real):
+    """The kernel `name` (u = 35, a = 150 m), flattened and joined over
+    the cases with real (or complex) s: points in the g_of Taylor band
+    |s - 1| < 1e-6 and the pgf_vm series band from every side of s = 1,
+    and the Chernoff radii, on the row_blocks of 32 cells; s = 1, 0.5 and
+    0.3 + 0.4i on the first two blocks; and scalar cell lengths.  The
+    tagged PGF takes every s but the radii, and its log the radii alone:
+    the Chernoff stage's form, where exp(g) overflows."""
+    from platoonnet.load import _RHO
+    params = _params(35.0, 150.0)
+    near = 1.0 + np.geomspace(1e-9, 0.1, 600) * np.exp(
+        1j * np.linspace(0.0, 2 * np.pi, 600))
+    blocks = row_blocks(params, 32)
+    cases = [(s, t) for t in blocks for s in (near, _RHO)]
+    cases += [(s, t) for t in blocks[:2] for s in (1.0, 0.5, 0.3 + 0.4j)]
+    cases += [(s, t) for t in (0.05, 150.0, 1800.0)
+              for s in (near, 1.0, 0.3 + 0.4j)]
+    if name == "tagged":
+        cases = [(s, t) for s, t in cases if s is not _RHO]
+    if name == "log tagged":
+        cases = [(s, t) for s, t in cases if s is _RHO]
+    kernel = _kernel(name, params)
+    return np.concatenate([np.ravel(kernel(s, t)) for s, t in cases
+                           if np.isrealobj(s) == real])
+
+
 # dense in (0, 1], then to 8,192; every t is exact in binary
 MOMENT_T = [k / 64 for k in range(1, 65)] + [
     m * 2.0**e for e in range(13) for m in (1.0, 1.25, 1.5, 1.75)
@@ -149,11 +209,9 @@ PINS = {}
 # The log-PGFs and sizes are the per-node kernel's over every mixture
 # node.  The masses moved at roundoff (by at most 2.2e-16 per mass) when
 # the share of the cell lengths past the kink panel became a closed form,
-# and were recorded again; the row tables of the FFT kernel and
-# `load._ELIDE_BYTES` keep the bits of the nodes below the kink.  Retired,
-# with that bit-keeping code and the per-node oracles of
-# tests/oracles.py, by ROADMAP item 3, whose graded rule on [0, 2a] moves
-# the masses by up to 1.9e-8.
+# and were recorded again; the nodes below the kink take the per-node
+# kernel, whose bits the kernel pins below hold.  Retired by ROADMAP
+# item 3, whose graded rule on [0, 2a] moves the masses by up to 1.9e-8.
 FFT_MASS_SHA256 = {
     (5.0, 100.0, False):
         "7871d68219c350c8121dfeafa4aef2be2d5e379b2f53e67dbc36eac4b51b1f78",
@@ -218,6 +276,135 @@ for u, sizes in FFT_SIZE.items():
         for a in (50.0, 100.0, 150.0, 300.0):
             PINS[f"fft size u={u:g} a={a:g} {_LAW[tagged]}"] = (
                 partial(fft_size, u, a, tagged), sizes[tagged])
+
+# The FFT kernel (g_of, pgf_vm and the conditional PGF of each load) at
+# the roots of unity over the row_blocks, for N = 512, 1024 and 2048 and
+# 24 or 32 rows: 24 x 513 complex blocks fall short of the 256 KiB from
+# which numpy computes e * (temporary) in place as (temporary) * e, which
+# moves the last bit of a complex product, and 32 x 513 reach it.  Also
+# the kernel near s = 1, on scalars and at the Chernoff radii
+# (kernel_near_one).  They hold the bits of the nodes below the kink that
+# the FFT masses sum, and retire with those pins by ROADMAP item 3.
+KERNEL_ROOTS_SHA256 = {
+    ("typical", 5.0, 100.0, 512, 24):
+        "1953eeff98e98d75a8553313285b1b78943fc3ac0e7325bd2b5bc10fbd9b211d",
+    ("typical", 5.0, 100.0, 512, 32):
+        "b1fe380346c81e52e5f45cf3c6ec8f702ed7eeb16eca273d91e85f60573c0601",
+    ("typical", 5.0, 100.0, 1024, 24):
+        "1697ef42584bcbde2bc8b52411d0b126a8724669c34a17c80e0b7b42271b27ad",
+    ("typical", 5.0, 100.0, 1024, 32):
+        "6dc8598824f4a73d4d5099d7910211cf1cc9a6e0d8ba9e7182671a90db853e5f",
+    ("typical", 5.0, 100.0, 2048, 24):
+        "c2660067e26b1f45184bbf256e40dd2bbc2bb2e6477470376cf5802d2d510ee0",
+    ("typical", 5.0, 100.0, 2048, 32):
+        "dde146ab056aba082386e35d2a77a4e219b299b10b341d40d2afe7234e91861c",
+    ("typical", 35.0, 150.0, 512, 24):
+        "9ec1969abaf20a927400e27b469c40fb14d35eb059ad8f14a25376b0d1a68b6d",
+    ("typical", 35.0, 150.0, 512, 32):
+        "e4fff08f94c205938d0a1b8573d80ff27abb7f95746f6428b2d7c08eb51a602b",
+    ("typical", 35.0, 150.0, 1024, 24):
+        "855e071e75b03bbb42df378b7adaac3fa6ce6e584e05886eb3009d23c0612584",
+    ("typical", 35.0, 150.0, 1024, 32):
+        "747b8ea1dcc234512793ca1bfd5a834b714199d3092c0c4c31c79477814a34f4",
+    ("typical", 35.0, 150.0, 2048, 24):
+        "f028d590e90383c88dbcb1dd57db2d07c1209529dd9aa6852aac5809f59b2dca",
+    ("typical", 35.0, 150.0, 2048, 32):
+        "fcf81b4a64fcdf019b21fb70b114b41245bb51a26e082940d06c3368e8a2ec4d",
+    ("tagged", 5.0, 100.0, 512, 24):
+        "9d238bd46b9086019a0e9dbeeeee061856e9d62445c79c92b45d35e05dfe9a6f",
+    ("tagged", 5.0, 100.0, 512, 32):
+        "31d04aa2b666c75417cbf0045193ca3b0883d37aa669f6a78149d72913b03777",
+    ("tagged", 5.0, 100.0, 1024, 24):
+        "7545b8fb15abaecdd1cfe91cb4bc20f8ab5246ca9f46248cefca2d838116a26f",
+    ("tagged", 5.0, 100.0, 1024, 32):
+        "ca7dba1bd6c00485527919b61fac9d3e9fdeae565839b44f980ef5a129b7c963",
+    ("tagged", 5.0, 100.0, 2048, 24):
+        "528364e37f894642e14d79c7c4f7ec324d5f18aaa6c0645ae4b41d4593e1cb79",
+    ("tagged", 5.0, 100.0, 2048, 32):
+        "9c443cf99776ee50e903b7977bd6777c131658a77baad1e44733ab9988a8c5ad",
+    ("tagged", 35.0, 150.0, 512, 24):
+        "448fecbcd3f008422030b746778321e94ea6ea5dd2953fb5bb9e85e348c6e915",
+    ("tagged", 35.0, 150.0, 512, 32):
+        "1a36e455f8eb507c48adc1257a58a896aff0714a09b2cd9a365f83418d88dcf8",
+    ("tagged", 35.0, 150.0, 1024, 24):
+        "de5df2c0f032ec7935f29dbc76e4d80ac0267ea509c70a550b1032726a938f6e",
+    ("tagged", 35.0, 150.0, 1024, 32):
+        "9285a48c77b5bb0b508a859a451219603c559ceb96deb1c0593a191901b365df",
+    ("tagged", 35.0, 150.0, 2048, 24):
+        "1e5f836a43640f7ded580c5c4b788b39bcd9183d963c579ec01d2138117c1a12",
+    ("tagged", 35.0, 150.0, 2048, 32):
+        "1e2faf65840beb093eedc3ca73798f8a0198adcd653ceb3f8982c269ddfbf289",
+    ("g_of", 5.0, 100.0, 512, 24):
+        "4f813bef4b7a5b33b0c7a7bafa0994ea26ae77d40b64413ec99f0dc615e2189e",
+    ("g_of", 5.0, 100.0, 512, 32):
+        "e9eecdc61742e54d3c49bf7e742da6ba19fc577d8f58c38394244f9b0c6000f6",
+    ("g_of", 5.0, 100.0, 1024, 24):
+        "6b751832e33f5f3a8d9baa85b1781aec6e30430ca4e33d7a2c442a917177701e",
+    ("g_of", 5.0, 100.0, 1024, 32):
+        "bbe0d24e4e8ed4d48cf3d8a1219fe61a2b448520fd4c5dc12db19a54c106363d",
+    ("g_of", 5.0, 100.0, 2048, 24):
+        "e8bf8da250b4ce8109fe46b5ac0b6dcb7154817a1d9abf2327b0c854f837d59e",
+    ("g_of", 5.0, 100.0, 2048, 32):
+        "c98fab5532bedae93d7a633e4940b78b31134324a53d84bd72c8b9847e16c484",
+    ("g_of", 35.0, 150.0, 512, 24):
+        "6cf4fef454cd247054ff8138abc301cd1cedbc89246efcd07e95a576dce6c433",
+    ("g_of", 35.0, 150.0, 512, 32):
+        "d7a92a2cb71bc395e11d71c860341883f72869d59665547ce62ac20be7c4a580",
+    ("g_of", 35.0, 150.0, 1024, 24):
+        "b845026ac167f345e75914d686562c4e303c0c4bb25d7aa20931874bedc90833",
+    ("g_of", 35.0, 150.0, 1024, 32):
+        "ecffb8a6bb06efba3aed7377d81033c60c5f40b92a96a4b2ab54b507be33a59c",
+    ("g_of", 35.0, 150.0, 2048, 24):
+        "11456befb0ef6165318d8dbf7028f5569ae3f0be1774df7698f4bffab8a447eb",
+    ("g_of", 35.0, 150.0, 2048, 32):
+        "c9bcc33562cf9f44ac1a837a073b55a7af0ba74879068e83346d81917143ba2c",
+    ("pgf_vm", 5.0, 100.0, 512, 24):
+        "855511794803879c6a9bab0ff1d048a1803ac7abb1fdb74daebcb6170125d67f",
+    ("pgf_vm", 5.0, 100.0, 512, 32):
+        "9adc14d4ae4f8441f9608fa576aaec4637a5a9bf64d0bbc97ee20a268b6f8c2e",
+    ("pgf_vm", 5.0, 100.0, 1024, 24):
+        "f189cbe9e1bc5ceb402bab99795422fc9abfe26c59cbeec2a5482074331271bd",
+    ("pgf_vm", 5.0, 100.0, 1024, 32):
+        "255494e01f638ca091e0bf9fcd7d7bc6cf5fafa62675b94ec52745e547aceb2a",
+    ("pgf_vm", 5.0, 100.0, 2048, 24):
+        "6eff32ccf955cf96e121ea4bd5d2e1464b11b4676ecfc0242528adad271a2ca9",
+    ("pgf_vm", 5.0, 100.0, 2048, 32):
+        "fd60bc7a3000e4e1ed520362e7de9542a303ee0e9c18a992007217324ba48c91",
+    ("pgf_vm", 35.0, 150.0, 512, 24):
+        "d3dff04716587d6a9bd5bffae1ce91099e2e18ead1b976f4d24dd1d1f91cb4cb",
+    ("pgf_vm", 35.0, 150.0, 512, 32):
+        "23c1457e817bb5946d68a67d823b0e2bb926b0f85452ec165d0c3e6bd9650dac",
+    ("pgf_vm", 35.0, 150.0, 1024, 24):
+        "eb2467ecd804ccc278134fbc5c98ed066bed63d4a21d333de01fa1a9e39f822e",
+    ("pgf_vm", 35.0, 150.0, 1024, 32):
+        "1b35097dbfb8f6bb9b61457896d8e4ad0f8869caf70687da482a0a8ac535a350",
+    ("pgf_vm", 35.0, 150.0, 2048, 24):
+        "0694cc2be79d83dc13ef590db85599854e7f50c7989d58f407b84ecae0b7d7fd",
+    ("pgf_vm", 35.0, 150.0, 2048, 32):
+        "4bfbb590c5911931dff52a252978b74e72ed062ea35fe42181e0498f2d075aa5",
+}
+KERNEL_NEAR_ONE_SHA256 = {
+    ("g_of", True):
+        "86ad65af092793f0d88aa96e3e48b3ccaa5c3d1adfa7452d713daa87d0d1b47b",
+    ("g_of", False):
+        "f36cad06f2fbf8bcfafa79b7424074106db945aaa3f51a13b3928173194ca4a7",
+    ("pgf_vm", True):
+        "4d0fd7b668f7ef9c572232ebb66d01b47151092c0b8c54b6cc33a578b8b7a9d4",
+    ("pgf_vm", False):
+        "7736d9427574869e9f9e0157f81b37598d0d443f41cba06cd75ca4a20b6d6f45",
+    ("tagged", True):
+        "d948c67c7653baf4fd2aad1bdbbecaa2d0565918e6fae4e9d4bbf2644b9a3a40",
+    ("tagged", False):
+        "47d859667934d30507dbc14d76e8e015d127f7eab0dd7c13df2991433b1b8965",
+    ("log tagged", True):
+        "c8259738874dbbe20fe02a83930c995d1dcfe142fe67fa45b457f5a090ad0868",
+}
+for (name, u, a, N, rows), digest in KERNEL_ROOTS_SHA256.items():
+    PINS[f"kernel {name} u={u:g} a={a:g} N={N} rows={rows}"] = (
+        partial(kernel_at_roots, name, u, a, N, rows), digest)
+for (name, real), digest in KERNEL_NEAR_ONE_SHA256.items():
+    PINS[f"kernel {name} near one, {'real' if real else 'complex'} s"] = (
+        partial(kernel_near_one, name, real), digest)
 
 # active_prob("PTS") at the load_sweep (a = 100 m) and meta_sweep (a =
 # 150 m) benchmark points, and the g_of(0, r) values it integrates (from

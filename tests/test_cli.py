@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,8 +13,8 @@ from scipy import special
 import platoonnet
 from platoonnet import cli, mcp_counts, montecarlo
 from platoonnet.cli import (DEFAULT_CONFIG, FIGURE_OVERRIDES, build_params,
-                            figure_7, figure_8, load_config, main,
-                            tv_distance, validate_checks)
+                            build_radio, figure_7, figure_8, load_config,
+                            main, tv_distance, validate_checks)
 from platoonnet.connectivity import (V2VParams, pmf_degree_npts,
                                      pmf_degree_pts)
 from platoonnet.mcp_counts import DiscretePMF
@@ -71,8 +72,9 @@ class TestConfig:
     @pytest.mark.parametrize("overrides", [
         {"replications": 1}, {"tau_sinr": -1}, {"x_reliability": 1.5},
         {"k_max": 2.7}, {"u_values": [5.0, -1.0]}, {"k_max": 2**15},
+        {"tau_rate_bps": 1024 * 10e6},
     ], ids=["replications", "tau_sinr", "x_reliability", "k_max",
-            "u_values", "k_max_past_fft_cap"])
+            "u_values", "k_max_past_fft_cap", "tau_rate_threshold_overflows"])
     def test_out_of_range_values_rejected(self, overrides):
         with pytest.raises(ValueError):
             load_config(None, overrides)
@@ -80,6 +82,12 @@ class TestConfig:
     def test_k_max_fills_the_largest_fft(self):
         # k_max + 1 masses fit the PTS FFT cap exactly
         assert load_config(None, {"k_max": 2**15 - 1})["k_max"] == 2**15 - 1
+
+    def test_tau_rate_up_to_a_finite_threshold(self):
+        # 2^(tau_rate_bps / B) - 1 stays finite just below 1024 B
+        tau = math.nextafter(1024 * 10e6, 0.0)
+        cfg = load_config(None, {"tau_rate_bps": tau})
+        assert math.isfinite(build_radio(cfg).rate_threshold(tau, 1))
 
 
 class TestTvDistance:
@@ -256,6 +264,9 @@ class TestMain:
         (["op", "active_prob_npts", "--out", "{tmp}"], None),
         (["simulate", "coverage", "--out", "{tmp}/missing/out.csv"], None),
         (["op", "pmf_typical_pts"], {"k_max": 100_000}),
+        (["op", "rate_coverage_npts"], {"tau_rate_bps": 2e10}),
+        (["op", "md_rate_pts"], {"tau_rate_bps": 2e10}),
+        (["figure", "9"], {"tau_rate_bps": 2e10}),
     ])
     def test_bad_simulation_settings_are_usage_errors(
             self, args, config, tmp_path, capsys, monkeypatch):

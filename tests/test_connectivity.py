@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from platoonnet.connectivity import (V2VParams, _own_cluster_mixture,
                                      pmf_degree_certified, pmf_degree_npts,
@@ -96,6 +96,14 @@ class TestInterface:
         ks = np.arange(-1, 15)
         vals = [pmf.ccdf(int(k)) for k in ks]
         assert np.all(np.diff(vals) <= 1e-12)
+
+    def test_certified_keeps_the_exact_poisson_tail(self):
+        # the PMF that pmf_degree_npts built at the certified K, not one
+        # rebuilt from its masses: its tail holds digits that 1 - sum loses
+        pmf = pmf_degree_certified("NPTS", V2V)
+        assert pmf.masses.size == 17
+        assert pmf.tail_mass == special.pdtrc(16, 1.0)
+        assert pmf.ccdf(14) == pmf_degree_npts(16, V2V).ccdf(14)
 
     def test_range_validation(self):
         for r_b in (0.0, float("nan"), float("inf")):

@@ -44,7 +44,7 @@ def inner_trig(tau, alpha, t):
     p_active."""
     meta = CoverageMeta(tau, "PTS", PARAMS, RadioParams(1.0, 5e-5, alpha),
                         p_active=1.0)
-    return meta._inner(1j * t)
+    return meta._inners([1j * t])[0]
 
 
 def inner_trig_quad(meta, t):
@@ -443,7 +443,7 @@ class TestMeta:
     def test_inner_integral_matches_direct_quadrature(self, t):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
         c_ref, s_ref = inner_trig_quad(meta, t)
-        val = meta._inner(1j * t)
+        val = meta._inners([1j * t])[0]
         assert val.real == pytest.approx(c_ref, abs=1e-9)
         assert val.imag == pytest.approx(s_ref, abs=1e-9)
 
@@ -481,7 +481,7 @@ class TestMeta:
         meta = CoverageMeta(tau, "PTS", PARAMS, radio)
         lr = PARAMS.lambda_r
         for t in (1e-2, 1.0, 64.0, 4096.0, 65536.0):
-            lin = meta._coef * meta._inner(1j * t) + 2 * lr
+            lin = meta._coef * meta._inners([1j * t])[0] + 2 * lr
             ref = 2 * lr * serving_integral_mp(lin, 1j * t * tau / radio.snr,
                                                alpha)
             assert abs(meta.moment(1j * t) - ref) <= 1e-12

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from platoonnet.geometry import NetworkParams
-from platoonnet.load import (_BLOCK, _ELIDE_BYTES, _RHO, _VM_BAND,
-                             _VM_SERIES, N_MAX, _kink_split,
-                             _log_pgf_given, _mixture, _mixture_nodes,
+from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES, N_MAX,
+                             _kink_split, _mixture, _mixture_nodes,
                              _pgf_given, _pts_masses, _tail_pgf,
                              _vm_mixture, moments_tagged_npts,
                              moments_tagged_pts, moments_typical_npts,
@@ -24,10 +23,8 @@ from platoonnet.mcp_counts import (_S1_EPS, TAIL_TOL, DiscretePMF,
                                    beta_bar, certified, g_of, pmf_S)
 from platoonnet.numerics import NumericsError, poisson_pmf
 
-from oracles import (MOMENT_BOX, cell_average_quad, g_of_per_node,
-                     kappa_cross_moment_quad, kappa_direct,
-                     moments_vm_conditional, pgf_vm_per_node,
-                     tail_pgf_quad)
+from oracles import (MOMENT_BOX, cell_average_quad, kappa_cross_moment_quad,
+                     kappa_direct, moments_vm_conditional, tail_pgf_quad)
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 SWEEP = [NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
@@ -191,9 +188,8 @@ def test_fft_masses_match_the_full_mixture(u, a, tagged):
 # ------------------------------------ FFT kernel: bits and work count
 
 def g_of_both_branches(s, r, params):
-    """mcp_counts.g_of before it tabulated its factors over the distinct
-    z: one exponential per point, and both sides of the Taylor branch on
-    every point."""
+    """mcp_counts.g_of with both sides of its Taylor branch on every
+    point."""
     lp, m, a = params.lambda_p, params.m, params.a
     z = m * beta_bar(r, a)
     d = s - 1.0
@@ -207,8 +203,7 @@ def g_of_both_branches(s, r, params):
 
 
 def pgf_vm_both_branches(s, t, params):
-    """load.pgf_vm before it tabulated its exponential over the distinct
-    mu0: the series and the closed form on every point."""
+    """load.pgf_vm with the series and the closed form on every point."""
     w, mu0, c = _vm_mixture(t, params)
     z = s - 1.0
     x = mu0 * z
@@ -249,95 +244,6 @@ def test_kernel_bits_match_both_branch_forms(u, a):
                 assert got.tobytes() == oracle(s, x, params).tobytes()
 
 
-def pgf_given_per_node(s, t, params, tagged):
-    """load._pgf_given over the per-node kernels of tests/oracles.py."""
-    pgf = np.exp(g_of_per_node(s, t / 2.0, params))
-    return pgf * pgf_vm_per_node(s, t, params) if tagged else pgf
-
-
-def assert_same_bits(got, ref):
-    got, ref = np.asarray(got), np.asarray(ref)
-    assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
-    assert np.array_equal(got, ref)
-    assert got.tobytes() == ref.tobytes()  # and the signs of zeros
-
-
-def row_blocks(params, rows):
-    """Blocks of `rows` cell lengths by the rows of their tables: all
-    below t = 2a (every row distinct, and the shortest cells keep mu0 (s
-    - 1) in the pgf_vm series band on most columns), all past 2a (one
-    row), and straddling 2a."""
-    a2 = 2 * params.a
-    below = np.geomspace(0.05, 0.99 * a2, rows)
-    past = np.linspace(1.01 * a2, 6 * a2, rows)
-    half = rows // 2
-    return {"below": below[:, None], "past": past[:, None],
-            "straddle": np.concatenate([below[::2][:half],
-                                        past[:rows - half]])[:, None]}
-
-
-@pytest.mark.parametrize("u, a", [(5.0, 100.0), (35.0, 150.0)])
-@pytest.mark.parametrize("N", [512, 1024, 2048])
-@pytest.mark.parametrize("rows", [24, 32])
-def test_row_tables_keep_the_per_node_bits(u, a, N, rows):
-    # 24 x 513 and 32 x 257 complex blocks fall short of the 256 KiB at
-    # which numpy computes e * (temporary) as (temporary) * e, and
-    # 32 x 513 and 24 x 1025 reach it
-    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
-    roots = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
-    for kind, t in row_blocks(params, rows).items():
-        distinct = np.unique(np.minimum(t, 2 * params.a)).size
-        assert distinct == {"below": rows, "past": 1,
-                            "straddle": rows // 2 + 1}[kind]
-        for tagged in (False, True):
-            got = _pgf_given(roots, t, params, tagged)
-            assert got.flags.owndata
-            assert_same_bits(got, pgf_given_per_node(roots, t, params,
-                                                     tagged))
-        assert_same_bits(g_of(roots, t / 2.0, params),
-                         g_of_per_node(roots, t / 2.0, params))
-        assert_same_bits(pgf_vm(roots, t, params),
-                         pgf_vm_per_node(roots, t, params))
-
-
-def test_row_tables_keep_the_per_node_bits_near_one_and_on_scalars():
-    params = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)
-    # the g_of Taylor band |s - 1| < 1e-6 and the pgf_vm series band,
-    # from every side of s = 1
-    near = 1.0 + np.geomspace(1e-9, 0.1, 600) * np.exp(
-        1j * np.linspace(0.0, 2 * np.pi, 600))
-    blocks = list(row_blocks(params, 32).values())
-    cases = [(s, t) for t in blocks for s in (near, _RHO)]
-    cases += [(s, t) for t in blocks[:2] for s in (1.0, 0.5, 0.3 + 0.4j)]
-    cases += [(s, t) for t in (0.05, 150.0, 1800.0)
-              for s in (near, 1.0, 0.3 + 0.4j)]
-    for s, t in cases:
-        g = g_of_per_node(s, t / 2.0, params)
-        vm = pgf_vm_per_node(s, t, params)
-        assert_same_bits(g_of(s, t / 2.0, params), g)
-        assert_same_bits(pgf_vm(s, t, params), vm)
-        if s is _RHO:  # exp(g) overflows there: the Chernoff stage's form
-            assert_same_bits(_log_pgf_given(s, t, params, True),
-                             g + np.log(vm))
-        else:
-            assert_same_bits(_pgf_given(s, t, params, True),
-                             pgf_given_per_node(s, t, params, True))
-
-
-@pytest.mark.parametrize("n", [_ELIDE_BYTES // 16 - 1, _ELIDE_BYTES // 16])
-def test_elision_size_is_numpys(n):
-    # pgf_vm orders its bracket product by _ELIDE_BYTES: from that size on
-    # numpy reuses the temporary on the right of e * (temporary) for the
-    # result and so computes (temporary) * e, whose last bit differs
-    rng = np.random.default_rng(20)
-    e, tmp = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
-              for _ in range(2))
-    ab, ba = np.multiply(e, tmp), np.multiply(tmp, e)
-    assert not np.array_equal(ab, ba)
-    got = e * (tmp - 0.0)
-    assert got.tobytes() == (ba if n * 16 >= _ELIDE_BYTES else ab).tobytes()
-
-
 @pytest.mark.parametrize("tagged", [False, True])
 def test_fft_size_past_the_cap_raises(tagged):
     # the masses asked for count against the cap as the tail bound does
@@ -347,7 +253,8 @@ def test_fft_size_past_the_cap_raises(tagged):
     with pytest.raises(NumericsError, match="FFT"):
         pmf(N_MAX, PARAMS)
 
-def test_fft_stage_exponentiates_each_distinct_row_once(monkeypatch):
+
+def test_fft_stage_exponentiates_only_the_kept_nodes(monkeypatch):
     params = NetworkParams.from_per_km(2.0, 1.0, 35.0, 150.0)
     exp, sizes = np.exp, []
 
@@ -361,15 +268,10 @@ def test_fft_stage_exponentiates_each_distinct_row_once(monkeypatch):
         N = _pts_masses(params, True).size
     kept = kink_split(params, True)[0]
     assert kept <= 40
-    nodes = _mixture_nodes(params, True)[0][:kept]
-    # z and mu0 are functions of min(t, 2a): at most this many distinct
-    # values of each per block of the nodes below t1
-    rows = sum(np.unique(np.minimum(nodes[i:i + _BLOCK], 2 * params.a)).size
-               for i in range(0, kept, _BLOCK))
-    # exp(g) at every node below t1, one row per distinct z (g_of) and
-    # mu0 (pgf_vm) there, the roots of unity themselves, and the share
-    # past t1: the z = m and mu0 = m rows and the two ends of [t1, T]
-    assert sum(sizes) <= (N // 2 + 1) * (kept + 2 * rows + 5)
+    # exp(g), e^{z(s-1)} (g_of) and e^{mu0 (s-1)} (pgf_vm) at every node
+    # below t1, the roots of unity themselves, and the share past t1: the
+    # z = m and mu0 = m rows and the two ends of [t1, T]
+    assert sum(sizes) <= (N // 2 + 1) * (3 * kept + 5)
 
 
 @functools.cache
