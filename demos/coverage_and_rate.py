@@ -6,7 +6,7 @@ better SINR coverage for the covered) but loads the serving cell more
 heavily (worse per-VU rate).  The meta distribution separates the
 population into reliability classes instead of averaging over them.
 
-Run:  python3 demos/coverage_and_rate.py        (takes a few minutes)
+Run:  python3 demos/coverage_and_rate.py        (takes about 6 s)
 """
 
 from platoonnet import (CoverageMeta, NetworkParams, RadioParams,

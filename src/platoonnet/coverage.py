@@ -310,9 +310,18 @@ def md_coverage(tau, x, traffic, params, radio):
     return CoverageMeta(tau, traffic, params, radio).md(x)
 
 
-def _tagged_pmf(traffic, params):
-    return pmf_tagged_pts_certified(params) if platooned(traffic) \
+def _rate_terms(tau_rate, traffic, params, radio: RadioParams):
+    """(p_k, the SINR threshold 2^(tau_rate (k+1)/B) - 1, active_prob) of
+    each tagged-cell load k in turn: the terms of rate_coverage and
+    md_rate, which each sum their own quantity and stop by their own
+    rule."""
+    if tau_rate <= 0:
+        raise ValueError("tau_rate must be positive")
+    pmf = pmf_tagged_pts_certified(params) if platooned(traffic) \
         else pmf_tagged_npts_certified(params)
+    p = active_prob(traffic, params)
+    for k, pk in enumerate(pmf.masses):
+        yield pk, radio.rate_threshold(tau_rate, k + 1), p
 
 
 def rate_coverage(tau_rate, traffic, params, radio: RadioParams):
@@ -321,13 +330,8 @@ def rate_coverage(tau_rate, traffic, params, radio: RadioParams):
     Sum over the tagged-cell load of the SINR coverage at the mapped
     threshold 2^(tau*(k+1)/B) - 1; terms below 1e-9 are dropped (the
     mapped CP is decreasing in k)."""
-    if tau_rate <= 0:
-        raise ValueError("tau_rate must be positive")
-    pmf = _tagged_pmf(traffic, params)
-    p = active_prob(traffic, params)
     total = 0.0
-    for k, pk in enumerate(pmf.masses):
-        thr = radio.rate_threshold(tau_rate, k + 1)
+    for pk, thr, p in _rate_terms(tau_rate, traffic, params, radio):
         cp = coverage_prob(thr, traffic, params, radio, p_active=p)
         total += pk * cp
         if cp < 1e-9:
@@ -337,16 +341,10 @@ def rate_coverage(tau_rate, traffic, params, radio: RadioParams):
 
 def md_rate(tau_rate, x, traffic, params, radio: RadioParams):
     """Meta distribution of the rate coverage at level x."""
-    if tau_rate <= 0:
-        raise ValueError("tau_rate must be positive")
-    pmf = _tagged_pmf(traffic, params)
-    p = active_prob(traffic, params)
     total = 0.0
     remaining = 1.0
-    for k, pk in enumerate(pmf.masses):
-        thr = radio.rate_threshold(tau_rate, k + 1)
-        meta = CoverageMeta(thr, traffic, params, radio, p_active=p)
-        md = meta.md(x)
+    for pk, thr, p in _rate_terms(tau_rate, traffic, params, radio):
+        md = CoverageMeta(thr, traffic, params, radio, p_active=p).md(x)
         total += pk * md
         remaining -= pk
         # md is decreasing in k, so the unsummed tail is below this

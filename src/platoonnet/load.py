@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial
+from scipy import special
 
 from .geometry import NetworkParams, cell_average, cell_product, \
     cell_quantile, cell_value, pdf_cell
@@ -60,11 +61,6 @@ def _mixture(params, tagged):
     edges = np.linspace(0.0, T, _MIX_PANELS + 1)
     nodes, weights = panels(edges, _MIX_X, _MIX_W)
     return edges, nodes, weights * pdf_cell(nodes, params.lambda_r, tagged)
-
-
-def _mixture_nodes(params, tagged):
-    """Composite Gauss-Legendre nodes/weights of `_mixture` on [0, T]."""
-    return _mixture(params, tagged)[1:]
 
 
 def _kink_split(edges, params):
@@ -214,13 +210,15 @@ def moments_typical_pts(params: NetworkParams) -> LoadMoments:
 
 
 def pmf_typical_npts(K, params: NetworkParams) -> DiscretePMF:
-    """PMF of the N-PTS load on the typical RSU (closed form)."""
+    """PMF of the N-PTS load on the typical RSU: negative binomial
+    NB(2, q), q = 2 lr/(lam + 2 lr), on 0..K with its exact tail."""
     lam, lr = params.lam, params.lambda_r
     k = np.arange(K + 1)
     # assembled in log space so deep truncations do not overflow
     masses = np.exp(math.log(4 * lr**2) + k * math.log(lam)
                     + np.log(k + 1) - (k + 2) * math.log(lam + 2 * lr))
-    return DiscretePMF.of(masses)
+    return DiscretePMF(masses, tail_mass=float(
+        special.nbdtrc(K, 2, 2 * lr / (lam + 2 * lr))))
 
 
 def pmf_typical_npts_certified(params) -> DiscretePMF:
@@ -338,7 +336,7 @@ def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
            + I_moment(2, 1, params, tagged=True)
            + I_moment(1, 2, params, tagged=True))
     # third factorial moment of the product PGF at s=1, deconditioned
-    nodes, wts = _mixture_nodes(params, tagged=True)
+    _, nodes, wts = _mixture(params, tagged=True)
     k1, k2, k3 = (kappa(nodes / 2.0, k, params) for k in (1, 2, 3))
     f2 = k1**2 + k2
     f3 = k1**3 + 3 * k2 * k1 + k3
@@ -349,13 +347,16 @@ def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
 
 
 def pmf_tagged_npts(K, params: NetworkParams) -> DiscretePMF:
-    """PMF of the tagged-RSU N-PTS load (typical VU not counted)."""
+    """PMF of the tagged-RSU N-PTS load (typical VU not counted):
+    negative binomial NB(3, 1/(1 + g/2)), g = lam/lr, on 0..K with its
+    exact tail."""
     g = params.lam / params.lambda_r
     k = np.arange(K + 1)
     masses = np.exp(k * math.log(g / 2) + math.log(0.5)
                     + np.log(k + 2) + np.log(k + 1)
                     - (3 + k) * math.log(1 + g / 2))
-    return DiscretePMF.of(masses)
+    return DiscretePMF(masses, tail_mass=float(
+        special.nbdtrc(K, 3, 1 / (1 + g / 2))))
 
 
 def pmf_tagged_npts_certified(params) -> DiscretePMF:

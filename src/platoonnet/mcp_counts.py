@@ -154,33 +154,25 @@ def pmf_S(K, r, params: NetworkParams):
         c, np.exp(g_of(0.0, r, params)), K))
 
 
-def choose_truncation(mass_at):
-    """Double K from 8 until mass >= 1 - TAIL_TOL; error past K_CAP.
+def choose_truncation(pmf_at):
+    """(K, pmf_at(K)) for the first K = 8, 16, ... whose masses reach
+    1 - TAIL_TOL; error past K_CAP.
 
-    mass_at(K) must return the masses array for truncation K.
+    pmf_at(K) must return the DiscretePMF truncated at K.
     """
     K = 8
     while K <= K_CAP:
-        masses = mass_at(K)
-        if masses.sum() >= 1.0 - TAIL_TOL:
-            return K, masses
+        pmf = pmf_at(K)
+        if pmf.masses.sum() >= 1.0 - TAIL_TOL:
+            return K, pmf
         K *= 2
     raise NumericsError(f"PMF tail not certified below K={K_CAP}")
 
 
 def certified(pmf_at) -> DiscretePMF:
     """PMF with K grown automatically until the tail is certified: the
-    one that pmf_at(K) built at the certified K, its tail mass too.
-
-    pmf_at(K) must return the DiscretePMF truncated at K.
-    """
-    pmfs = {}
-
-    def mass_at(K):
-        pmfs[K] = pmf_at(K)
-        return pmfs[K].masses
-    K, _ = choose_truncation(mass_at)
-    return pmfs[K]
+    one that pmf_at(K) built at the certified K, its tail mass too."""
+    return choose_truncation(pmf_at)[1]
 
 
 def I_moment(n, k, params: NetworkParams, tagged=False):

@@ -32,6 +32,7 @@ import numpy as np
 from .geometry import NetworkParams, platooned, replication_rng
 from .mcp_counts import DiscretePMF
 from .coverage import RadioParams
+from .numerics import NumericsError
 
 
 # Simulation half-width in mean RSU cells (1 / lambda_r) on each side
@@ -41,6 +42,12 @@ WINDOW_CELLS = 10.0
 # replication of a coverage run at the default point, set the memory of a
 # run; at this size the per-chunk numpy calls cost little per replication.
 CHUNK = 256
+
+# Most RSUs and VUs expected in one replication's window.  A chunk holds
+# CHUNK windows at a peak of about 50 bytes of arrays per point, so this
+# keeps a chunk near 250 MB; the windows of the tests and the benchmark
+# hold at most about 160 points.
+MAX_WINDOW_POINTS = 20_000
 
 
 def _is_int(value):
@@ -74,6 +81,20 @@ class SimEstimate:
 def _half_width(params: NetworkParams):
     """Simulation half-width (m)."""
     return WINDOW_CELLS / params.lambda_r
+
+
+def _check_window(traffic, params, half, rsus=True):
+    """Raise NumericsError unless the VUs, and with `rsus` the RSUs,
+    expected in the window [-half, half] number at most
+    MAX_WINDOW_POINTS; PTS counts the members of every platoon drawn, on
+    the a-dilated window."""
+    vus = params.lambda_p * params.m * (2 * half + 2 * params.a) \
+        if platooned(traffic) else params.lam * 2 * half
+    points = vus + (params.lambda_r * 2 * half if rsus else 0.0)
+    if not points <= MAX_WINDOW_POINTS:  # an infinite window fails too
+        raise NumericsError(
+            f"a Monte Carlo window of half-width {half:.3g} m holds "
+            f"{points:.3g} expected RSUs and VUs, past {MAX_WINDOW_POINTS}")
 
 
 def _replicate(cfg: SimConfig, draw, reduce):
@@ -229,6 +250,7 @@ def sim_load(kind, traffic, params: NetworkParams, cfg: SimConfig):
     if kind not in ("typical", "tagged"):
         raise ValueError(f"unknown kind {kind!r}")
     half = _half_width(params)
+    _check_window(traffic, params, half)
     palm = kind == "tagged"
 
     def reduce(draws):
@@ -245,6 +267,7 @@ def sim_connectivity(traffic, v2v, cfg: SimConfig):
     params = v2v.params
     r = v2v.r_b / 2.0
     half = r + 2 * params.a  # communication range plus cluster reach
+    _check_window(traffic, params, half, rsus=False)
 
     def reduce(draws):
         vus, rep = _vus(traffic, params, half, draws)
@@ -256,9 +279,13 @@ def sim_connectivity(traffic, v2v, cfg: SimConfig):
 
 def _interference_reach(params, radio):
     """Distance beyond which the mean residual interference of all-active
-    RSUs is below 1e-6 * sigma^2 (power-law tail bound)."""
+    RSUs is below 1e-6 * sigma^2 (power-law tail bound); inf past the
+    largest float."""
     lead = 2 * params.lambda_r * radio.p_t / (radio.alpha - 1)
-    return (lead / (1e-6 * radio.sigma2)) ** (1.0 / (radio.alpha - 1))
+    try:
+        return (lead / (1e-6 * radio.sigma2)) ** (1.0 / (radio.alpha - 1))
+    except OverflowError:
+        return math.inf
 
 
 def _coverage_profile(threshold, traffic, params, radio: RadioParams,
@@ -269,6 +296,7 @@ def _coverage_profile(threshold, traffic, params, radio: RadioParams,
     fading it is exact given the geometry: exp(-tau r^alpha / snr) times
     1 / (1 + tau (r/d)^alpha) for each active interferer at distance d."""
     half = max(_half_width(params), _interference_reach(params, radio))
+    _check_window(traffic, params, half)
 
     def reduce(draws):
         rsus, rep, occupancy, serving = _cells(traffic, params, half,

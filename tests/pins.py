@@ -20,8 +20,9 @@ It exits 1 if a pin moved or failed here.
 
 Producers import their platoonnet names inside their own bodies, so a
 name that a later revision renames fails only its own pin at an older
-REV.  `figure 9` and the `md_rate_pts`/`md_rate_npts` ops are not
-pinned: together they take about 45 s, the rest of the CSVs about 7 s.
+REV.  `figure 9` alone is not pinned: it takes about 20 s, and the
+pinned CSVs about 8 s together, 4 s of it the `md_rate_pts` and
+`md_rate_npts` ops.
 """
 
 import hashlib
@@ -71,9 +72,9 @@ def fft_masses(u, a, tagged):
 def chernoff_log_pgfs(u, a, tagged):
     """The Chernoff stage's conditional log-PGFs at the real radii, over
     every block of the mixture nodes in order."""
-    from platoonnet.load import _BLOCK, _RHO, _log_pgf_given, _mixture_nodes
+    from platoonnet.load import _BLOCK, _RHO, _log_pgf_given, _mixture
     params = _params(u, a)
-    nodes, _ = _mixture_nodes(params, tagged)
+    _, nodes, _ = _mixture(params, tagged)
     return np.concatenate([
         _log_pgf_given(_RHO, nodes[i:i + _BLOCK, None], params, tagged)
         for i in range(0, nodes.size, _BLOCK)])
@@ -497,6 +498,10 @@ CSV_SHA256 = {
         "2003c03c500a43d5010cc9e363c4fd26572431acefb685dfe3ec08023c6e5200",
     "op md_coverage_pts":
         "3aa613117f97a86f02597da768d468de0e663b6304d412f8d971b638ef512fb7",
+    "op md_rate_npts":
+        "9de58bfa097721c27eab4be5c561a989aea62a3d16f00c1bbc59fea74fcf8d6b",
+    "op md_rate_pts":
+        "3fc11d45538df02ca41a833b9c7fa929204dad9035fb04551196b2ad35f573a0",
     "op moments_tagged_npts":
         "7fc5022fdd67bf7d76fd7fdd2541e5e0700454de13f971c48e9df80f51cafa80",
     "op moments_tagged_pts":

@@ -14,6 +14,31 @@ def test_every_exported_name_resolves():
     assert len(set(platoonnet.__all__)) == len(platoonnet.__all__)
 
 
+def test_certified_pmfs_are_exported():
+    # operational_metrics refuses an uncertified PMF: at u = 35 the
+    # tails past K = 40 are 0.148 (typical) and 0.563 (tagged), so the
+    # package exports the certified forms it takes
+    from platoonnet import (NetworkParams, V2VParams, operational_metrics,
+                            pmf_degree_certified,
+                            pmf_tagged_npts_certified,
+                            pmf_tagged_pts_certified,
+                            pmf_typical_npts_certified,
+                            pmf_typical_pts_certified, pmf_typical_pts)
+    from platoonnet.numerics import NumericsError
+    params = NetworkParams.from_per_km(2.0, 1.0, 35.0, 100.0)
+    with pytest.raises(NumericsError, match="certified"):
+        operational_metrics(pmf_typical_pts(40, params), "typical")
+    for kind, pmfs in (("typical", (pmf_typical_pts_certified,
+                                    pmf_typical_npts_certified)),
+                       ("tagged", (pmf_tagged_pts_certified,
+                                   pmf_tagged_npts_certified))):
+        for pmf in pmfs:
+            assert operational_metrics(pmf(params), kind)
+    for traffic in ("PTS", "NPTS"):
+        pmf = pmf_degree_certified(traffic, V2VParams(200.0, params))
+        assert pmf.tail_mass < 1e-6
+
+
 def _unused_imports(source):
     """Names bound by an import and never read; `__all__` entries count
     as reads."""

@@ -341,6 +341,20 @@ class TestMain:
         assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 
+    def test_monte_carlo_window_past_the_cap_exits_3(self, tmp_path,
+                                                      capsys):
+        # at alpha = 1.01 the interference reach overflows a float
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alpha": 1.01}))
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "coverage", "--config", str(path), "--reps",
+                  "2", "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("platoonnet: error: a Monte Carlo window")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_figure_number(self):
         with pytest.raises(SystemExit):
             main(["figure", "12"])

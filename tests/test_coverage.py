@@ -665,20 +665,22 @@ class TestRate:
 
         monkeypatch.setattr(coverage, "coverage_prob", spy)
         rc = rate_coverage(9e6, traffic, PARAMS, self.RADIO4)
-        masses = coverage._tagged_pmf(traffic, PARAMS).masses
+        terms = list(coverage._rate_terms(9e6, traffic, PARAMS, self.RADIO4))
         p = active_prob(traffic, PARAMS)
-        assert 2 <= len(calls) <= masses.size
+        assert 2 <= len(calls) <= len(terms)
         total = 0.0
-        for k, (tau, args, kwargs, cp) in enumerate(calls):
-            assert tau == self.RADIO4.rate_threshold(9e6, k + 1)
+        for k, ((tau, args, kwargs, cp), (pk, thr, pt)) in enumerate(
+                zip(calls, terms)):
+            assert tau == thr == self.RADIO4.rate_threshold(9e6, k + 1)
             assert args == (traffic, PARAMS, self.RADIO4)
-            assert kwargs == {"p_active": p}
-            total += masses[k] * cp
+            assert kwargs == {"p_active": pt}
+            assert pt == p
+            total += pk * cp
         assert rc == total
         # the sum stops after the first term below 1e-9
         cps = [cp for *_, cp in calls]
         assert min(cps[:-1]) >= 1e-9
-        assert cps[-1] < 1e-9 or len(calls) == masses.size
+        assert cps[-1] < 1e-9 or len(calls) == len(terms)
 
     def test_md_rate_bounds(self):
         val = md_rate(9e6, 0.9, "NPTS", PARAMS, self.RADIO4)

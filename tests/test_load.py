@@ -8,8 +8,8 @@ from scipy import special
 
 from platoonnet.geometry import NetworkParams
 from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES, N_MAX,
-                             _kink_split, _mixture, _mixture_nodes,
-                             _pgf_given, _pts_masses, _tail_pgf,
+                             _kink_split, _mixture, _pgf_given,
+                             _pts_masses, _tail_pgf,
                              _vm_mixture, moments_tagged_npts,
                              moments_tagged_pts, moments_typical_npts,
                              moments_typical_pts, moments_vm,
@@ -47,7 +47,7 @@ def pmf_vm(K, t, params):
 def recurrence_pmf(K, params, tagged):
     """The PTS load PMF mixed node by node from the count recurrence
     pmf_S, convolved with the tagged-platoon PMF in the tagged cell."""
-    nodes, wts = _mixture_nodes(params, tagged)
+    _, nodes, wts = _mixture(params, tagged)
     masses = np.zeros(K + 1)
     for t, w in zip(nodes, wts):
         ps = pmf_S(K, t / 2.0, params).masses
@@ -59,7 +59,7 @@ def recurrence_pmf(K, params, tagged):
 
 def pgf_tagged_pts(s, params):
     """PGF of the tagged-RSU PTS load (typical VU not counted)."""
-    nodes, wts = _mixture_nodes(params, tagged=True)
+    _, nodes, wts = _mixture(params, tagged=True)
     vals = np.exp(g_of(s, nodes / 2.0, params)) * pgf_vm(s, nodes, params)
     return float(np.dot(wts, vals))
 
@@ -84,7 +84,7 @@ def log_form_masses(params, tagged, N):
     tagged PGF as a sum of logs, before the FFT stage multiplied the two
     PGFs."""
     kept, t1, T = kink_split(params, tagged)
-    nodes, wts = (x[:kept] for x in _mixture_nodes(params, tagged))
+    nodes, wts = (x[:kept] for x in _mixture(params, tagged)[1:])
     s = roots_of_unity(N)
     pgf = 0.0
     for i in range(0, nodes.size, 32):
@@ -101,7 +101,7 @@ def log_form_masses(params, tagged, N):
 def full_mixture_masses(params, tagged, N):
     """Masses on 0..N-1 from the per-node kernel summed over every block
     of the mixture nodes, the share past t1 too."""
-    nodes, wts = _mixture_nodes(params, tagged)
+    _, nodes, wts = _mixture(params, tagged)
     s = roots_of_unity(N)
     pgf = sum(wts[i:i + _BLOCK] @ _pgf_given(s, nodes[i:i + _BLOCK, None],
                                              params, tagged)
@@ -356,6 +356,20 @@ class TestTypicalNpts:
         assert mo.mean == pytest.approx(pmf.mean(), rel=1e-7)
         assert mo.variance == pytest.approx(pmf.variance(), rel=1e-6)
         assert mo.third_moment == pytest.approx(pmf.moment(3), rel=1e-5)
+
+
+@pytest.mark.parametrize("u", [5.0, 35.0])
+@pytest.mark.parametrize("law", [pmf_typical_npts, pmf_tagged_npts])
+def test_npts_tail_is_the_mass_past_K(law, u):
+    # the exact negative binomial tail, not 1 - sum: at u = 5 the mass
+    # past K = 120 (7.1e-30 typical, 2.0e-28 tagged) is below the
+    # roundoff of the sum
+    params = NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
+    deep = law(4 * K_DEEP, params)
+    assert deep.tail_mass < 1e-150
+    for K in (8, 40, 120):
+        assert law(K, params).tail_mass == pytest.approx(
+            deep.masses[K + 1:].sum(), rel=1e-12, abs=0)
 
 
 class TestTypicalPts:

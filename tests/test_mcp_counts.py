@@ -203,14 +203,24 @@ class TestPmfS:
 
 class TestTruncation:
     def test_grows_until_certified(self):
-        K, masses = choose_truncation(
-            lambda K: pmf_S(K, 250.0, PARAMS).masses)
-        assert masses.sum() >= 1.0 - 1e-6
-        assert K >= 8
+        built = {}
+
+        def pmf_at(K):
+            built[K] = pmf_S(K, 250.0, PARAMS)
+            return built[K]
+        K, pmf = choose_truncation(pmf_at)
+        # the PMF it certified is the one built at K, the first K whose
+        # masses reach 1 - TAIL_TOL
+        assert pmf is built[K]
+        assert list(built) == [8 * 2**i for i in range(len(built))]
+        assert pmf.masses.sum() >= 1.0 - 1e-6
+        assert all(built[k].masses.sum() < 1.0 - 1e-6 for k in built
+                   if k < K)
 
     def test_cap_raises(self):
         with pytest.raises(NumericsError):
-            choose_truncation(lambda K: np.zeros(K + 1))
+            choose_truncation(
+                lambda K: DiscretePMF(np.zeros(K + 1), tail_mass=1.0))
 
 
 class TestMixedMoments:

@@ -18,6 +18,7 @@ from platoonnet.montecarlo import (SimConfig, _coverage_profile,
                                    _rate_profile, _uniform, sim_connectivity,
                                    sim_coverage, sim_load, sim_md_coverage,
                                    sim_md_rate, sim_rate)
+from platoonnet.numerics import NumericsError
 
 import oracles
 
@@ -129,6 +130,28 @@ class TestLoadEstimates:
 ], ids=["load_typical", "load_tagged", "connectivity", "coverage"])
 def test_unknown_traffic(run):
     with pytest.raises(ValueError, match="unknown traffic"):
+        run(SimConfig(replications=2))
+
+
+def _no_stream(*args):
+    raise AssertionError("a replication stream was drawn")
+
+
+@pytest.mark.parametrize("run", [
+    *[lambda cfg, alpha=alpha: sim_coverage(
+        0.9, "PTS", PARAMS, RadioParams(1.0, 5e-5, alpha), cfg)
+      for alpha in (1.01, 1.5, 2.0)],
+    lambda cfg: sim_load("typical", "NPTS", NetworkParams.from_per_km(
+        1e-9, 1.0, 5.0, 100.0), cfg),
+    lambda cfg: sim_connectivity("PTS", V2VParams(1e9, PARAMS), cfg),
+], ids=["coverage_alpha_1.01", "coverage_alpha_1.5", "coverage_alpha_2",
+        "load_lambda_r_1e-9_per_km", "connectivity_r_b_1e9_m"])
+def test_window_past_the_cap_raises_before_any_draw(run, monkeypatch):
+    # the interference reach overflows a float at alpha = 1.01 and is
+    # 2.6e16 m and 8e7 m at 1.5 and 2; at 1e-9 RSUs per km the load
+    # window is 1e13 m wide
+    monkeypatch.setattr(montecarlo, "replication_rng", _no_stream)
+    with pytest.raises(NumericsError, match="Monte Carlo window"):
         run(SimConfig(replications=2))
 
 
