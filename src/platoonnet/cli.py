@@ -65,6 +65,10 @@ FIGURE_OVERRIDES = {
     9: {"a_m": 150.0, "alpha": 4.0, "x_reliability": 0.9},
 }
 
+# figures whose rows sweep u = m = lam / lambda_p, so that they set the
+# N-PTS density themselves and refuse a lam_per_km
+U_SWEEPS = (3, 4, 5, 6, 8, 9)
+
 
 def _finite_number(value):
     # a comparison, not math.isfinite, so that NaN and integers too large
@@ -100,8 +104,9 @@ def load_config(path=None, overrides=None, figure=None):
     unreadable file) unless each value has its type, each parameter set
     builds and the thresholds, x_reliability and k_max are in range.
     tau_rate_bps must also keep the one-user SINR threshold
-    2^(tau_rate_bps / B) - 1 a finite float: 2^x overflows from x = 1024
-    on."""
+    2^(tau_rate_bps / B) - 1 a positive, finite float: 2^x overflows from
+    x = 1024 on, and 2^x - 1 rounds to 0 below x = 1.6e-16.  A figure of
+    U_SWEEPS refuses a lam_per_km."""
     cfg = dict(DEFAULT_CONFIG, **FIGURE_OVERRIDES.get(figure, {}))
     if path:
         with open(path) as fh:
@@ -117,16 +122,22 @@ def load_config(path=None, overrides=None, figure=None):
         cfg.update(user)
     cfg.update((k, v) for k, v in (overrides or {}).items() if v is not None)
     _check_types(cfg)
+    if figure in U_SWEEPS and cfg["lam_per_km"] is not None:
+        raise ValueError(f"config key 'lam_per_km' must be null for figure "
+                         f"{figure}, whose rows set lam to u * "
+                         f"lambda_p_per_km, not {cfg['lam_per_km']!r}")
     build_sim(cfg)
-    build_radio(cfg)
+    radio = build_radio(cfg)
     V2VParams(cfg["r_b_m"], build_params(cfg))
     for u in cfg["u_values"]:
         build_params(cfg, u=u)
     for key, ok, want in (
             ("tau_sinr", cfg["tau_sinr"] > 0, "positive"),
-            ("tau_rate_bps", 0 < cfg["tau_rate_bps"] / cfg["bandwidth_hz"]
-             < sys.float_info.max_exp,
-             f"positive and below {sys.float_info.max_exp} * bandwidth_hz"),
+            ("tau_rate_bps", cfg["tau_rate_bps"] / cfg["bandwidth_hz"]
+             < sys.float_info.max_exp
+             and radio.rate_threshold(cfg["tau_rate_bps"], 1) > 0,
+             f"positive and below {sys.float_info.max_exp} * bandwidth_hz, "
+             f"with 2^(tau_rate_bps / bandwidth_hz) - 1 > 0"),
             ("x_reliability", 0 < cfg["x_reliability"] < 1, "in (0, 1)"),
             ("k_max", 0 <= cfg["k_max"] < load.N_MAX
              and cfg["k_max"] % 1 == 0,
@@ -139,10 +150,9 @@ def load_config(path=None, overrides=None, figure=None):
 
 def build_params(cfg, u=None):
     m = cfg["m"] if u is None else float(u)
-    lp = cfg["lambda_p_per_km"]
-    lam = cfg["lam_per_km"] if u is None else None
-    return NetworkParams.from_per_km(cfg["lambda_r_per_km"], lp, m,
-                                     cfg["a_m"], lam)
+    return NetworkParams.from_per_km(cfg["lambda_r_per_km"],
+                                     cfg["lambda_p_per_km"], m, cfg["a_m"],
+                                     cfg["lam_per_km"])
 
 
 def build_radio(cfg):
@@ -163,10 +173,8 @@ def write_csv(out, cfg, columns, rows, meta):
     lines.append(f"# {meta}")
     lines.append(",".join(columns))
     for row in rows:
-        # float() first: NumPy 2 reprs its scalars as np.float64(...)
-        lines.append(",".join(
-            repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-            for v in row))
+        # str, not repr: NumPy 2 reprs its scalars as np.float64(...)
+        lines.append(",".join(map(str, row)))
     text = "\n".join(lines) + "\n"
     if out in (None, "-"):
         sys.stdout.write(text)

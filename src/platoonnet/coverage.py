@@ -25,7 +25,7 @@ from .geometry import NetworkParams, platooned
 from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
 from .mcp_counts import g_of
 from .numerics import GP_ABS_TOL, NumericsError, gil_pelaez_invert, \
-    panels, quad
+    overflow_raises, panels, quad
 
 # fixed rule of CoverageMeta._inners
 _PERIODS = 4       # oscillation periods integrated on the real axis
@@ -105,6 +105,7 @@ class RadioParams:
         return 2.0 ** (tau_rate * users / self.bandwidth) - 1.0
 
 
+@overflow_raises
 def active_prob(traffic, params: NetworkParams):
     """Probability that an RSU serves at least one VU."""
     if not platooned(traffic):
@@ -119,6 +120,7 @@ def active_prob(traffic, params: NetworkParams):
     return 1.0 - quad(f, 0, np.inf)
 
 
+@overflow_raises
 def coverage_prob(tau, traffic, params: NetworkParams, radio: RadioParams,
                   p_active=None):
     """P[SINR > tau] at the typical VU; p_active, when given, is

@@ -87,13 +87,13 @@ def _hash_constants(init, mult):
 
 
 @functools.lru_cache(maxsize=1)
-def _block_words(seed, first, size):
+def _block_words(seed, first):
     """SeedSequence([seed, rep]).generate_state(4, np.uint64) of the reps
-    first, first + 1, ..., first + size - 1, one row each, for a seed and
+    first, first + 1, ..., first + _BLOCK - 1, one row each, for a seed and
     reps below 2**32 (one entropy word each).  The rounds run on uint32
     arrays with one element per rep, and numpy's uint32 arithmetic wraps
     modulo 2**32 as the C rounds do."""
-    reps = np.arange(first, first + size, dtype=np.uint32)
+    reps = np.arange(first, first + _BLOCK, dtype=np.uint32)
     rounds = _hash_constants(_INIT_A, _MULT_A)
 
     def hashmix(value):
@@ -153,7 +153,7 @@ def replication_rng(master_seed, rep):
     if not (0 <= master_seed < 2**32 and 0 <= rep < 2**32):
         return np.random.default_rng([master_seed, rep])
     first = rep - rep % _BLOCK
-    words = _block_words(master_seed, first, _BLOCK)[rep - first]
+    words = _block_words(master_seed, first)[rep - first]
     return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 

@@ -33,8 +33,8 @@ from scipy import special
 from .geometry import NetworkParams, cell_average, cell_product, \
     cell_quantile, cell_value, pdf_cell
 from .mcp_counts import DiscretePMF, TAIL_TOL, certified, g_of, g_rows, \
-    kappa, kappa_coefficients, I_moment
-from .numerics import NumericsError, panels
+    kappa_coefficients, I_moment
+from .numerics import NumericsError, overflow_raises, panels
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,7 @@ def pmf_typical_pts_certified(params) -> DiscretePMF:
     return _certified_pts(params, tagged=False)
 
 
+@overflow_raises
 def moments_typical_pts(params: NetworkParams) -> LoadMoments:
     """Mean, variance and third moment of the typical-RSU PTS load."""
     mean = params.m * params.lambda_p / params.lambda_r
@@ -225,6 +226,7 @@ def pmf_typical_npts_certified(params) -> DiscretePMF:
     return certified(lambda K: pmf_typical_npts(K, params))
 
 
+@overflow_raises
 def moments_typical_npts(params: NetworkParams) -> LoadMoments:
     g = params.lam / params.lambda_r
     return LoadMoments(g, g**2 / 2 + g, 3 * g**3 + 4.5 * g**2 + g)
@@ -295,14 +297,6 @@ def vm_coefficients(j, params: NetworkParams):
     return below, above
 
 
-def vm_factorial_moment(order, t, params: NetworkParams):
-    """order-th factorial moment of V_m(t/2) = E[M^order] of the mixture,
-    elementwise in t."""
-    if not np.asarray(t).min() > 0:  # a NaN fails too
-        raise ValueError("t must be positive")
-    return cell_value(t, *vm_coefficients(order, params), params.a)
-
-
 def moments_vm(params: NetworkParams):
     """(mean, mean conditional variance) of the tagged-platoon count,
     deconditioned over the tagged cell length: E[v1] and
@@ -327,6 +321,7 @@ def pmf_tagged_pts_certified(params) -> DiscretePMF:
     return _certified_pts(params, tagged=True)
 
 
+@overflow_raises
 def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
     """Mean, variance and third moment of the tagged-RSU PTS load."""
     mean_s = 1.5 * params.m * params.lambda_p / params.lambda_r
@@ -337,10 +332,12 @@ def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
            + I_moment(1, 2, params, tagged=True))
     # third factorial moment of the product PGF at s=1, deconditioned
     _, nodes, wts = _mixture(params, tagged=True)
-    k1, k2, k3 = (kappa(nodes / 2.0, k, params) for k in (1, 2, 3))
+    k1, k2, k3 = (cell_value(nodes, *kappa_coefficients(k, params), params.a)
+                  for k in (1, 2, 3))
     f2 = k1**2 + k2
     f3 = k1**3 + 3 * k2 * k1 + k3
-    v1, v2, v3 = (vm_factorial_moment(j, nodes, params) for j in (1, 2, 3))
+    v1, v2, v3 = (cell_value(nodes, *vm_coefficients(j, params), params.a)
+                  for j in (1, 2, 3))
     pgf3 = float(np.dot(wts, f3 + 3 * f2 * v1 + 3 * k1 * v2 + v3))
     third = pgf3 + 3 * (var + mean**2) - 2 * mean
     return LoadMoments(mean, var, third)
@@ -363,6 +360,7 @@ def pmf_tagged_npts_certified(params) -> DiscretePMF:
     return certified(lambda K: pmf_tagged_npts(K, params))
 
 
+@overflow_raises
 def moments_tagged_npts(params: NetworkParams) -> LoadMoments:
     g = params.lam / params.lambda_r
     return LoadMoments(1.5 * g, 3 * (g / 2) ** 2 + 1.5 * g,
@@ -389,14 +387,13 @@ def operational_metrics(pmf: DiscretePMF, kind: str) -> dict:
                                 "at 0): no mean active load")
         s_avg = pmf.mean() / (1 - p_off)
         k_avg = math.floor(s_avg)
-        p_b = float(pmf.masses[1: k_avg + 1].sum()) if k_avg >= 1 else 0.0
+        p_b = float(pmf.masses[1: k_avg + 1].sum())
         return {"p_off": p_off, "s_avg": s_avg, "k_avg": k_avg, "p_b": p_b}
     if kind == "tagged":
         m_avg = math.floor(pmf.mean())
-        P_b = float(pmf.masses[1: m_avg + 1].sum()) if m_avg >= 1 else 0.0
-        # a pmf with support {0} has no mass at 1
-        mass_at_one = float(pmf.masses[1]) if pmf.masses.size > 1 else 0.0
+        P_b = float(pmf.masses[1: m_avg + 1].sum())
         return {"P1_zero_extra_load": float(pmf.masses[0]),
-                "P1_mass_at_one": mass_at_one,
+                # empty for a pmf with support {0}: no mass at 1
+                "P1_mass_at_one": float(pmf.masses[1:2].sum()),
                 "m_avg": m_avg, "P_b": P_b}
     raise ValueError(f"unknown kind {kind!r}")

@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 from scipy import special
 
-from .geometry import NetworkParams, cell_average, cell_product, cell_value
+from .geometry import NetworkParams, cell_average, cell_product
 from .numerics import NumericsError, poisson_pmf
 
 TAIL_TOL = 1e-6
@@ -117,12 +117,6 @@ def kappa_coefficients(k, params: NetworkParams):
     below = np.append(np.zeros(k), [c * a, c * (0.5 - k / (k + 1))])
     above = 2 * lp * m**k * np.array([0.0, 0.0, a * (1 - k) / (1 + k), 0.5])
     return below, above
-
-
-def kappa(r, k, params: NetworkParams):
-    """Limit of the k-th derivative of g(s, r) as s -> 1, k >= 1."""
-    return cell_value(2 * np.asarray(r, dtype=float),
-                      *kappa_coefficients(k, params), params.a)
 
 
 def _pmf_from_log_derivs(c, p0, K):

@@ -1,13 +1,15 @@
 """Special functions and quadrature shared by the analytical modules.
 
-Everything here is pure and stateless: the Poisson mass, the one
-adaptive (QUADPACK) entry point, the composite Gauss-Legendre map and
-the Gil-Pelaez inversion used for meta distributions.
+Everything here is pure and stateless: the float-overflow guard of the
+ops, the Poisson mass, the one adaptive (QUADPACK) entry point, the
+composite Gauss-Legendre map and the Gil-Pelaez inversion used for meta
+distributions.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from typing import Callable, Sequence
@@ -18,6 +20,19 @@ from scipy import integrate, special
 
 class NumericsError(RuntimeError):
     """Raised when a numerical routine cannot reach its tolerance."""
+
+
+def overflow_raises(fn):
+    """fn, with the OverflowError that Python's float arithmetic raises
+    past the largest float raised as NumericsError instead."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError:
+            raise NumericsError(f"{fn.__name__}: a value overflows a "
+                                "float") from None
+    return checked
 
 
 def poisson_pmf(n, mu):

@@ -15,14 +15,16 @@ from platoonnet.cli import main, tv_distance
 from platoonnet.connectivity import V2VParams, pmf_degree_certified
 from platoonnet.coverage import (CoverageMeta, RadioParams, active_prob,
                                  coverage_prob, rate_coverage)
-from platoonnet.geometry import NetworkParams, cell_average, pdf_cell
+from platoonnet.geometry import NetworkParams, cell_average, cell_value, \
+    pdf_cell
 from platoonnet.load import (moments_tagged_npts, moments_typical_npts,
                              moments_typical_pts, pgf_vm,
                              pmf_tagged_npts_certified,
                              pmf_tagged_pts_certified, pmf_typical_npts,
                              pmf_typical_npts_certified,
                              pmf_typical_pts_certified)
-from platoonnet.mcp_counts import I_moment, beta_bar, g_of, kappa, pmf_S
+from platoonnet.mcp_counts import I_moment, beta_bar, g_of, \
+    kappa_coefficients, pmf_S
 from platoonnet.montecarlo import SimConfig, sim_coverage, sim_connectivity, \
     sim_load
 
@@ -94,7 +96,8 @@ def test_criterion_3_closed_forms_vs_quadrature(capsys):
             for k in (1, 2, 3):
                 for tagged in (False, True):
                     def f(r):
-                        return kappa(r / 2.0, k, p) ** n \
+                        return cell_value(r, *kappa_coefficients(k, p),
+                                          p.a) ** n \
                             * float(pdf_cell(r, p.lambda_r, tagged))
                     ref = sum(integrate.quad(f, lo, hi, epsabs=1e-13,
                                              epsrel=1e-11)[0]

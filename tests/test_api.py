@@ -107,21 +107,24 @@ def test_numerics_owns_every_quadrature():
 
 def _callers(source, callee):
     """Dotted names of the functions (with their classes) that call
-    `callee`, once per call."""
+    `callee`, once per call; a function that `callee` decorates calls it
+    once."""
     found = []
+
+    def named(f):
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
+                found.extend(".".join(scope + [child.name])
+                             for f in child.decorator_list
+                             if named(f) == callee)
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else \
-                    getattr(f, "attr", None)
-                if name == callee:
-                    found.append(".".join(scope) or "<module>")
+            if isinstance(child, ast.Call) and named(child.func) == callee:
+                found.append(".".join(scope) or "<module>")
             visit(child, scope)
     visit(ast.parse(source), [])
     return found
@@ -137,6 +140,7 @@ def test_one_replication_loop():
            "def b():\n    def draw():\n"
            "        return geometry.replication_rng(1, 2)\n")
     assert _callers(src, "replication_rng") == ["a", "b.draw"]
+    assert _callers("@guard\ndef f():\n    pass\n", "guard") == ["f"]
     assert _src_callers("replication_rng") == ["montecarlo._replicate"]
 
 

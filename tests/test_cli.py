@@ -83,6 +83,17 @@ class TestConfig:
         # k_max + 1 masses fit the PTS FFT cap exactly
         assert load_config(None, {"k_max": 2**15 - 1})["k_max"] == 2**15 - 1
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9])
+    def test_sweep_figures_refuse_lam_per_km(self, n):
+        # their rows set the N-PTS density to u * lambda_p themselves
+        with pytest.raises(ValueError, match="'lam_per_km' must be null"):
+            load_config(None, {"lam_per_km": 3.0}, figure=n)
+
+    @pytest.mark.parametrize("n", [None, 2, 7])
+    def test_lam_per_km_elsewhere_is_kept(self, n):
+        cfg = load_config(None, {"lam_per_km": 3.0}, figure=n)
+        assert build_params(cfg).lam == 0.003
+
     def test_tau_rate_up_to_a_finite_threshold(self):
         # 2^(tau_rate_bps / B) - 1 stays finite just below 1024 B
         tau = math.nextafter(1024 * 10e6, 0.0)
@@ -116,6 +127,12 @@ class TestOps:
         out = dict(cli._rows(cli._op("moments_typical_pts", load_config())()))
         assert out["mean"] == pytest.approx(2.5, rel=1e-9)
         assert set(out) == {"mean", "variance", "third_moment", "skewness"}
+
+    def test_npts_op_honours_lam_per_km(self):
+        # lam / lambda_r = 3 / 2 VUs per typical cell
+        cfg = load_config(None, {"lam_per_km": 3.0})
+        out = dict(cli._rows(cli._op("moments_typical_npts", cfg)()))
+        assert out["mean"] == 1.5
 
     def test_pmf_op_normalizes(self):
         out = cli._rows(cli._op("pmf_typical_npts", load_config())())
@@ -267,6 +284,10 @@ class TestMain:
         (["op", "rate_coverage_npts"], {"tau_rate_bps": 2e10}),
         (["op", "md_rate_pts"], {"tau_rate_bps": 2e10}),
         (["figure", "9"], {"tau_rate_bps": 2e10}),
+        # 2^(tau_rate_bps / B) - 1 rounds to 0 at B = 1e300
+        (["op", "rate_coverage_npts"], {"bandwidth_hz": 1e300}),
+        (["figure", "3"], {"lam_per_km": 3.0}),
+        (["figure", "9"], {"lam_per_km": 3.0}),
     ])
     def test_bad_simulation_settings_are_usage_errors(
             self, args, config, tmp_path, capsys, monkeypatch):
@@ -292,10 +313,10 @@ class TestMain:
     @pytest.mark.parametrize("text", [
         '{"m": 15.0,', "5", None, '{"u_values": 5}', '{"alpha": "x"}',
         '{"lambda_r_per_km": -1}', '{"alpha": 0.5}', '{"a_m": NaN}',
-        '{"scenario": 3}', '{"m": 1' + "0" * 400 + "}",
+        '{"scenario": 3}', '{"m": 1' + "0" * 400 + "}", '{"m": null}',
     ], ids=["malformed", "not_an_object", "missing", "u_values_number",
             "alpha_string", "negative_density", "alpha_below_one",
-            "a_m_nan", "scenario_number", "int_beyond_float"])
+            "a_m_nan", "scenario_number", "int_beyond_float", "m_null"])
     def test_bad_config_files_are_usage_errors(self, text, tmp_path,
                                                capsys):
         path = tmp_path / "cfg.json"
@@ -326,6 +347,34 @@ class TestMain:
         assert exc.value.code == 3
         assert capsys.readouterr().err == (
             "platoonnet: error: PMF tail not certified below K=512\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("args, config, name", [
+        (["op", "active_prob_pts"], {"lambda_r_per_km": 1e300},
+         "active_prob"),
+        (["figure", "4"], {"lambda_r_per_km": 1e300}, "moments_tagged_pts"),
+        (["op", "moments_tagged_pts"], {"lambda_r_per_km": 1e300},
+         "moments_tagged_pts"),
+        (["op", "moments_typical_pts"], {"lambda_p_per_km": 1e300},
+         "moments_typical_pts"),
+        (["op", "moments_typical_pts"], {"a_m": 1e-300},
+         "moments_typical_pts"),
+        (["op", "coverage_prob_pts"], {"alpha": 300}, "coverage_prob"),
+        (["op", "moments_typical_npts"], {"lam_per_km": 1e300},
+         "moments_typical_npts"),
+        (["op", "moments_tagged_npts"], {"lambda_r_per_km": 1e-300},
+         "moments_tagged_npts"),
+    ])
+    def test_float_overflow_exits_3(self, args, config, name, tmp_path,
+                                    capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--config", str(path),
+                         "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 3
+        assert capsys.readouterr().err == (
+            f"platoonnet: error: {name}: a value overflows a float\n")
         assert not (tmp_path / "out.csv").exists()
 
     def test_never_active_rsu_exits_3(self, tmp_path, capsys):

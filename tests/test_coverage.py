@@ -538,6 +538,11 @@ class TestMeta:
         val = md_coverage(0.9, 0.8, "PTS", PARAMS, RADIO)
         assert 0.0 <= val <= 1.0
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_threshold_validation(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            CoverageMeta(tau, "PTS", PARAMS, RADIO)
+
     def test_x_validation(self):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
         with pytest.raises(ValueError):
@@ -687,7 +692,9 @@ class TestRate:
         assert 0.0 <= val <= 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # checked before the first term, whose SINR threshold
+        # 2^(tau_rate/B) - 1 <= 0 coverage_prob would refuse too
+        with pytest.raises(ValueError, match="tau_rate must be positive"):
             rate_coverage(0.0, "PTS", PARAMS, self.RADIO4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau_rate must be positive"):
             md_rate(-1.0, 0.9, "PTS", PARAMS, self.RADIO4)

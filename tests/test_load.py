@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from platoonnet.geometry import NetworkParams
+from platoonnet.geometry import NetworkParams, cell_value
 from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES, N_MAX,
                              _kink_split, _mixture, _pgf_given,
                              _pts_masses, _tail_pgf,
@@ -18,7 +18,7 @@ from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES, N_MAX,
                              pmf_tagged_pts_certified,
                              pmf_typical_npts, pmf_typical_npts_certified,
                              pmf_typical_pts, pmf_typical_pts_certified,
-                             vm_factorial_moment)
+                             vm_coefficients)
 from platoonnet.mcp_counts import (_S1_EPS, TAIL_TOL, DiscretePMF,
                                    beta_bar, certified, g_of, pmf_S)
 from platoonnet.numerics import NumericsError, poisson_pmf
@@ -42,6 +42,11 @@ def pmf_vm(K, t, params):
     n = np.arange(K + 1)
     return DiscretePMF.of(w * poisson_pmf(n, mu0)
                           + c * (n + 1) * special.gammainc(n + 2, mu0))
+
+
+def vm_moment(order, t):
+    """order-th factorial moment of V_m(t/2), read off its table."""
+    return cell_value(t, *vm_coefficients(order, PARAMS), PARAMS.a)
 
 
 def recurrence_pmf(K, params, tagged):
@@ -446,12 +451,11 @@ class TestVm:
                 fall = fall * (k - i)
             got = float(np.dot(fall, pmf.masses))
             assert got == pytest.approx(
-                vm_factorial_moment(order, t, PARAMS), rel=1e-9)
+                vm_moment(order, t), rel=1e-9)
 
     @pytest.mark.parametrize("t", [0.0, np.float64(0.0), -5.0])
     def test_nonpositive_cell_length_rejected(self, t):
         for call in (lambda: pmf_vm(5, t, PARAMS),
-                     lambda: vm_factorial_moment(1, t, PARAMS),
                      lambda: pgf_vm(0.5, t, PARAMS),
                      lambda: pgf_vm(0.5, np.array([100.0, t]), PARAMS)):
             with pytest.raises(ValueError):
@@ -477,8 +481,8 @@ class TestVm:
             rtol=1e-15, atol=1e-15)
         for order in (1, 2, 3):
             np.testing.assert_allclose(
-                vm_factorial_moment(order, t, PARAMS),
-                [vm_factorial_moment(order, x, PARAMS) for x in t],
+                vm_moment(order, t),
+                [vm_moment(order, x) for x in t],
                 rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("u, t, z_max", [

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonnet.geometry import NetworkParams
+from platoonnet.geometry import NetworkParams, cell_value
 from platoonnet.mcp_counts import (DiscretePMF, I_moment, NumericsError,
-                                   beta_bar, choose_truncation, g_of, kappa,
-                                   pmf_S)
+                                   beta_bar, choose_truncation, g_of,
+                                   kappa_coefficients, pmf_S)
 
 from oracles import (MOMENT_BOX, cell_average_quad, g_deriv_at_zero,
                      kappa_direct, pgf_S)
 
 PARAMS = NetworkParams(0.002, 0.001, 5.0, 100.0)
+
+
+def kappa(r, k, params):
+    """kappa(r, k), read off its table in the cell length L = 2r."""
+    return cell_value(2 * np.asarray(r, dtype=float),
+                      *kappa_coefficients(k, params), params.a)
 
 
 def _partitions(k, max_part=None):
@@ -52,6 +58,12 @@ class TestDiscretePMF:
         assert pmf.mean() == pytest.approx(1.1)
         assert pmf.variance() == pytest.approx(0.49)
         assert pmf.ccdf(0) == pytest.approx(0.8)
+        assert pmf.ccdf(-1) == 1.0
+
+    def test_ccdf_below_the_support_is_one(self):
+        # whatever the masses and the tail add to
+        pmf = DiscretePMF(np.array([0.5, 0.25]), 0.2499999)
+        assert pmf.masses.sum() + pmf.tail_mass != 1.0
         assert pmf.ccdf(-1) == 1.0
 
     def test_ccdf_sums_the_tail(self):
@@ -153,7 +165,7 @@ class TestExponent:
                 kappa(r, k, p), [kappa_direct(x, k, p) for x in r],
                 rtol=1e-14, atol=0)
         with pytest.raises(ValueError):
-            kappa(r, 0, p)
+            kappa_coefficients(0, p)
 
     def test_beta_bar(self):
         assert beta_bar(50.0, 100.0) == 0.5
@@ -166,6 +178,10 @@ class TestPmfS:
         ref = pmf_by_partition_sum(8, r, PARAMS)
         got = pmf_S(8, r, PARAMS).masses
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-15)
+
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError, match="K must be >= 0"):
+            pmf_S(-1, 100.0, PARAMS)
 
     def test_pgf_normalizes(self):
         for r in (40.0, 250.0):

@@ -13,7 +13,8 @@ from platoonnet.coverage import RadioParams, coverage_prob
 from platoonnet.geometry import NetworkParams, replication_rng
 from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
-from platoonnet.montecarlo import (SimConfig, _coverage_profile,
+from platoonnet.montecarlo import (SimConfig, _check_window,
+                                   _coverage_profile, _draw_rsus,
                                    _half_width, _interference_reach,
                                    _rate_profile, _uniform, sim_connectivity,
                                    sim_coverage, sim_load, sim_md_coverage,
@@ -333,6 +334,52 @@ class TestAgainstPerReplicationOracle:
         self.check_profiles(0.9, 9e6, 0.8, traffic,
                             NetworkParams.from_per_km(2.0, 1.0, 5.0, a),
                             RadioParams(1.0, 5e-5, alpha))
+
+
+def test_std_error_is_the_sample_deviation_over_root_n():
+    cfg = SimConfig(50, 3)
+    x = _coverage_profile(lambda load: 0.9, "PTS", PARAMS, RADIO, cfg)
+    est = sim_coverage(0.9, "PTS", PARAMS, RADIO, cfg)
+    assert (est.value, est.std_error, est.n) == (
+        x.mean(), x.std(ddof=1) / math.sqrt(50), 50)
+
+
+@pytest.mark.parametrize("traffic, rsus, points", [
+    # lambda_p m (2 half + 2a) VUs for PTS, lam 2 half for N-PTS, and
+    # lambda_r 2 half RSUs: all exact in binary at these values
+    ("PTS", True, 0.5 * 4 * 2016 + 500), ("PTS", False, 0.5 * 4 * 2016),
+    ("NPTS", True, 3 * 2000 + 500), ("NPTS", False, 3 * 2000)])
+def test_window_cap_counts_the_expected_points(traffic, rsus, points,
+                                               monkeypatch):
+    params = NetworkParams(0.25, 0.5, 4.0, 8.0, lam=3.0)
+    monkeypatch.setattr(montecarlo, "MAX_WINDOW_POINTS", points)
+    _check_window(traffic, params, 1000.0, rsus=rsus)
+    monkeypatch.setattr(montecarlo, "MAX_WINDOW_POINTS",
+                        math.nextafter(points, 0.0))
+    with pytest.raises(NumericsError, match="expected RSUs and VUs"):
+        _check_window(traffic, params, 1000.0, rsus=rsus)
+
+
+class _EmptyFirst:
+    """A generator stub whose first Poisson draw is 0 and the next 3."""
+
+    def __init__(self):
+        self.counts = [0, 3]
+
+    def poisson(self, lam):
+        return self.counts.pop(0)
+
+    def random(self, n):
+        return np.linspace(0.9, 0.1, n)
+
+
+def test_rsus_redrawn_until_one_serves():
+    rng = _EmptyFirst()
+    u = _draw_rsus(PARAMS, 100.0, rng, at_least_one=True)
+    assert u.tolist() == [0.1, 0.5, 0.9] and rng.counts == []
+    rng = _EmptyFirst()
+    assert _draw_rsus(PARAMS, 100.0, rng, at_least_one=False).size == 0
+    assert rng.counts == [3]
 
 
 def test_stream_block_is_no_knob(monkeypatch):

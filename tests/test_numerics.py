@@ -7,7 +7,8 @@ from scipy.stats import poisson
 
 from platoonnet import numerics
 from platoonnet.geometry import cell_average, pdf_cell
-from platoonnet.numerics import gil_pelaez_invert, poisson_pmf
+from platoonnet.numerics import NumericsError, gil_pelaez_invert, \
+    poisson_pmf
 
 
 def _monomial(k, a, m, tagged, above):
@@ -116,3 +117,13 @@ class TestGilPelaez:
     def test_domain(self):
         with pytest.raises(ValueError):
             gil_pelaez_invert(lambda t: 1.0 / (1.0 + 1j * t), 1.5)
+
+    def test_panels_run_out(self, monkeypatch):
+        # one panel, [0, 1]: a loud one (P = 1, so the integrand is
+        # sin(-t ln x)/t) must raise, and a quiet one (P = x, whose
+        # integrand is 0) must return
+        monkeypatch.setattr(numerics, "GP_MAX_PANELS", 1)
+        with pytest.raises(NumericsError, match="failed to decay"):
+            gil_pelaez_invert(lambda t: np.ones(len(t), complex), 0.5)
+        assert gil_pelaez_invert(lambda t: 0.5 ** (1j * t), 0.5) == \
+            pytest.approx(0.5, abs=1e-12)
