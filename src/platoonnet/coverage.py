@@ -5,10 +5,11 @@ process (density p * lambda_r); the Monte Carlo engine implements the
 true dependent thinning so the size of that approximation is measurable.
 
 Every moment M_q of the conditional success probability, real q and
-q = it alike, is one fixed numpy rule (`CoverageMeta.moments`, over a
-batch of q): an inner integral in w = ln(1 + tau*y), free of branch cuts
-in (1 + tau*y)^(-q), and a serving-distance integral on a rotated path,
-with one composite Gauss-Legendre table on dyadic panels.
+q = it alike, is one fixed numpy rule (`CoverageMeta.moments`, one array
+pass over a batch of q): an inner integral in w = ln(1 + tau*y), free of
+branch cuts in (1 + tau*y)^(-q), and a serving-distance integral on a
+rotated path, with one composite Gauss-Legendre table on dyadic panels,
+whose exp runs only on the nodes where it does not underflow to 0.
 """
 
 from __future__ import annotations
@@ -63,9 +64,17 @@ def _serving_integrals(lins, noises, alpha):
 
     The path r = rot u, rot = e^(-i arg(noise)/alpha), turns the noise
     term into the real decay |noise| u^alpha, and u = u0 v scales the
-    decay length to O(1) before the fixed dyadic rule in v.  The
-    exponential runs on one (pair x node) array; each pair keeps its own
-    scalars and its own weighted sum.
+    decay length to O(1) before the fixed dyadic rule in v.
+
+    Each pair's scalars (rot, u0, the slope -lin rot and the final
+    product) are Python numbers: numpy's complex multiply loop fuses its
+    products, and its power and complex abs round differently.  The
+    exponent is one (pair x node) array, and exp skips the nodes where
+    its real part is -746 or below: there IEEE exp is exactly 0 (u^alpha = inf
+    past the largest float is the limit there), and the +0 written in
+    place of exp's signed zero leaves every weighted sum unchanged.  The
+    weighted sums are one stacked matmul over C-contiguous rows, each row
+    the dot product `_R_W @ row` of that pair alone.
     """
     rots = [cmath.exp(-1j * cmath.phase(noise) / alpha) for noise in noises]
     u0s = [1.0 / (abs(lin * rot) + abs(noise) ** (1.0 / alpha))
@@ -73,8 +82,13 @@ def _serving_integrals(lins, noises, alpha):
     slope = np.array([-lin * rot for lin, rot in zip(lins, rots)])
     decay = np.array([abs(noise) for noise in noises])
     u = np.array(u0s)[:, None] * _R_V
-    e = np.exp(slope[:, None] * u - decay[:, None] * u**alpha)
-    return [rot * u0 * (_R_W @ row) for rot, u0, row in zip(rots, u0s, e)]
+    with np.errstate(over="ignore"):
+        x = slope[:, None] * u - decay[:, None] * u**alpha
+    # not x.real > -746: a NaN exponent (0 * inf at a decay that
+    # underflowed to 0) keeps its NaN
+    e = np.exp(x, out=np.zeros_like(x), where=~(x.real <= -746.0))
+    dots = np.matmul(_R_W, e[:, :, None])[:, 0]
+    return [rot * u0 * dot for rot, u0, dot in zip(rots, u0s, dots)]
 
 
 @dataclass(frozen=True)
@@ -153,14 +167,14 @@ class CoverageMeta:
     distribution can be evaluated on a grid of reliability levels x
     without recomputing them.
 
-    One kernel, `moments(qs)`, computes every moment: the q of a batch
-    are grouped by the shape of the inner rule, each q's scalars (panel
-    edges, path rotation, scale) are computed on their own, the node
-    stages run on one (q x node) array per group, and each q's weighted
-    sums are their own dot products.  So a member of a batch has the
-    bits of its one-q call, `moment(q)`.  `md` hands the Gil-Pelaez
-    inversion `moments_it`, which computes a QUADPACK interval's 21 t in
-    one batch.
+    One kernel, `moments(qs)`, computes every moment in one array pass:
+    the panel edges are array expressions over the batch, the q are
+    grouped by the shape of the inner rule, the node stages run on one
+    (q x node) array per group, and each group's weighted sums are one
+    stacked matmul whose rows are each q's own dot product.  So a member
+    of a batch has the bits of its one-q call, `moment(q)`.  `md` hands
+    the Gil-Pelaez inversion `moments_it`, which computes a QUADPACK
+    interval's 21 t in one batch.
     """
 
     def __init__(self, tau, traffic, params: NetworkParams,
@@ -178,7 +192,8 @@ class CoverageMeta:
 
     def _inners(self, qs):
         """Inner integral of (1 - (1 + tau*y)^(-q)) y^(-eta) over [0, 1]
-        at each q of qs, complex with Re q >= 0 or real > 0.
+        at each q of qs, complex with Re q >= 0 or real > 0, as a complex
+        array.
 
         With w = ln(1 + tau*y) it is tau^(eta-1) times the integral of
         (1 - e^(-qw)) f(w), f(w) = e^w (e^w - 1)^(-eta), over [0, W],
@@ -190,11 +205,15 @@ class CoverageMeta:
         w = 2 pi i k) and e^(-qw) = e^(-qA) e^(-v) decays: Gauss-Laguerre
         in v.  The node count is bounded whatever q is.
 
-        The q are grouped by the shape of their rule: the Legendre panel
-        count, whether the Laguerre legs run, and real or complex q.
-        Each q's edges are its own floats, the nodes of a group are one
-        (q x node) array, and each q's sums are its own, so no value
-        depends on the other members of qs.
+        The panel edges are array expressions over qs.  The q are grouped
+        by the shape of their rule (the Legendre panel count, whether the
+        Laguerre legs run, real or complex q); a group's nodes are one
+        (q x node) array and its weighted sums one stacked matmul, each
+        row the dot product of that q alone, so no value depends on the
+        other members of qs.  The legs' closed form and sum stay Python
+        scalars per q: numpy's expm1, power and complex division round
+        differently, and the grouping of v + (c - L/q) is part of the
+        value.
         """
         tau, eta = self.tau, self.eta
         W = math.log1p(tau)
@@ -204,44 +223,50 @@ class CoverageMeta:
             # as w -> 0
             return np.exp((1 - eta) * w - eta * np.log(-np.expm1(-w)))
 
-        groups = {}
-        for at, q in enumerate(qs):
-            period = 2 * math.pi / abs(q)
-            A = min(W, _PERIODS * period)
-            B = min(A, period, _PANEL_MAX)
-            # half-width and midpoint of each panel, the Jacobi panel
-            # [0, B] first (its table nodes are on [0, 1]); the Legendre
-            # edges are np.linspace(B, A, n + 1), in the float arithmetic
-            # numpy uses
-            half, mid = [B], [0.0]
-            if A > B:
-                n = math.ceil((A - B) / min(period, _PANEL_MAX))
-                step = (A - B) / n
-                edges = [i * step + B for i in range(n)] + [A]
-                half += [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
-                mid += [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
-            key = (len(half) - 1, A < W, isinstance(q, complex))
-            groups.setdefault(key, []).append((at, q, A, half, mid))
-        vals = [None] * len(qs)
-        for (n, legs, cplx), group in groups.items():
-            at, q, A, half, mid = zip(*group)
-            qv = np.array(q, dtype=complex if cplx else float)[:, None]
+        qc = np.array(qs, dtype=complex)
+        period = 2 * math.pi / np.hypot(qc.real, qc.imag)
+        A = np.minimum(W, _PERIODS * period)
+        B = np.minimum(np.minimum(A, period), _PANEL_MAX)
+        # the Jacobi panel is [0, B], then n equal Legendre panels up to A
+        count = np.ceil((A - B) / np.minimum(period, _PANEL_MAX))
+        shape = 4 * count.astype(int) + 2 * (A < W) \
+            + np.array([isinstance(q, complex) for q in qs], dtype=int)
+        vals = np.empty(len(qs), dtype=complex)
+        for key in np.unique(shape).tolist():
+            at = np.flatnonzero(shape == key)
+            n, legs, cplx = key // 4, key & 2, key & 1
+            q = qc[at] if cplx else qc.real[at]
+            a, b = A[at], B[at]
+            # hm[0] and hm[1] hold each panel's half-width and midpoint:
+            # the Jacobi panel [0, B] (its table nodes are on [0, 1]),
+            # then the Legendre panels, whose edges are np.linspace(B, A,
+            # n + 1) in the float arithmetic numpy uses
+            edges = np.arange(n + 1) * ((a - b) / max(n, 1))[:, None] \
+                + b[:, None]
+            edges[:, n] = a
+            hm = np.zeros((2, at.size, n + 1))
+            hm[0, :, 0] = b
+            hm[0, :, 1:] = 0.5 * (edges[:, 1:] - edges[:, :-1])
+            hm[1, :, 1:] = 0.5 * (edges[:, :-1] + edges[:, 1:])
             x, wts, panel = _inner_table(eta, n)
-            h, o = np.array([half, mid]).take(panel, axis=2)
+            # take, not [:, panel]: the stacked dot products below keep
+            # one-q bits only on C-contiguous rows
+            h, o = hm.take(panel, axis=2)
             w = o + h * x
-            val = [-(a @ b) for a, b in zip(h * wts * f(w), np.expm1(-qv * w))]
+            val = -np.matmul((h * wts * f(w))[:, None],
+                             np.expm1(-q[:, None] * w)[:, :, None])[:, 0, 0]
             if legs:
-                fv = f(np.array([(a, W) for a in A])[:, :, None]
-                       + (_LAG_V / qv)[:, None])
-                e_a = np.array([cmath.exp(-p * a) for p, a in zip(q, A)])
-                e_w = np.array([cmath.exp(-p * W) for p in q])
-                lag = e_a[:, None] * fv[:, 0] - e_w[:, None] * fv[:, 1]
-                val = [v + ((math.expm1(a) ** (1 - eta) - tau ** (1 - eta))
-                            / (eta - 1) - _LAG_W @ row / p)
-                       for v, a, row, p in zip(val, A, lag, q)]
-            for i, v in zip(at, val):
-                vals[i] = v * tau ** (eta - 1)
-        return vals
+                ends = np.empty((at.size, 2))
+                ends[:, 0], ends[:, 1] = a, W
+                fv = f(ends[:, :, None] + (_LAG_V / q[:, None])[:, None])
+                e = np.exp((-q[:, None] * ends).astype(complex))
+                lag = e[:, :1] * fv[:, 0] - e[:, 1:] * fv[:, 1]
+                sums = np.matmul(_LAG_W, lag[:, :, None])[:, 0]
+                val = [v + ((math.expm1(ai) ** (1 - eta) - tau ** (1 - eta))
+                            / (eta - 1) - L / qs[i])
+                       for v, ai, L, i in zip(val, a.tolist(), sums, at)]
+            vals[at] = val
+        return vals * tau ** (eta - 1)
 
     def moments(self, qs):
         """q-th moment of the conditional coverage probability at each q
@@ -253,9 +278,9 @@ class CoverageMeta:
         value is the one moment(q) gives alone."""
         lr = self.params.lambda_r
         nonzero = [q for q in qs if q != 0]
-        lins = [self._coef * v + 2 * lr for v in self._inners(nonzero)]
         serving = iter(_serving_integrals(
-            lins, [q * self.tau / self.radio.snr for q in nonzero],
+            self._coef * self._inners(nonzero) + 2 * lr,
+            [q * self.tau / self.radio.snr for q in nonzero],
             self.radio.alpha))
         out = []
         for q in qs:

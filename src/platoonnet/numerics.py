@@ -3,7 +3,9 @@
 Everything here is pure and stateless: the float-overflow guard of the
 ops, the Poisson mass, the one adaptive (QUADPACK) entry point, the
 composite Gauss-Legendre map and the Gil-Pelaez inversion used for meta
-distributions.
+distributions.  `scipy.integrate` (which pulls in scipy.optimize,
+sparse, linalg and spatial) is imported by the two functions that use
+it, when they first run, so `import platoonnet` does not pay for it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import warnings
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 
 class NumericsError(RuntimeError):
@@ -46,6 +48,7 @@ def quad(f, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200):
     Every adaptive quadrature of the package runs through here.
     `integrate.quad` is looked up at call time, so a wrapper installed on
     that attribute (a profiler or tracer) sees every call."""
+    from scipy import integrate
     return integrate.quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel,
                           limit=limit)[0]
 
@@ -93,6 +96,7 @@ def gil_pelaez_invert(moment_fn: Callable[[np.ndarray], Sequence[complex]],
     values either way.  This node map retires with the QAGS loop (ROADMAP
     item 6, a fixed t-grid evaluated in one batch).
     """
+    from scipy import integrate
     if not 0.0 < x < 1.0:
         raise ValueError("gil_pelaez_invert requires x in (0, 1)")
     lnx = math.log(x)

@@ -2,6 +2,7 @@
 the package computes another way, so a test can hold the two side by
 side."""
 
+import cmath
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from scipy.integrate import IntegrationWarning
 
 from platoonnet import montecarlo
 from platoonnet.connectivity import V2VParams, _own_cluster_mixture
-from platoonnet.coverage import RadioParams
+from platoonnet.coverage import _R_V, _R_W, RadioParams
 from platoonnet.geometry import NetworkParams, pdf_cell, platooned, \
     replication_rng
 from platoonnet.load import _vm_mixture, pgf_vm
@@ -47,6 +48,28 @@ def laplace_interference_quad(s, r, p_active, lambda_r, radio: RadioParams):
         warnings.simplefilter("ignore", IntegrationWarning)
         val = quad(f, r, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
     return math.exp(-2 * p_active * lambda_r * val)
+
+
+def serving_exponents(lins, noises, alpha):
+    """(rots, u0s, exponents) of the serving-distance integrals of
+    `coverage._serving_integrals` as that function stood before it
+    skipped exp where the exponent underflows: each pair's path rotation
+    and scale, and the (pair x node) exponent array."""
+    rots = [cmath.exp(-1j * cmath.phase(noise) / alpha) for noise in noises]
+    u0s = [1.0 / (abs(lin * rot) + abs(noise) ** (1.0 / alpha))
+           for lin, noise, rot in zip(lins, noises, rots)]
+    slope = np.array([-lin * rot for lin, rot in zip(lins, rots)])
+    decay = np.array([abs(noise) for noise in noises])
+    u = np.array(u0s)[:, None] * _R_V
+    return rots, u0s, slope[:, None] * u - decay[:, None] * u**alpha
+
+
+def serving_integrals_unmasked(lins, noises, alpha):
+    """`coverage._serving_integrals` before the mask: exp at every node
+    and one dot product per pair."""
+    rots, u0s, exponents = serving_exponents(lins, noises, alpha)
+    return [rot * u0 * (_R_W @ row)
+            for rot, u0, row in zip(rots, u0s, np.exp(exponents))]
 
 
 def pgf_S(s, r, params: NetworkParams):

@@ -16,7 +16,17 @@ directory, runs every producer there in a subprocess and here (this
 checkout's src/) in-process, and prints one line per pin: unchanged;
 moved, with how many values moved and the largest absolute, relative
 and ulp change (a CSV compares its numeric cells); or missing at REV.
-It exits 1 if a pin moved or failed here.
+It exits 1 if a pin moved or failed here.  Its first line names numpy's
+version and the SIMD target its float64 exp, log, expm1 and log1p loops
+run on (`simd_path`): the digests recorded in PINS hold on one target
+only (ROADMAP item 14), while the report compares both revisions on the
+same one.  On an AVX-512 host,
+
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
+        python tests/pins.py REV
+
+compares them on the X86_V3 (AVX2) path, as an x86-64 host without
+AVX-512 runs them: the setting reaches the subprocess too.
 
 Producers import their platoonnet names inside their own bodies, so a
 name that a later revision renames fails only its own pin at an older
@@ -533,6 +543,21 @@ for command, digest in CSV_SHA256.items():
 
 # ----------------------------------------------------------------- diff
 
+def simd_path():
+    """numpy's version and the SIMD target of its float64 exp, log, expm1
+    and log1p loops in this process, as numpy.lib.introspect reports
+    them (numpy 2.0 on)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return f"numpy {np.__version__}, no numpy.lib.introspect"
+    info = opt_func_info(func_name="^(exp|log|expm1|log1p)$",
+                         signature="^float64")
+    return f"numpy {np.__version__}, float64 " + ", ".join(
+        f"{name} {target['current']}"
+        for name, sigs in info.items() for target in sigs.values())
+
+
 def produce(names):
     """Each named pin's value, or as a str the error that kept its
     producer from running."""
@@ -661,6 +686,7 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/pins.py REV")
     sys.path.insert(0, str(ROOT / "src"))
     sys.dont_write_bytecode = True
+    print(simd_path(), flush=True)
     try:
         report = diff(sys.argv[1])
     except subprocess.CalledProcessError as exc:

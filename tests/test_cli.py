@@ -17,6 +17,7 @@ from platoonnet.cli import (DEFAULT_CONFIG, FIGURE_OVERRIDES, build_params,
                             main, tv_distance, validate_checks)
 from platoonnet.connectivity import (V2VParams, pmf_degree_npts,
                                      pmf_degree_pts)
+from platoonnet.coverage import CoverageMeta
 from platoonnet.mcp_counts import DiscretePMF
 from platoonnet.montecarlo import SimEstimate
 from platoonnet.numerics import NumericsError
@@ -492,19 +493,39 @@ class TestMain:
         assert 0.01 < max(bounds) < 0.0176
 
 
-def test_module_entry_exit_status():
+def run_module(*args):
+    """`python -m platoonnet *args` in a fresh process that imports this
+    platoonnet; its CompletedProcess, with text stdout and stderr."""
     src = str(Path(platoonnet.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "platoonnet", *args],
+                          env=env, capture_output=True, text=True)
 
-    def run(*args):
-        return subprocess.run([sys.executable, "-m", "platoonnet", *args],
-                              env=env, capture_output=True, text=True)
 
-    ok = run("op", "active_prob_npts", "--out", "-")
+def test_module_entry_exit_status():
+    ok = run_module("op", "active_prob_npts", "--out", "-")
     assert ok.returncode == 0
     assert ok.stdout.startswith("# platoonnet data series\n")
-    bad = run("op", "nope")
+    bad = run_module("op", "nope")
     assert bad.returncode == 2 and bad.stdout == ""
     assert bad.stderr.startswith("platoonnet: error: unknown op 'nope'")
     assert bad.stderr.count("\n") == 1
+
+
+def test_md_coverage_at_alpha_300_is_quiet(tmp_path):
+    # u^alpha overflows a float at most serving-distance nodes; inf is the
+    # limit there and exp of the exponent is 0, so nothing is printed,
+    # and the value sits just below the noise-only bound
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha": 300}))
+    run = run_module("op", "md_coverage_pts", "--config", str(path),
+                     "--out", "-")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.splitlines()[-2:-1] == ["quantity,value"]
+    value = float(run.stdout.splitlines()[-1].split(",")[1])
+    cfg = load_config(path)
+    bound = CoverageMeta(cfg["tau_sinr"], "PTS", build_params(cfg),
+                         build_radio(cfg), p_active=1.0).md_noise_bound(
+                             cfg["x_reliability"])
+    assert 0.999 * bound <= value <= bound

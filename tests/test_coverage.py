@@ -18,7 +18,8 @@ from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
 from platoonnet.numerics import NumericsError, quad
 
-from oracles import laplace_interference, laplace_interference_quad
+from oracles import laplace_interference, laplace_interference_quad, \
+    serving_exponents, serving_integrals_unmasked
 from pins import META_OBJECTS, MOMENT_T, coverage_meta, record
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)
@@ -552,8 +553,9 @@ class TestMeta:
 class TestMomentBits:
     """The M_it bits of the meta_sweep objects are pins (tests/pins.py);
     their t-grid reaches every branch of the inner rule.  A batch keeps
-    the bits of one-q calls, and md computes each moment QAGS asks for
-    once, in whole Kronrod intervals."""
+    the bits of one-q calls, skipping exp where it underflows keeps the
+    bits of the serving integrals, and md computes each moment QAGS asks
+    for once, in whole Kronrod intervals."""
 
     def test_grid_covers_every_branch(self, monkeypatch):
         # 0 to 3 Legendre panels, and the Laguerre legs past 4 periods
@@ -576,15 +578,24 @@ class TestMomentBits:
 
     @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0])
     @pytest.mark.parametrize("name", META_OBJECTS)
-    def test_batch_keeps_one_q_bits(self, name, alpha):
-        # every member of a shuffled batch (0 to 3 Legendre panels, the
+    def test_batch_keeps_one_q_bits(self, name, alpha, monkeypatch):
+        # every member of a shuffled batch (0 to 4 Legendre panels, the
         # Laguerre legs, t = 0, negative t and real q) has the bits of
-        # its one-q call, so no value depends on its batch mates
+        # its one-q call, so no value depends on its batch mates; at t =
+        # 101 and 115 the 3 periods past the first round to 4 panels
+        panels = []
+        table = coverage._inner_table
+
+        def spy(eta, n):
+            panels.append(n)
+            return table(eta, n)
+
+        monkeypatch.setattr(coverage, "_inner_table", spy)
         base = coverage_meta(name)
         meta = CoverageMeta(base.tau, "PTS", P35,
                             RadioParams(1.0, 5e-5, alpha), p_active=base.p)
-        qs = [1j * t for t in [0.0, -1.5, -MOMENT_T[-1], *MOMENT_T]] \
-            + [0.5, 1, 2, 3]
+        qs = [1j * t for t in [0.0, -1.5, -MOMENT_T[-1], *MOMENT_T,
+                               101.0, -115.0]] + [0.5, 1, 2, 3]
         random.Random(name).shuffle(qs)
 
         def bits(m):
@@ -592,6 +603,48 @@ class TestMomentBits:
 
         assert [bits(m) for m in meta.moments(qs)] \
             == [bits(meta.moment(q)) for q in qs]
+        assert 4 in panels
+
+    def test_batch_of_zero_orders(self):
+        # no nonzero q: no rule runs, and each M_0 is 1.0
+        meta = coverage_meta("k=3")
+        assert meta.moments([]) == []
+        ms = meta.moments([0j, 0.0, 0, 1j * 0.0])
+        assert ms == [meta.moment(0j)] * 4 == [1.0] * 4
+        assert {type(m) for m in ms} == {float}
+
+    @pytest.mark.parametrize("alpha", [2.5, 4.0, 300.0])
+    @pytest.mark.parametrize("name", META_OBJECTS)
+    def test_skipped_exp_keeps_the_unmasked_bits(self, name, alpha):
+        # exp runs only where the exponent's real part is above -746; on
+        # the pairs with a skipped node every value keeps the bits of exp
+        # at every node (at alpha = 300, u^alpha overflows to inf)
+        base = coverage_meta(name)
+        meta = CoverageMeta(base.tau, "PTS", P35,
+                            RadioParams(1.0, 5e-5, alpha), p_active=base.p)
+        qs = [1j * t for t in [-1.5, *MOMENT_T]] + [0.5, 1, 2, 3]
+        lins = meta._coef * meta._inners(qs) + 2 * P35.lambda_r
+        noises = [q * meta.tau / meta.radio.snr for q in qs]
+        with np.errstate(over="ignore"):
+            _, _, exponents = serving_exponents(lins, noises, alpha)
+            old = serving_integrals_unmasked(lins, noises, alpha)
+        skipped = (exponents.real <= -746.0).any(axis=1)
+        assert skipped.sum() >= len(qs) // 4
+        new = coverage._serving_integrals(lins, noises, alpha)
+
+        def bits(v):
+            return record(v.real), record(v.imag)
+
+        assert [bits(v) for v, s in zip(new, skipped) if s] \
+            == [bits(v) for v, s in zip(old, skipped) if s]
+
+    def test_skipped_exp_keeps_a_nan(self):
+        # a decay that underflowed to 0 times u^alpha = inf is NaN, not an
+        # underflow: exp still runs there
+        lin = np.array([2 * P35.lambda_r + 0j])
+        with np.errstate(invalid="ignore"):
+            val, = coverage._serving_integrals(lin, [0.0], 300.0)
+        assert cmath.isnan(val)
 
     @pytest.mark.parametrize("name", META_OBJECTS)
     def test_md_asks_for_whole_kronrod_intervals(self, name, monkeypatch):

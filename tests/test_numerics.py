@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,3 +131,17 @@ class TestGilPelaez:
             gil_pelaez_invert(lambda t: np.ones(len(t), complex), 0.5)
         assert gil_pelaez_invert(lambda t: 0.5 ** (1j * t), 0.5) == \
             pytest.approx(0.5, abs=1e-12)
+
+
+def test_import_leaves_scipy_integrate_out():
+    # quad and gil_pelaez_invert import scipy.integrate when they run, so
+    # a process that imports platoonnet does not load it
+    src = str(Path(numerics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, platoonnet\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
