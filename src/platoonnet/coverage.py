@@ -26,7 +26,7 @@ from .geometry import NetworkParams, platooned
 from .load import pmf_tagged_npts_certified, pmf_tagged_pts_certified
 from .mcp_counts import g_of
 from .numerics import GP_ABS_TOL, NumericsError, gil_pelaez_invert, \
-    overflow_raises, panels, quad
+    kronrod_batches, overflow_raises, panels, quad
 
 # fixed rule of CoverageMeta._inners
 _PERIODS = 4       # oscillation periods integrated on the real axis
@@ -127,11 +127,12 @@ def active_prob(traffic, params: NetworkParams):
             / (params.lam + 2 * params.lambda_r) ** 2
     lr = params.lambda_r
 
-    def f(t):
-        return math.exp(g_of(0.0, t / 2.0, params)) \
-            * 4 * lr**2 * t * math.exp(-2 * lr * t)
+    def f(ts):  # exp(g) and the density per point, in math.exp
+        return [math.exp(g) * 4 * lr**2 * t * math.exp(-2 * lr * t)
+                for g, t in zip(g_of(0.0, ts / 2.0, params).tolist(),
+                                ts.tolist())]
 
-    return 1.0 - quad(f, 0, np.inf)
+    return 1.0 - quad(kronrod_batches(f, 0, np.inf), 0, np.inf)
 
 
 @overflow_raises
@@ -303,11 +304,14 @@ class CoverageMeta:
 
     def moments_it(self, ts):
         """M_it at each t of ts: the t not cached yet in one batch of
-        `moments`, then every value read through `moment_it`, so the cache
-        and its calls are those of one t at a time."""
+        `moments` (none when every t is cached), then every value read
+        through `moment_it`, so the cache and its calls are those of one t
+        at a time."""
         new = [t for t in dict.fromkeys(map(float, ts))
                if t not in self._moments_it]
-        self._moments_it.update(zip(new, self.moments([1j * t for t in new])))
+        if new:
+            self._moments_it.update(
+                zip(new, self.moments([1j * t for t in new])))
         return [self.moment_it(t) for t in ts]
 
     def md_noise_bound(self, x):

@@ -8,10 +8,12 @@ unity, where the tagged cell multiplies the count PGF by the platoon
 PGF, with the aliased mass bounded by a Chernoff tail bound (summed in
 log form at real radii); the certified forms pass those masses through
 `mcp_counts.certified`.  Cell lengths past the kink t = 2a hold every
-platoon ball whole, and their share of the mixture PGF is a closed form
-(`_tail_pgf`): only the mixture nodes below the first panel edge at or
-past 2a take the per-node kernel.  The PTS moments come from
-`geometry.cell_average`.
+platoon ball whole, so there the log of the conditional PGF is linear in
+t, plus log(E + D/t) in the tagged cell (`_past_kink`): at the roots of
+unity their share of the mixture PGF is a closed form (`_tail_pgf`), and
+at the Chernoff radii each node past the kink takes that linear form, so
+only the mixture nodes below the first panel edge at or past 2a take the
+per-node kernel.  The PTS moments come from `geometry.cell_average`.
 N-PTS results are elementary closed forms.
 
 The tagged-platoon count V_m(t/2) admits a clean mixture representation:
@@ -98,31 +100,33 @@ def _pts_masses(params, tagged, n_min=0):
     comes out as sum_j p_{k+jN}: each mass is off by at most P[X >= N].
     N is the smallest power of two >= max(64, n_min) whose Chernoff bound
     min_rho G(rho) / rho^N on that tail is below _ALIAS_TOL; an n_min or
-    a tail that needs N past N_MAX raises.  The bound sums the conditional
-    PGFs at the real radii over every mixture node in log form, one
-    max-shifted log-sum-exp per block of nodes.  At the roots of unity
-    the nodes below t1, the first panel edge at or past t = 2a, take the
-    per-node kernel, where the tagged cell multiplies the two PGFs, and
-    the panels from t1 to T are integrated exactly (`_tail_pgf`).  The
-    mixture sums run over blocks of nodes to bound the working set.
+    a tail that needs N past N_MAX raises, and so does a bound that
+    overflows a float.  In both stages the nodes below t1, the first
+    panel edge at or past t = 2a, take the per-node kernel, and the
+    cells from t1 to T take the linear form that holds past 2a: at the
+    real radii node by node (`_chernoff_log_g`), at the roots of unity
+    integrated exactly (`_tail_pgf`).  At the roots of unity the tagged
+    cell multiplies the two PGFs, and the node sums run over blocks of
+    nodes to bound the working set.
     """
     edges, nodes, wts = _mixture(params, tagged)
-    parts = []  # log of each block's share of G at the radii
-    for t, w in _blocks(nodes, wts):
-        log_pgf = _log_pgf_given(_RHO, t, params, tagged)
-        top = log_pgf.max(axis=0)
-        parts.append(top + np.log(w @ np.exp(log_pgf - top)))
-    log_g = np.logaddexp.reduce(parts)
-    # G(rho) / rho^N < tol for N > need at the best rho
-    need = np.min((log_g - math.log(_ALIAS_TOL)) / np.log(_RHO))
-    size = max(need, n_min)  # need first, so a NaN need stays NaN
-    if not size <= N_MAX:  # a NaN fails too
+    below = _kink_split(edges, params)
+    kept = below * _MIX_X.size
+    # an overflow ends in a NaN need, which raises
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_g = _chernoff_log_g(nodes, wts, kept, edges[below], params,
+                                tagged)
+        # G(rho) / rho^N < tol for N > need at the best rho
+        need = np.min((log_g - math.log(_ALIAS_TOL)) / np.log(_RHO))
+    if math.isnan(need):
+        raise NumericsError("load PMF: its Chernoff tail bound overflows "
+                            "a float")
+    size = max(need, n_min)
+    if not size <= N_MAX:
         raise NumericsError(f"load PMF needs an FFT of {size:.3g} points, "
                             f"past {N_MAX}")
     N = 2 ** math.ceil(math.log2(max(64, size)))
     s = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
-    below = _kink_split(edges, params)
-    kept = below * _MIX_X.size
     pgf = sum(w @ _pgf_given(s, t, params, tagged)
               for t, w in _blocks(nodes[:kept], wts[:kept]))
     if below < _MIX_PANELS:
@@ -136,25 +140,75 @@ def _blocks(nodes, wts):
             for i in range(0, nodes.size, _BLOCK)]
 
 
+def _chernoff_log_g(nodes, wts, kept, t1, params, tagged):
+    """log G(rho) at the Chernoff radii _RHO, G the mixture PGF over
+    every node: the per-node kernel on the first `kept` nodes (those below
+    t1 >= 2a) and `_log_pgf_past_kink` on the rest, summed in log form,
+    one max-shifted log-sum-exp per _BLOCK of nodes (the 600 nodes make
+    18 full blocks and one of 24), the blocks in one array pass."""
+    log_pgf = _log_pgf_given(_RHO, nodes[:kept, None], params, tagged)
+    if kept < nodes.size:
+        log_pgf = np.concatenate([log_pgf, _log_pgf_past_kink(
+            _RHO, nodes[kept:, None], t1, params, tagged)])
+    full = nodes.size // _BLOCK * _BLOCK
+    parts = [_log_sums(log_pgf[:full].reshape(-1, _BLOCK, _RHO.size),
+                       wts[:full].reshape(-1, _BLOCK)),
+             _log_sums(log_pgf[None, full:], wts[None, full:])]
+    return np.logaddexp.reduce(np.concatenate(parts))
+
+
+def _log_sums(log_pgf, w):
+    """log of w @ exp(log_pgf) block by block, shifted by each block's
+    max: log_pgf is (block x node x radius), w (block x node)."""
+    top = log_pgf.max(axis=1, keepdims=True)
+    return (top + np.log(w[:, None, :] @ np.exp(log_pgf - top)))[:, 0]
+
+
+def _past_kink(s, t1, params, tagged):
+    """(c0, c1, E, D) of the conditional PGF at s for cell lengths t >=
+    t1 >= 2a, where every platoon ball lies inside the cell.
+
+    g(s, t/2) = c0 + c1 t, with (E, F) the `g_rows` at z = m, c1 = lp
+    (E - 1) and c0 = 2 lp (F - a (E + 1)).  The tagged platoon's PGF is
+    E + D/t, with E = e^{mu0 (s - 1)} and B/z^2 from the `_vm_rows` at
+    mu0 = lam_d 2a, and D = (B/z^2) / (a lam_d^2) - 2a E.  The typical
+    cell has no platoon term: E is that of `g_rows` and D is None."""
+    lp, a = params.lambda_p, params.a
+    E, F = g_rows(s, params.m, params)  # z = m past r = a
+    c1 = lp * (E - 1.0)
+    c0 = 2 * lp * (F - a * (E + 1.0))
+    if not tagged:
+        return c0, c1, E, None
+    _, mu0, c = _vm_mixture(t1, params)  # past 2a c t = 1/(a lam_d^2)
+    near, e, bracket, far, series = _vm_rows(s, mu0)
+    bz2 = bracket / far**2
+    bz2[near] = series
+    return c0, c1, e, c * t1 * bz2 - 2 * a * e
+
+
+def _log_pgf_past_kink(s, t, t1, params, tagged):
+    """`_log_pgf_given` in the linear form of `_past_kink`, for cell
+    lengths t >= t1 >= 2a: c0 + c1 t, plus log(E + D/t) in the tagged
+    cell."""
+    c0, c1, e, D = _past_kink(s, t1, params, tagged)
+    log_pgf = c0 + c1 * t
+    return log_pgf + np.log(e + D / t) if tagged else log_pgf
+
+
 def _tail_pgf(s, t1, T, params, tagged):
     """The share of the cell lengths in [t1, T], t1 >= 2a, of the mixture
     PGF at s, |s| <= 1, in closed form.
 
-    Past t = 2a every platoon ball lies inside the cell: g(s, t/2) = c0 +
-    c1 t with c1 = lp (E - 1), c0 = 2 lp (F - a (E + 1)) and (E, F) the
-    `g_rows` at z = m, and the tagged platoon's PGF is E + D/t with D =
-    (B/z^2) / (a lam_d^2) - 2a E, B/z^2 from the `_vm_rows` at mu0 = m.
-    Against the density 4 lr^(d+1) t^d e^{-2 lr t} the share is then
-    4 lr^2 e^{c0} J_1 (typical) or 4 lr^3 e^{c0} (E J_2 + D J_1)
-    (tagged), with J_j the integral of t^j e^{-beta t} over [t1, T],
-    beta = 2 lr - c1 (Re beta >= 2 lr), that is j!/beta^(j+1) times
-    [Q_j(beta t) e^{-beta t}] from T to t1, Q_j the exponential series
-    cut after x^j/j!.
+    Past t1 the count PGF is e^{c0 + c1 t} and the tagged platoon's PGF
+    E + D/t (`_past_kink`).  Against the density 4 lr^(d+1) t^d
+    e^{-2 lr t} the share is then 4 lr^2 e^{c0} J_1 (typical) or 4 lr^3
+    e^{c0} (E J_2 + D J_1) (tagged), with J_j the integral of t^j
+    e^{-beta t} over [t1, T], beta = 2 lr - c1 (Re beta >= 2 lr), that
+    is j!/beta^(j+1) times [Q_j(beta t) e^{-beta t}] from T to t1, Q_j
+    the exponential series cut after x^j/j!.
     """
-    lr, lp, a = params.lambda_r, params.lambda_p, params.a
-    E, F = g_rows(s, params.m, params)  # z = m past r = a
-    c1 = lp * (E - 1.0)
-    c0 = 2 * lp * (F - a * (E + 1.0))
+    lr = params.lambda_r
+    c0, c1, e, D = _past_kink(s, t1, params, tagged)
     beta = 2 * lr - c1
     x1, xT = beta * t1, beta * T
     e1, eT = np.exp(c0 - x1), np.exp(c0 - xT)
@@ -166,11 +220,6 @@ def _tail_pgf(s, t1, T, params, tagged):
 
     if not tagged:
         return 4 * lr**2 * j_integral(1)
-    _, mu0, c = _vm_mixture(t1, params)  # past 2a c t = 1/(a lam_d^2)
-    near, e, bracket, far, series = _vm_rows(s, mu0)
-    bz2 = bracket / far**2
-    bz2[near] = series
-    D = c * t1 * bz2 - 2 * a * e
     return 4 * lr**3 * (e * j_integral(2) + D * j_integral(1))
 
 

@@ -15,7 +15,8 @@ from platoonnet.connectivity import V2VParams, _own_cluster_mixture
 from platoonnet.coverage import _R_V, _R_W, RadioParams
 from platoonnet.geometry import NetworkParams, pdf_cell, platooned, \
     replication_rng
-from platoonnet.load import _vm_mixture, pgf_vm
+from platoonnet.load import _RHO, _log_pgf_given, _mixture, \
+    _vm_mixture, pgf_vm
 from platoonnet.mcp_counts import beta_bar, g_of
 from platoonnet.numerics import quad
 
@@ -132,6 +133,32 @@ def tail_pgf_quad(s, t1, T, params: NetworkParams, tagged):
     return complex(*(quad(lambda t: part(pgf(t)), t1, T, epsabs=0.0,
                           epsrel=1e-13, limit=400)
                      for part in (np.real, np.imag)))
+
+
+def chernoff_log_g_all_nodes(params: NetworkParams, tagged):
+    """log G(rho) at the Chernoff radii as `load._pts_masses` summed it
+    before its stage took the linear form past the kink: the per-node
+    kernel on every mixture node, one block of 32 nodes at a time, each
+    block a max-shifted log-sum-exp."""
+    _, nodes, wts = _mixture(params, tagged)
+    parts = []
+    for i in range(0, nodes.size, 32):
+        log_pgf = _log_pgf_given(_RHO, nodes[i:i + 32, None], params, tagged)
+        top = log_pgf.max(axis=0)
+        parts.append(top + np.log(wts[i:i + 32] @ np.exp(log_pgf - top)))
+    return np.logaddexp.reduce(parts)
+
+
+def active_prob_per_point(params: NetworkParams):
+    """active_prob("PTS"): 1 minus the mixture of exp(g(0, t/2)) over
+    the typical cell length, one scalar integrand call per point."""
+    lr = params.lambda_r
+
+    def f(t):
+        return math.exp(g_of(0.0, t / 2.0, params)) \
+            * 4 * lr**2 * t * math.exp(-2 * lr * t)
+
+    return 1.0 - quad(f, 0, np.inf)
 
 
 # Points spanning the supported box u in [1, 100], a in [50, 300] m and

@@ -80,14 +80,27 @@ def fft_masses(u, a, tagged):
 
 
 def chernoff_log_pgfs(u, a, tagged):
-    """The Chernoff stage's conditional log-PGFs at the real radii, over
-    every block of the mixture nodes in order."""
+    """The per-node kernel's conditional log-PGFs at the Chernoff radii,
+    over every block of the mixture nodes in order; the Chernoff stage
+    reads them on the nodes below t1 only."""
     from platoonnet.load import _BLOCK, _RHO, _log_pgf_given, _mixture
     params = _params(u, a)
     _, nodes, _ = _mixture(params, tagged)
     return np.concatenate([
         _log_pgf_given(_RHO, nodes[i:i + _BLOCK, None], params, tagged)
         for i in range(0, nodes.size, _BLOCK)])
+
+
+def chernoff_log_g(u, a, tagged):
+    """log G(rho) at the Chernoff radii, as the Chernoff stage of
+    `_pts_masses` sums it."""
+    from platoonnet.load import _MIX_X, _chernoff_log_g, _kink_split, \
+        _mixture
+    params = _params(u, a)
+    edges, nodes, wts = _mixture(params, tagged)
+    below = _kink_split(edges, params)
+    return _chernoff_log_g(nodes, wts, below * _MIX_X.size, edges[below],
+                           params, tagged)
 
 
 def fft_size(u, a, tagged):
@@ -214,15 +227,20 @@ def csv(*argv):
 
 PINS = {}
 
-# The FFT load masses, the Chernoff log-PGFs that set their size, and
-# that size, at every PTS point of the load_sweep benchmark (2 RSUs and 1
-# platoon per km); the size at u also at a = 50, 100, 150 and 300 m.
-# The log-PGFs and sizes are the per-node kernel's over every mixture
-# node.  The masses moved at roundoff (by at most 2.2e-16 per mass) when
-# the share of the cell lengths past the kink panel became a closed form,
-# and were recorded again; the nodes below the kink take the per-node
-# kernel, whose bits the kernel pins below hold.  Retired by ROADMAP
-# item 3, whose graded rule on [0, 2a] moves the masses by up to 1.9e-8.
+# The FFT load masses, the mixture log-PGF log G at the Chernoff radii
+# that sets their size, and that size, at every PTS point of the
+# load_sweep benchmark (2 RSUs and 1 platoon per km); the size at u also
+# at a = 50, 100, 150 and 300 m.  The masses moved at roundoff (by at
+# most 2.2e-16 per mass) when the share of the cell lengths past the kink
+# panel became a closed form, and were recorded again; the nodes below
+# the kink take the per-node kernel, whose bits the kernel pins below
+# hold.  log G moved at roundoff (by at most 9.3e-16 relative, 8 ulp)
+# when the Chernoff stage took the linear form past the kink too, and was
+# recorded again; N did not move.
+# The conditional log-PGFs of LOG_PGF_SHA256 are the per-node kernel's
+# over every mixture node, in blocks of 32 nodes: the Chernoff stage
+# reads that kernel on the nodes below t1 only.  Retired by ROADMAP item
+# 3, whose graded rule on [0, 2a] moves the masses by up to 1.9e-8.
 FFT_MASS_SHA256 = {
     (5.0, 100.0, False):
         "7871d68219c350c8121dfeafa4aef2be2d5e379b2f53e67dbc36eac4b51b1f78",
@@ -271,6 +289,30 @@ LOG_PGF_SHA256 = {
     (50.0, 150.0, True):
         "7c4af969c90701133bd914a17c3acdf0868ec739ccc37ef55863c05bd8d18c40",
 }
+CHERNOFF_LOG_G_SHA256 = {
+    (5.0, 100.0, False):
+        "ef7cc28bdf862293e5454c06adad42c7ccdb512b485b681e210fe440eef21330",
+    (5.0, 100.0, True):
+        "f155b566b5ea5a62630b91664ea2ea35012d95b2fc59b9a5765a80e0b118bd06",
+    (15.0, 100.0, False):
+        "d9270da5f49bb309ab4ade1ecbebfcb7cbe0985ff89371d6920ab34a9677c863",
+    (15.0, 100.0, True):
+        "ece0343168f5e85ae00ddaffbf30f716809dbef9a06e3dc2c57a71fc9804a438",
+    (25.0, 100.0, False):
+        "67652b6221f572ffbbd8974a66fa52472b6879ce461e4bc6e6c8f9d63e01af77",
+    (25.0, 100.0, True):
+        "d837359c80a7bdd9c7bbc4ccd7555b765b1ebf37eb30b0b30b2a86b2353cc1c3",
+    (35.0, 100.0, False):
+        "0d6451e6f855bf8e0143fb6b0f0374310e232b53c005cac146b83ce5d025e650",
+    (35.0, 100.0, True):
+        "dc8c122ac30eb8007e4dcd0d56faa7044309e24470d4b0e9b36258c3023f17b7",
+    (5.0, 150.0, True):
+        "6bbb7c514be133e8691823a6afb82c2927109bb5d2fb3a489fcbda1b82ccc529",
+    (35.0, 150.0, True):
+        "6be90694a8dcf6ec22a808c007bf67144e1a12cd59df7455f3feebde4fb4bb10",
+    (50.0, 150.0, True):
+        "731c3b94d46a2d25cb1c56c6faa851a73457b2e20cc49b85d008dc943fa95079",
+}
 # by u: (typical, tagged)
 FFT_SIZE = {1.2: (64, 64), 2.0: (64, 128), 5.0: (128, 256),
             10.0: (256, 512), 15.0: (512, 512), 20.0: (512, 512),
@@ -282,6 +324,9 @@ for (u, a, tagged), digest in FFT_MASS_SHA256.items():
 for (u, a, tagged), digest in LOG_PGF_SHA256.items():
     PINS[f"chernoff log-pgfs u={u:g} a={a:g} {_LAW[tagged]}"] = (
         partial(chernoff_log_pgfs, u, a, tagged), digest)
+for (u, a, tagged), digest in CHERNOFF_LOG_G_SHA256.items():
+    PINS[f"chernoff log-g u={u:g} a={a:g} {_LAW[tagged]}"] = (
+        partial(chernoff_log_g, u, a, tagged), digest)
 for u, sizes in FFT_SIZE.items():
     for tagged in (False, True):
         for a in (50.0, 100.0, 150.0, 300.0):

@@ -1,9 +1,11 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import platoonnet
+from platoonnet import numerics
 
 SRC = Path(platoonnet.__file__).parent
 
@@ -225,6 +227,27 @@ def test_adaptive_quadrature_call_sites():
     assert _src_callers("quad") == [
         "coverage.active_prob", "coverage.coverage_prob", "numerics.quad",
         "numerics.gil_pelaez_invert"]
+
+
+def _kronrod_literals(source):
+    """Lines of the float literals that equal one of QUADPACK's Kronrod
+    abscissae (the QK21 and QK15 ones in numerics) to 12 digits."""
+    abscissae = np.concatenate([numerics._XGK, numerics._XGK15])
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float)
+            and np.any(np.abs(abscissae - node.value) <= 1e-12)]
+
+
+def test_numerics_holds_the_kronrod_abscissae():
+    # the point predictor is the one place that knows QUADPACK's nodes
+    assert _kronrod_literals("xgk = [0.5, 0.991455371120813]\n") == [1]
+    found = {path.stem: _kronrod_literals(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert len(found.pop("numerics")) == 17
+    assert not {name: hits for name, hits in found.items() if hits}
+    assert _src_callers("kronrod_batches") == [
+        "coverage.active_prob", "numerics.gil_pelaez_invert"]
 
 
 def test_load_pmfs_skip_the_count_recurrence():

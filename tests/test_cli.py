@@ -513,6 +513,22 @@ def test_module_entry_exit_status():
     assert bad.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("m", [1000, 1e5])
+@pytest.mark.parametrize("args", [["op", "pmf_tagged_pts"], ["figure", "2"],
+                                  ["op", "md_rate_pts"]])
+def test_overflowed_load_bound_is_one_line(m, args, tmp_path):
+    # e^{m (rho - 1)} overflows at the Chernoff radii: no numpy warning
+    # reaches stderr, only the error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m": m}))
+    run = run_module(*args, "--config", str(path),
+                     "--out", str(tmp_path / "out.csv"))
+    assert run.returncode == 3
+    assert run.stderr == ("platoonnet: error: load PMF: its Chernoff tail "
+                          "bound overflows a float\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_md_coverage_at_alpha_300_is_quiet(tmp_path):
     # u^alpha overflows a float at most serving-distance nodes; inf is the
     # limit there and exp of the exponent is 0, so nothing is printed,

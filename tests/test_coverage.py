@@ -18,8 +18,8 @@ from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
 from platoonnet.numerics import NumericsError, quad
 
-from oracles import laplace_interference, laplace_interference_quad, \
-    serving_exponents, serving_integrals_unmasked
+from oracles import active_prob_per_point, laplace_interference, \
+    laplace_interference_quad, serving_exponents, serving_integrals_unmasked
 from pins import META_OBJECTS, MOMENT_T, coverage_meta, record
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 150.0)
@@ -300,6 +300,59 @@ class TestActiveProb:
     def test_unknown_traffic(self):
         with pytest.raises(ValueError):
             active_prob("bogus", PARAMS)
+
+    # RSU density, density ratio u and half-width a over the supported box
+    GRID = [NetworkParams.from_per_km(lr, 1.0, u, a)
+            for lr in (0.5, 2.0, 10.0)
+            for u in (1.2, 5.0, 15.0, 35.0, 60.0, 100.0)
+            for a in (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)]
+
+    def test_pts_keeps_the_per_point_bits(self):
+        assert [active_prob("PTS", p) for p in self.GRID] \
+            == [active_prob_per_point(p) for p in self.GRID]
+
+    @staticmethod
+    def batch_sizes(monkeypatch):
+        # the size of each values(ts) call of active_prob's integrands
+        sizes, batches = [], numerics.kronrod_batches
+
+        def spy(values, lo, hi):
+            def counted(ts):
+                sizes.append(len(ts))
+                return values(ts)
+            return batches(counted, lo, hi)
+
+        monkeypatch.setattr(coverage, "kronrod_batches", spy)
+        return sizes
+
+    def test_pts_asks_whole_kronrod_intervals(self, monkeypatch):
+        # every point QAGI asks for was computed in its interval's one
+        # 15-node batch, and no other point was
+        sizes, asked = self.batch_sizes(monkeypatch), []
+
+        def recording_quad(f, *args):
+            def g(t):
+                asked.append(t)
+                return f(t)
+            return quad(g, *args)
+
+        monkeypatch.setattr(coverage, "quad", recording_quad)
+        for p in self.GRID[::7]:
+            sizes.clear()
+            asked.clear()
+            active_prob("PTS", p)
+            assert set(sizes) == {15}
+            assert sum(sizes) == len(asked) == len(set(asked))
+
+    def test_unpredicted_points_keep_the_result(self, monkeypatch):
+        # with wrong QK15I abscissae the node map predicts no point but
+        # the centres; each other point costs a call of its own
+        sizes = self.batch_sizes(monkeypatch)
+        vals = [active_prob("PTS", p) for p in self.GRID[::7]]
+        sizes.clear()
+        monkeypatch.setattr(numerics, "_XGK15", numerics._XGK15 / 2)
+        assert [active_prob("PTS", p) for p in self.GRID[::7]] == vals
+        assert sizes.count(15) * 14 == sizes.count(1) > 0
 
 
 class TestLaplace:
@@ -673,6 +726,27 @@ class TestMomentBits:
         computed = [t for ts in requests for t in ts]
         assert len(set(computed)) == len(computed) == len(asked)
         assert set(computed) == set(asked)
+
+    def test_cached_md_runs_no_kernel(self, monkeypatch):
+        # a second md on the same object finds every t cached: it reads
+        # moment_it for each, and no batch reaches the moment kernel
+        meta = coverage_meta("tau=0.9 PTS")
+        value = meta.md(0.9)
+        kernel, batches, reads = meta.moments, [], []
+        read = CoverageMeta.moment_it
+
+        def spy(qs):
+            batches.append(list(qs))
+            return kernel(qs)
+
+        def counted(self, t):
+            reads.append(t)
+            return read(self, t)
+
+        meta.moments = spy
+        monkeypatch.setattr(CoverageMeta, "moment_it", counted)
+        assert meta.md(0.9) == value
+        assert batches == [] and reads
 
 
 class TestRate:

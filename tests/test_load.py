@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from platoonnet import load
 from platoonnet.geometry import NetworkParams, cell_value
 from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES, N_MAX,
-                             _kink_split, _mixture, _pgf_given,
+                             _chernoff_log_g, _kink_split, _log_pgf_given,
+                             _log_pgf_past_kink, _mixture, _pgf_given,
                              _pts_masses, _tail_pgf,
                              _vm_mixture, moments_tagged_npts,
                              moments_tagged_pts, moments_typical_npts,
@@ -23,8 +25,9 @@ from platoonnet.mcp_counts import (_S1_EPS, TAIL_TOL, DiscretePMF,
                                    beta_bar, certified, g_of, pmf_S)
 from platoonnet.numerics import NumericsError, poisson_pmf
 
-from oracles import (MOMENT_BOX, cell_average_quad, kappa_cross_moment_quad,
-                     kappa_direct, moments_vm_conditional, tail_pgf_quad)
+from oracles import (MOMENT_BOX, cell_average_quad, chernoff_log_g_all_nodes,
+                     kappa_cross_moment_quad, kappa_direct,
+                     moments_vm_conditional, tail_pgf_quad)
 
 PARAMS = NetworkParams.from_per_km(2.0, 1.0, 5.0, 100.0)
 SWEEP = [NetworkParams.from_per_km(2.0, 1.0, u, 100.0)
@@ -277,6 +280,68 @@ def test_fft_stage_exponentiates_only_the_kept_nodes(monkeypatch):
     # below t1, the roots of unity themselves, and the share past t1: the
     # z = m and mu0 = m rows and the two ends of [t1, T]
     assert sum(sizes) <= (N // 2 + 1) * (3 * kept + 5)
+
+
+# ------------------------- Chernoff stage: the linear form past the kink
+
+@pytest.mark.parametrize("u", [1.2, 5.0, 35.0, 60.0])
+@pytest.mark.parametrize("a", [50.0, 150.0, 300.0])
+@pytest.mark.parametrize("tagged", [False, True])
+def test_linear_form_matches_the_kernel_past_2a(u, a, tagged):
+    # both forms round a sum that cancels, and the stage sums exp(log G):
+    # the check is relative on G(rho | t) where |log G| < 1 (it is 0.004
+    # at u = 1.2), and on log G above
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    kept, t1, _ = kink_split(params, tagged)
+    t = _mixture(params, tagged)[1][kept:, None]
+    assert t.min() >= t1 >= 2 * a
+    ref = _log_pgf_given(_RHO, t, params, tagged)
+    got = _log_pgf_past_kink(_RHO, t, t1, params, tagged)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("u, a", [(5.0, 100.0), (35.0, 150.0),
+                                  (50.0, 150.0)])
+@pytest.mark.parametrize("tagged", [False, True])
+def test_chernoff_stage_feeds_the_kernel_the_kept_nodes(u, a, tagged,
+                                                        monkeypatch):
+    params = NetworkParams.from_per_km(2.0, 1.0, u, a)
+    kernel, rows = load._log_pgf_given, []
+
+    def spy(s, t, *args):
+        rows.append(len(t))
+        return kernel(s, t, *args)
+
+    monkeypatch.setattr(load, "_log_pgf_given", spy)
+    _pts_masses(params, tagged)
+    assert rows == [kink_split(params, tagged)[0]]
+    assert rows[0] <= 40
+
+
+def fft_size_of(log_g):
+    """N as `_pts_masses` reads it off log G at the radii (n_min 0)."""
+    need = np.min((log_g - math.log(load._ALIAS_TOL)) / np.log(_RHO))
+    return 2 ** math.ceil(math.log2(max(64, need)))
+
+
+# 60 (u, a) pairs at each of 5 RSU densities and both laws: 600 points
+SIZE_GRID = [(float(u), a) for u in np.geomspace(1.2, 60.0, 10)
+             for a in (50.0, 100.0, 150.0, 200.0, 250.0, 300.0)]
+
+
+@pytest.mark.parametrize("lambda_r", [0.5, 1.0, 2.0, 5.0, 10.0])
+@pytest.mark.parametrize("tagged", [False, True])
+def test_fft_size_matches_the_all_node_kernel(lambda_r, tagged):
+    # the linear form moves log G(rho) at roundoff, and N not at all
+    for u, a in SIZE_GRID:
+        params = NetworkParams.from_per_km(lambda_r, 1.0, u, a)
+        ref = chernoff_log_g_all_nodes(params, tagged)
+        kept, t1, _ = kink_split(params, tagged)
+        _, nodes, wts = _mixture(params, tagged)
+        log_g = _chernoff_log_g(nodes, wts, kept, t1, params, tagged)
+        assert np.all(np.abs(log_g - ref)
+                      <= 2e-15 * np.maximum(1.0, np.abs(ref)))
+        assert _pts_masses(params, tagged).size == fft_size_of(ref)
 
 
 @functools.cache
