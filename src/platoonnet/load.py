@@ -47,8 +47,12 @@ class LoadMoments:
 
     @property
     def skewness(self):
+        scale = self.variance**1.5
+        if scale == 0:
+            raise NumericsError(f"skewness: variance**1.5 underflows to 0 "
+                                f"(variance {self.variance:.3g})")
         return ((self.third_moment - 3 * self.mean * self.variance
-                 - self.mean**3) / self.variance**1.5)
+                 - self.mean**3) / scale)
 
 
 _MIX_PANELS = 60  # Gauss-Legendre panels of 10 nodes each
@@ -56,19 +60,17 @@ _MIX_X, _MIX_W = np.polynomial.legendre.leggauss(10)
 
 
 def _mixture(params, tagged):
-    """(edges, nodes, weights): _MIX_PANELS equal panels on [0, T], T at
-    the 1 - 1e-8 quantile of the relevant cell-length law, and their
-    composite Gauss-Legendre nodes and weights (times the density)."""
+    """(nodes, weights, kept, t1, T): _MIX_PANELS equal panels on [0, T],
+    T at the 1 - 1e-8 quantile of the relevant cell-length law, their
+    composite Gauss-Legendre nodes and weights (times the density), and
+    the split at t1, the first panel edge at or past the kink t = 2a (T
+    when 2a is past it), with `kept` the count of nodes below t1."""
     T = cell_quantile(1 - 1e-8, params.lambda_r, tagged=tagged)
     edges = np.linspace(0.0, T, _MIX_PANELS + 1)
     nodes, weights = panels(edges, _MIX_X, _MIX_W)
-    return edges, nodes, weights * pdf_cell(nodes, params.lambda_r, tagged)
-
-
-def _kink_split(edges, params):
-    """The number of panels below t1, the first of the edges at or past
-    the kink t = 2a (the last edge, T, when 2a is past it)."""
-    return min(int(np.searchsorted(edges, 2 * params.a)), _MIX_PANELS)
+    below = min(int(np.searchsorted(edges, 2 * params.a)), _MIX_PANELS)
+    return (nodes, weights * pdf_cell(nodes, params.lambda_r, tagged),
+            below * _MIX_X.size, edges[below], T)
 
 
 # ------------------------------------------------------- PMFs by FFT
@@ -109,13 +111,10 @@ def _pts_masses(params, tagged, n_min=0):
     cell multiplies the two PGFs, and the node sums run over blocks of
     nodes to bound the working set.
     """
-    edges, nodes, wts = _mixture(params, tagged)
-    below = _kink_split(edges, params)
-    kept = below * _MIX_X.size
+    nodes, wts, kept, t1, T = _mixture(params, tagged)
     # an overflow ends in a NaN need, which raises
     with np.errstate(over="ignore", invalid="ignore"):
-        log_g = _chernoff_log_g(nodes, wts, kept, edges[below], params,
-                                tagged)
+        log_g = _chernoff_log_g(nodes, wts, kept, t1, params, tagged)
         # G(rho) / rho^N < tol for N > need at the best rho
         need = np.min((log_g - math.log(_ALIAS_TOL)) / np.log(_RHO))
     if math.isnan(need):
@@ -127,41 +126,32 @@ def _pts_masses(params, tagged, n_min=0):
                             f"past {N_MAX}")
     N = 2 ** math.ceil(math.log2(max(64, size)))
     s = np.exp(-2j * np.pi * np.arange(N // 2 + 1) / N)
-    pgf = sum(w @ _pgf_given(s, t, params, tagged)
-              for t, w in _blocks(nodes[:kept], wts[:kept]))
-    if below < _MIX_PANELS:
-        pgf = pgf + _tail_pgf(s, edges[below], edges[-1], params, tagged)
+    t, w = nodes[:kept, None], wts[:kept]
+    pgf = sum(w[i:i + _BLOCK] @ _pgf_given(s, t[i:i + _BLOCK], params,
+                                            tagged)
+              for i in range(0, kept, _BLOCK))
+    if t1 < T:
+        pgf = pgf + _tail_pgf(s, t1, T, params, tagged)
     return np.fft.irfft(pgf, N)
-
-
-def _blocks(nodes, wts):
-    """(cell lengths as a column, weights) of each _BLOCK of nodes."""
-    return [(nodes[i:i + _BLOCK, None], wts[i:i + _BLOCK])
-            for i in range(0, nodes.size, _BLOCK)]
 
 
 def _chernoff_log_g(nodes, wts, kept, t1, params, tagged):
     """log G(rho) at the Chernoff radii _RHO, G the mixture PGF over
     every node: the per-node kernel on the first `kept` nodes (those below
     t1 >= 2a) and `_log_pgf_past_kink` on the rest, summed in log form,
-    one max-shifted log-sum-exp per _BLOCK of nodes (the 600 nodes make
-    18 full blocks and one of 24), the blocks in one array pass."""
-    log_pgf = _log_pgf_given(_RHO, nodes[:kept, None], params, tagged)
+    one max-shifted log-sum-exp per _BLOCK of nodes, the blocks in one
+    array pass.  The 600 nodes fill 19 blocks with 8 rows of weight 0 at
+    log-PGF -inf, whose terms are exact zeros."""
+    size = -(-nodes.size // _BLOCK) * _BLOCK
+    log_pgf = np.full((size, _RHO.size), -np.inf)
+    log_pgf[:kept] = _log_pgf_given(_RHO, nodes[:kept, None], params, tagged)
     if kept < nodes.size:
-        log_pgf = np.concatenate([log_pgf, _log_pgf_past_kink(
-            _RHO, nodes[kept:, None], t1, params, tagged)])
-    full = nodes.size // _BLOCK * _BLOCK
-    parts = [_log_sums(log_pgf[:full].reshape(-1, _BLOCK, _RHO.size),
-                       wts[:full].reshape(-1, _BLOCK)),
-             _log_sums(log_pgf[None, full:], wts[None, full:])]
-    return np.logaddexp.reduce(np.concatenate(parts))
-
-
-def _log_sums(log_pgf, w):
-    """log of w @ exp(log_pgf) block by block, shifted by each block's
-    max: log_pgf is (block x node x radius), w (block x node)."""
+        log_pgf[kept:nodes.size] = _log_pgf_past_kink(
+            _RHO, nodes[kept:, None], t1, params, tagged)
+    log_pgf = log_pgf.reshape(-1, _BLOCK, _RHO.size)
+    w = np.append(wts, np.zeros(size - nodes.size)).reshape(-1, 1, _BLOCK)
     top = log_pgf.max(axis=1, keepdims=True)
-    return (top + np.log(w[:, None, :] @ np.exp(log_pgf - top)))[:, 0]
+    return np.logaddexp.reduce(top + np.log(w @ np.exp(log_pgf - top)))[0]
 
 
 def _past_kink(s, t1, params, tagged):
@@ -380,7 +370,7 @@ def moments_tagged_pts(params: NetworkParams) -> LoadMoments:
            + I_moment(2, 1, params, tagged=True)
            + I_moment(1, 2, params, tagged=True))
     # third factorial moment of the product PGF at s=1, deconditioned
-    _, nodes, wts = _mixture(params, tagged=True)
+    nodes, wts, *_ = _mixture(params, tagged=True)
     k1, k2, k3 = (cell_value(nodes, *kappa_coefficients(k, params), params.a)
                   for k in (1, 2, 3))
     f2 = k1**2 + k2

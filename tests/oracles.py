@@ -140,7 +140,7 @@ def chernoff_log_g_all_nodes(params: NetworkParams, tagged):
     before its stage took the linear form past the kink: the per-node
     kernel on every mixture node, one block of 32 nodes at a time, each
     block a max-shifted log-sum-exp."""
-    _, nodes, wts = _mixture(params, tagged)
+    nodes, wts, *_ = _mixture(params, tagged)
     parts = []
     for i in range(0, nodes.size, 32):
         log_pgf = _log_pgf_given(_RHO, nodes[i:i + 32, None], params, tagged)

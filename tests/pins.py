@@ -85,7 +85,9 @@ def chernoff_log_pgfs(u, a, tagged):
     reads them on the nodes below t1 only."""
     from platoonnet.load import _BLOCK, _RHO, _log_pgf_given, _mixture
     params = _params(u, a)
-    _, nodes, _ = _mixture(params, tagged)
+    # all five names: at a REV whose _mixture returns (edges, nodes,
+    # weights) the pin is missing, not computed on the edges
+    nodes, _, _, _, _ = _mixture(params, tagged)
     return np.concatenate([
         _log_pgf_given(_RHO, nodes[i:i + _BLOCK, None], params, tagged)
         for i in range(0, nodes.size, _BLOCK)])
@@ -94,13 +96,10 @@ def chernoff_log_pgfs(u, a, tagged):
 def chernoff_log_g(u, a, tagged):
     """log G(rho) at the Chernoff radii, as the Chernoff stage of
     `_pts_masses` sums it."""
-    from platoonnet.load import _MIX_X, _chernoff_log_g, _kink_split, \
-        _mixture
+    from platoonnet.load import _chernoff_log_g, _mixture
     params = _params(u, a)
-    edges, nodes, wts = _mixture(params, tagged)
-    below = _kink_split(edges, params)
-    return _chernoff_log_g(nodes, wts, below * _MIX_X.size, edges[below],
-                           params, tagged)
+    nodes, wts, kept, t1, _ = _mixture(params, tagged)
+    return _chernoff_log_g(nodes, wts, kept, t1, params, tagged)
 
 
 def fft_size(u, a, tagged):

@@ -11,13 +11,14 @@ import pytest
 from scipy import special
 
 import platoonnet
-from platoonnet import cli, mcp_counts, montecarlo
+from platoonnet import cli, coverage, mcp_counts, montecarlo
 from platoonnet.cli import (DEFAULT_CONFIG, FIGURE_OVERRIDES, build_params,
                             build_radio, figure_7, figure_8, load_config,
                             main, tv_distance, validate_checks)
 from platoonnet.connectivity import (V2VParams, pmf_degree_npts,
                                      pmf_degree_pts)
-from platoonnet.coverage import CoverageMeta
+from platoonnet.coverage import CoverageMeta, RadioParams
+from platoonnet.geometry import TRAFFICS, NetworkParams
 from platoonnet.mcp_counts import DiscretePMF
 from platoonnet.montecarlo import SimEstimate
 from platoonnet.numerics import NumericsError
@@ -253,6 +254,39 @@ class TestMain:
         assert cp_p > cp_n
         assert act_n > act_p
 
+    def test_figure_9_cells_come_from_their_calls(self, tmp_path,
+                                                   monkeypatch):
+        # each call returns its own number, so a cell names the call (and
+        # the arguments) that made it
+        calls = []
+
+        def spy(name):
+            def call(*args):
+                calls.append((name, args))
+                return float(len(calls))
+            return call
+
+        monkeypatch.setattr(coverage, "rate_coverage", spy("rate_coverage"))
+        monkeypatch.setattr(coverage, "md_rate", spy("md_rate"))
+        out = tmp_path / "fig9.csv"
+        assert main(["figure", "9", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert header == ["u", "RC_PTS", "RC_NPTS", "MD_RC_PTS",
+                          "MD_RC_NPTS"]
+        us = DEFAULT_CONFIG["u_values"]
+        assert [float(row[0]) for row in rows] == us
+        assert len(calls) == 4 * len(us)
+        # a = 150 m, alpha = 4, x = 0.9 and m = lam / lambda_p = u
+        radio = RadioParams(1.0, 5e-5, 4.0, 10e6)
+        for u, row in zip(us, rows):
+            params = NetworkParams.from_per_km(2.0, 1.0, u, 150.0)
+            assert params.lam == u * params.lambda_p
+            want = [("rate_coverage", (9e6, t, params, radio))
+                    for t in TRAFFICS]
+            want += [("md_rate", (9e6, 0.9, t, params, radio))
+                     for t in TRAFFICS]
+            assert [calls[int(float(c)) - 1] for c in row[1:]] == want
+
     @pytest.mark.parametrize("args, config", [
         (["simulate", "coverage", "--reps", "1"], None),
         (["simulate", "coverage", "--reps", "0"], None),
@@ -376,6 +410,29 @@ class TestMain:
         assert exc.value.code == 3
         assert capsys.readouterr().err == (
             f"platoonnet: error: {name}: a value overflows a float\n")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("args, config", [
+        *[(["op", op], {key: value})
+          for op in ("moments_typical_npts", "moments_tagged_npts")
+          for key, value in (("lambda_r_per_km", 1e300),
+                             ("lambda_p_per_km", 1e-300), ("m", 1e-300),
+                             ("lam_per_km", 1e-300))],
+        (["figure", "4"], {"lambda_p_per_km": 1e-300}),
+    ])
+    def test_skewness_underflow_exits_3(self, args, config, tmp_path,
+                                        capsys):
+        # the N-PTS variance is near 1e-300, and its 1.5 power is 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--config", str(path),
+                         "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("platoonnet: error: skewness: variance**1.5 "
+                              "underflows to 0 (variance ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 
     def test_never_active_rsu_exits_3(self, tmp_path, capsys):

@@ -572,6 +572,24 @@ class TestMeta:
         assert b == pytest.approx(1 - math.exp(-2 * PARAMS.lambda_r * r_star))
         assert meta.md(0.5) <= b + 1e-12
 
+    @pytest.mark.parametrize("tau, inverts", [(1e14, False), (1e13, True)])
+    def test_md_returns_a_noise_bound_below_the_gp_tolerance(
+            self, tau, inverts, monkeypatch):
+        # at tau = 1e14 the bound is 8.57e-6, below GP_ABS_TOL / 10: md
+        # returns it and inverts nothing; at tau = 1e13 it is 1.52e-5
+        calls = []
+
+        def spy(moments_it, x):
+            calls.append(x)
+            return 1e-7
+
+        monkeypatch.setattr(coverage, "gil_pelaez_invert", spy)
+        meta = CoverageMeta(tau, "PTS", P35, RadioParams(1.0, 5e-5, 4.0))
+        bound = meta.md_noise_bound(0.9)
+        assert (bound < numerics.GP_ABS_TOL / 10) != inverts
+        assert meta.md(0.9) == (1e-7 if inverts else bound)
+        assert calls == ([0.9] if inverts else [])
+
     def test_md_bounds_and_monotonicity(self):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
         xs = (0.2, 0.5, 0.8, 0.95)

@@ -9,7 +9,7 @@ from scipy import special
 from platoonnet import load
 from platoonnet.geometry import NetworkParams, cell_value
 from platoonnet.load import (_BLOCK, _RHO, _VM_BAND, _VM_SERIES, N_MAX,
-                             _chernoff_log_g, _kink_split, _log_pgf_given,
+                             _MIX_PANELS, _chernoff_log_g, _log_pgf_given,
                              _log_pgf_past_kink, _mixture, _pgf_given,
                              _pts_masses, _tail_pgf,
                              _vm_mixture, moments_tagged_npts,
@@ -55,7 +55,7 @@ def vm_moment(order, t):
 def recurrence_pmf(K, params, tagged):
     """The PTS load PMF mixed node by node from the count recurrence
     pmf_S, convolved with the tagged-platoon PMF in the tagged cell."""
-    _, nodes, wts = _mixture(params, tagged)
+    nodes, wts, *_ = _mixture(params, tagged)
     masses = np.zeros(K + 1)
     for t, w in zip(nodes, wts):
         ps = pmf_S(K, t / 2.0, params).masses
@@ -67,7 +67,7 @@ def recurrence_pmf(K, params, tagged):
 
 def pgf_tagged_pts(s, params):
     """PGF of the tagged-RSU PTS load (typical VU not counted)."""
-    _, nodes, wts = _mixture(params, tagged=True)
+    nodes, wts, *_ = _mixture(params, tagged=True)
     vals = np.exp(g_of(s, nodes / 2.0, params)) * pgf_vm(s, nodes, params)
     return float(np.dot(wts, vals))
 
@@ -80,9 +80,7 @@ def roots_of_unity(N):
 def kink_split(params, tagged):
     """(kept, t1, T): the count of mixture nodes below t1, the first
     panel edge at or past t = 2a (T if 2a is past T), and T."""
-    edges = _mixture(params, tagged)[0]
-    below = _kink_split(edges, params)
-    return below * 10, edges[below], edges[-1]
+    return _mixture(params, tagged)[2:]
 
 
 def log_form_masses(params, tagged, N):
@@ -91,8 +89,8 @@ def log_form_masses(params, tagged, N):
     load._pts_masses, plus the same closed-form share of [t1, T]: the
     tagged PGF as a sum of logs, before the FFT stage multiplied the two
     PGFs."""
-    kept, t1, T = kink_split(params, tagged)
-    nodes, wts = (x[:kept] for x in _mixture(params, tagged)[1:])
+    nodes, wts, kept, t1, T = _mixture(params, tagged)
+    nodes, wts = nodes[:kept], wts[:kept]
     s = roots_of_unity(N)
     pgf = 0.0
     for i in range(0, nodes.size, 32):
@@ -109,7 +107,7 @@ def log_form_masses(params, tagged, N):
 def full_mixture_masses(params, tagged, N):
     """Masses on 0..N-1 from the per-node kernel summed over every block
     of the mixture nodes, the share past t1 too."""
-    _, nodes, wts = _mixture(params, tagged)
+    nodes, wts, *_ = _mixture(params, tagged)
     s = roots_of_unity(N)
     pgf = sum(wts[i:i + _BLOCK] @ _pgf_given(s, nodes[i:i + _BLOCK, None],
                                              params, tagged)
@@ -157,7 +155,7 @@ def test_tail_matches_quadrature(u, a, tagged):
 @pytest.mark.parametrize("panel", [1, 3, 10])
 def test_tail_from_2a_on_a_panel_edge(tagged, panel):
     # the edges depend on lambda_r alone: half an edge is exact in binary
-    edges = _mixture(PARAMS, tagged)[0]
+    edges = np.linspace(0.0, _mixture(PARAMS, tagged)[4], _MIX_PANELS + 1)
     params = NetworkParams.from_per_km(2.0, 1.0, 35.0, edges[panel] / 2)
     kept, t1, _ = kink_split(params, tagged)
     assert (kept, t1) == (10 * panel, 2 * params.a)
@@ -292,8 +290,8 @@ def test_linear_form_matches_the_kernel_past_2a(u, a, tagged):
     # the check is relative on G(rho | t) where |log G| < 1 (it is 0.004
     # at u = 1.2), and on log G above
     params = NetworkParams.from_per_km(2.0, 1.0, u, a)
-    kept, t1, _ = kink_split(params, tagged)
-    t = _mixture(params, tagged)[1][kept:, None]
+    nodes, _, kept, t1, _ = _mixture(params, tagged)
+    t = nodes[kept:, None]
     assert t.min() >= t1 >= 2 * a
     ref = _log_pgf_given(_RHO, t, params, tagged)
     got = _log_pgf_past_kink(_RHO, t, t1, params, tagged)
@@ -336,8 +334,7 @@ def test_fft_size_matches_the_all_node_kernel(lambda_r, tagged):
     for u, a in SIZE_GRID:
         params = NetworkParams.from_per_km(lambda_r, 1.0, u, a)
         ref = chernoff_log_g_all_nodes(params, tagged)
-        kept, t1, _ = kink_split(params, tagged)
-        _, nodes, wts = _mixture(params, tagged)
+        nodes, wts, kept, t1, _ = _mixture(params, tagged)
         log_g = _chernoff_log_g(nodes, wts, kept, t1, params, tagged)
         assert np.all(np.abs(log_g - ref)
                       <= 2e-15 * np.maximum(1.0, np.abs(ref)))
