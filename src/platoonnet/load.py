@@ -95,6 +95,7 @@ def _pgf_given(s, t, params, tagged):
     return pgf * pgf_vm(s, t, params) if tagged else pgf
 
 
+@overflow_raises
 def _pts_masses(params, tagged, n_min=0):
     """Masses on 0..N-1 of the PTS load, from one FFT of its PGF.
 
@@ -102,14 +103,14 @@ def _pts_masses(params, tagged, n_min=0):
     comes out as sum_j p_{k+jN}: each mass is off by at most P[X >= N].
     N is the smallest power of two >= max(64, n_min) whose Chernoff bound
     min_rho G(rho) / rho^N on that tail is below _ALIAS_TOL; an n_min or
-    a tail that needs N past N_MAX raises, and so does a bound that
-    overflows a float.  In both stages the nodes below t1, the first
-    panel edge at or past t = 2a, take the per-node kernel, and the
-    cells from t1 to T take the linear form that holds past 2a: at the
-    real radii node by node (`_chernoff_log_g`), at the roots of unity
-    integrated exactly (`_tail_pgf`).  At the roots of unity the tagged
-    cell multiplies the two PGFs, and the node sums run over blocks of
-    nodes to bound the working set.
+    a tail that needs N past N_MAX raises, and so does a bound, or a
+    float of the cell law or the kernel, that overflows.  In both stages
+    the nodes below t1, the first panel edge at or past t = 2a, take the
+    per-node kernel, and the cells from t1 to T take the linear form that
+    holds past 2a: at the real radii node by node (`_chernoff_log_g`), at
+    the roots of unity integrated exactly (`_tail_pgf`).  At the roots of
+    unity the tagged cell multiplies the two PGFs, and the node sums run
+    over blocks of nodes to bound the working set.
     """
     nodes, wts, kept, t1, T = _mixture(params, tagged)
     # an overflow ends in a NaN need, which raises
@@ -249,6 +250,7 @@ def moments_typical_pts(params: NetworkParams) -> LoadMoments:
     return LoadMoments(mean, var, third)
 
 
+@overflow_raises
 def pmf_typical_npts(K, params: NetworkParams) -> DiscretePMF:
     """PMF of the N-PTS load on the typical RSU: negative binomial
     NB(2, q), q = 2 lr/(lam + 2 lr), on 0..K with its exact tail."""

@@ -9,7 +9,10 @@ Palm conditioning as appropriate) in two phases, run by `_replicate`:
 * reduce: everything after the draws runs once per chunk of `CHUNK`
   replications, on flat arrays that carry each point's replication:
   placing the VUs (`_vus`), the nearest-RSU association
-  (`_association`) and the statistic of each replication.
+  (`_association`: each replication's serving RSU and the VUs counted
+  between its two midpoints) and the statistic of each replication.
+  Only the coverage statistic, which needs every RSU's activity, places
+  every VU in its cell (`_occupancy`).
 
 A replication's statistic depends on its own stream alone, so results
 are bit-reproducible for a fixed master seed and replication count, and
@@ -156,10 +159,14 @@ def _draw_vus(traffic, params, half, rng, palm):
     a = params.a
     parents = rng.random(rng.poisson(params.lambda_p * (2 * half + 2 * a)))
     sizes = rng.poisson(params.m, parents.size)
-    draws = parents, sizes, rng.random(sizes.sum())
-    if palm:
-        draws += rng.random(), rng.random(rng.poisson(params.m))
-    return draws
+    members = sum(sizes.tolist())
+    if not palm:
+        return parents, sizes, rng.random(members)
+    # the members' offsets and x0 are consecutive variates of the stream:
+    # one call draws both
+    u = rng.random(members + 1)
+    return parents, sizes, u[:-1], float(u[-1]), rng.random(
+        rng.poisson(params.m))
 
 
 def _vus(traffic, params, half, draws):
@@ -198,21 +205,37 @@ def _key(rep, x):
 
 def _association(rsus, rsu_rep, vus, vu_rep):
     """Nearest-RSU association of a chunk whose RSUs are sorted within
-    each replication, every replication having one: the number of VUs
-    each RSU serves (cells bounded by the midpoints) and the index of the
-    RSU nearest the origin in each replication (the first of equal
-    distances in sorted order)."""
+    each replication, every replication having one: the index of the RSU
+    nearest the origin in each replication (the first of equal distances
+    in sorted order) and the number of VUs it serves.  A VU x of
+    replication r is in the cell of r's RSU s exactly when
+    m(s-1) < x <= m(s), for the midpoints m(s) = 0.5 (rsus[s] +
+    rsus[s + 1]) of r and -inf, inf at r's ends: where `_occupancy`
+    places it."""
+    dist = np.abs(rsus)
+    first = np.searchsorted(rsu_rep, np.arange(rsu_rep[-1] + 1))
+    ties = np.flatnonzero(
+        dist == np.minimum.reduceat(dist, first)[rsu_rep])
+    serving = ties[np.searchsorted(ties, first)]
+    last = np.append(first[1:], rsus.size) - 1
+    # a neighbour index past r's ends (or the array's) is masked
+    lo = np.where(serving > first,
+                  0.5 * (rsus[serving - 1] + rsus[serving]), -np.inf)
+    hi = np.where(serving < last, 0.5 * (
+        rsus[serving] + rsus[np.minimum(serving + 1, last)]), np.inf)
+    inside = (lo[vu_rep] < vus) & (vus <= hi[vu_rep])
+    return serving, np.bincount(vu_rep[inside], minlength=serving.size)
+
+
+def _occupancy(rsus, rsu_rep, vus, vu_rep):
+    """The number of VUs each RSU of an `_association` chunk serves (cells
+    bounded by the midpoints)."""
     same = rsu_rep[1:] == rsu_rep[:-1]
     bounds = _key(rsu_rep[1:][same], (0.5 * (rsus[:-1] + rsus[1:]))[same])
     # each earlier replication has one bound fewer than RSUs, so a VU's
     # place among the bounds plus its replication is its RSU's index
     cell = np.searchsorted(bounds, _key(vu_rep, vus)) + vu_rep
-    occupancy = np.bincount(cell, minlength=rsus.size)
-    dist = np.abs(rsus)
-    first = np.searchsorted(rsu_rep, np.arange(rsu_rep[-1] + 1))
-    ties = np.flatnonzero(
-        dist == np.minimum.reduceat(dist, first)[rsu_rep])
-    return occupancy, ties[np.searchsorted(ties, first)]
+    return np.bincount(cell, minlength=rsus.size)
 
 
 def _draw_geometry(traffic, params, half, rng, palm):
@@ -225,8 +248,9 @@ def _draw_geometry(traffic, params, half, rng, palm):
 
 
 def _cells(traffic, params, half, draws, palm):
-    """RSU positions, the replication of each and their `_association`,
-    of a chunk of `_draw_geometry` draws."""
+    """RSU positions and the replication of each, VU positions and the
+    replication of each, and their `_association` (serving RSU, load), of
+    a chunk of `_draw_geometry` draws."""
     rsus, rep = _flat([rsus for rsus, _ in draws])
     rsus = _uniform(-half, half, rsus)
     if not palm:
@@ -236,8 +260,8 @@ def _cells(traffic, params, half, draws, palm):
             + np.bincount(rep[rsus < 0], minlength=n)
         rsus, rep = np.insert(rsus, at, 0.0), np.insert(rep, at,
                                                         np.arange(n))
-    vus = _vus(traffic, params, half, [vus for _, vus in draws])
-    return (rsus, rep) + _association(rsus, rep, *vus)
+    vus, vu_rep = _vus(traffic, params, half, [vus for _, vus in draws])
+    return (rsus, rep, vus, vu_rep) + _association(rsus, rep, vus, vu_rep)
 
 
 def sim_load(kind, traffic, params: NetworkParams, cfg: SimConfig):
@@ -254,8 +278,7 @@ def sim_load(kind, traffic, params: NetworkParams, cfg: SimConfig):
     palm = kind == "tagged"
 
     def reduce(draws):
-        _, _, occupancy, serving = _cells(traffic, params, half, draws, palm)
-        return occupancy[serving]
+        return _cells(traffic, params, half, draws, palm)[-1]
     return _empirical_pmf(_replicate(
         cfg, lambda rng: _draw_geometry(traffic, params, half, rng, palm),
         reduce))
@@ -299,12 +322,11 @@ def _coverage_profile(threshold, traffic, params, radio: RadioParams,
     _check_window(traffic, params, half)
 
     def reduce(draws):
-        rsus, rep, occupancy, serving = _cells(traffic, params, half,
-                                               draws, palm=True)
-        load = occupancy[serving]
+        rsus, rep, vus, vu_rep, serving, load = _cells(
+            traffic, params, half, draws, palm=True)
         tau = np.broadcast_to(threshold(load), load.shape)
         r = np.abs(rsus[serving])
-        active = occupancy > 0
+        active = _occupancy(rsus, rep, vus, vu_rep) > 0
         active[serving] = False  # the serving RSU never interferes
         rep = rep[active]
         ratio = tau[rep] * (r[rep] / np.abs(rsus[active]))**radio.alpha

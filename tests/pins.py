@@ -213,6 +213,23 @@ def md_at(name, x):
     return float(coverage_meta(name).md(x))
 
 
+# two full chunks of montecarlo.CHUNK = 256 replications and a short one
+MC_REPLICATIONS, MC_SEED = 600, 2024
+
+
+def sim_load_masses(kind, traffic):
+    from platoonnet.montecarlo import SimConfig, sim_load
+    return sim_load(kind, traffic, _params(5.0, 100.0),
+                    SimConfig(MC_REPLICATIONS, MC_SEED)).masses
+
+
+def sim_connectivity_masses(traffic):
+    from platoonnet.connectivity import V2VParams
+    from platoonnet.montecarlo import SimConfig, sim_connectivity
+    return sim_connectivity(traffic, V2VParams(200.0, _params(5.0, 100.0)),
+                            SimConfig(MC_REPLICATIONS, MC_SEED)).masses
+
+
 def csv(*argv):
     """The bytes of the CSV that `platoonnet *argv` writes."""
     from platoonnet.cli import main
@@ -521,6 +538,32 @@ for name, (it_digest, q_digest) in MOMENT_SHA256.items():
     PINS[f"moments q {name}"] = (partial(moments_q, name), q_digest)
 for name, bits in MD_BITS.items():
     PINS[f"md(0.9) {name}"] = (partial(md_at, name, 0.9), bits)
+
+# The Monte Carlo load and connectivity PMFs of the mc_validate benchmark
+# point (u = 5, a = 100 m, R_b = 200 m).  Their masses are replication
+# counts over the replication count, with no exp, log or power, so they
+# hold on every numpy SIMD path; the coverage profiles, which take exp,
+# ** and log1p, are not pinned.  ROADMAP item 8's block streams change
+# every MC byte once and record these again.
+MC_PMF_SHA256 = {
+    "sim_load typical PTS":
+        "d593430db0092cfa715cc9fdf33e051a5d8632f8ee9c8273384ffb0be1450046",
+    "sim_load typical NPTS":
+        "15bbd4233aa9c7729b38313e2794d4ced2178b03820db17d52f072da0d6e5aa7",
+    "sim_load tagged PTS":
+        "252eed2bf35eeb976421c5a71a785e7b48a534e324b87ea66b3c6ab1c7a8d0a1",
+    "sim_load tagged NPTS":
+        "1ff6e3c4b3b4fb4814dddddebdbc9fdd203b65ff31c49f74291a9b7d8974e5a2",
+    "sim_connectivity PTS":
+        "74a9759a9dda72382275b139d7260edd16a9b5c95327bdaa49a559c56847f8dc",
+    "sim_connectivity NPTS":
+        "7f8f7c5202afface2e497daa27e5307caf765db06a38d5a538846582c99ee64b",
+}
+for name, digest in MC_PMF_SHA256.items():
+    producer = (partial(sim_load_masses, *name.split()[1:])
+                if name.startswith("sim_load")
+                else partial(sim_connectivity_masses, name.split()[1]))
+    PINS[f"mc {name}"] = (producer, digest)
 
 # The CSVs of the default config, byte for byte: analytic CSV output keeps
 # its bytes unless changing the numerics is the point of the PR.  A PR

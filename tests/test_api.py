@@ -146,6 +146,14 @@ def test_one_replication_loop():
     assert _src_callers("replication_rng") == ["montecarlo._replicate"]
 
 
+def test_one_complex_key_search():
+    # every load is counted between its serving cell's midpoints
+    # (`_association`); only the active-interferer flags place every VU
+    assert set(_src_callers("_key")) == {"montecarlo._occupancy"}
+    assert _src_callers("_occupancy") == [
+        "montecarlo._coverage_profile.reduce"]
+
+
 def test_every_numerics_function_has_an_outside_caller():
     # a numerics routine that only numerics calls belongs in its caller
     numerics = ast.parse((SRC / "numerics.py").read_text())

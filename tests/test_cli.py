@@ -399,6 +399,16 @@ class TestMain:
          "moments_typical_npts"),
         (["op", "moments_tagged_npts"], {"lambda_r_per_km": 1e-300},
          "moments_tagged_npts"),
+        # the cell-length density (geometry.pdf_cell), the kernel's
+        # Taylor band (mcp_counts.g_rows) and the tagged platoon's
+        # mixture (load._vm_mixture), each under the FFT load masses
+        (["op", "pmf_typical_pts"], {"lambda_r_per_km": 1e300},
+         "_pts_masses"),
+        (["op", "pmf_typical_pts"], {"m": 1e300}, "_pts_masses"),
+        (["op", "pmf_tagged_pts"], {"m": 1e300}, "_pts_masses"),
+        (["figure", "6"], {"a_m": 1e-300}, "_pts_masses"),
+        (["op", "pmf_typical_npts"], {"lambda_r_per_km": 1e300},
+         "pmf_typical_npts"),
     ])
     def test_float_overflow_exits_3(self, args, config, name, tmp_path,
                                     capsys):

@@ -13,12 +13,13 @@ from platoonnet.coverage import RadioParams, coverage_prob
 from platoonnet.geometry import NetworkParams, replication_rng
 from platoonnet.load import pmf_typical_npts_certified, \
     pmf_typical_pts_certified
-from platoonnet.montecarlo import (SimConfig, _check_window,
-                                   _coverage_profile, _draw_rsus,
+from platoonnet.montecarlo import (SimConfig, _association, _cells,
+                                   _check_window, _coverage_profile,
+                                   _draw_geometry, _draw_rsus, _flat,
                                    _half_width, _interference_reach,
-                                   _rate_profile, _uniform, sim_connectivity,
-                                   sim_coverage, sim_load, sim_md_coverage,
-                                   sim_md_rate, sim_rate)
+                                   _occupancy, _rate_profile, _uniform,
+                                   sim_connectivity, sim_coverage, sim_load,
+                                   sim_md_coverage, sim_md_rate, sim_rate)
 from platoonnet.numerics import NumericsError
 
 import oracles
@@ -255,6 +256,90 @@ def test_uniform_from_standard_variates(lo, hi):
     assert np.array_equal(a, b)
     rng, ref = np.random.default_rng(6), np.random.default_rng(6)
     assert _uniform(lo, hi, rng.random()) == ref.uniform(lo, hi)
+
+
+class TestServingLoad:
+    """`_association` counts each replication's load between its serving
+    cell's two midpoints; the search of `_occupancy` and the
+    per-replication oracle place every VU in its cell."""
+    HALF = 500.0
+
+    def check(self, chunk):
+        """A chunk given as (sorted RSUs, VUs) per replication."""
+        rsus, rsu_rep = _flat([np.array(r, float) for r, _ in chunk])
+        vus, vu_rep = _flat([np.array(v, float) for _, v in chunk])
+        serving, load = _association(rsus, rsu_rep, vus, vu_rep)
+        assert np.array_equal(
+            load, _occupancy(rsus, rsu_rep, vus, vu_rep)[serving])
+        first = np.searchsorted(rsu_rep, np.arange(len(chunk)))
+        loads = []
+        for r, (rs, vs) in enumerate(chunk):
+            s, occupancy = oracles.mc_association(np.array(rs, float),
+                                                  np.array(vs, float))
+            assert serving[r] - first[r] == s
+            loads.append(occupancy[s])
+        assert load.tolist() == loads
+        return loads
+
+    def test_vu_on_a_midpoint_goes_left(self):
+        # midpoints -50 and 50: the VU at -50 is the left RSU's, the one
+        # at 50 the serving RSU's
+        assert self.check([([-100.0, 0.0, 100.0],
+                            [-50.0, -49.0, 0.0, 50.0, 50.5])]) == [3]
+
+    def test_vus_at_the_window_ends(self):
+        h = self.HALF
+        assert self.check([
+            ([-400.0, -30.0], [-h, -214.0, h]),   # serving last: hi inf
+            ([10.0, 300.0], [-h, 155.0, h]),      # serving first: lo -inf
+            ([-300.0, 20.0, 400.0], [-h, h]),     # both outside
+        ]) == [2, 2, 0]
+
+    def test_one_rsu_serves_every_vu(self):
+        h = self.HALF
+        assert self.check([([-200.0, 100.0], [0.0]),
+                           ([70.0], [-h, 0.0, 70.0, h]),
+                           ([5.0, 9.0], [7.0])]) == [1, 4, 1]
+
+    def test_equal_rsu_variates_repeat_a_midpoint(self):
+        # the first of equal distances serves; an empty cell sits between
+        # the repeated midpoints
+        assert self.check([
+            ([-40.0, 10.0, 10.0, 60.0], [-15.0, 0.0, 10.0, 10.5, 35.0]),
+            ([-10.0, 10.0], [-1.0, 0.0, 1.0]),
+            ([10.0, 10.0], [10.0, 10.5]),
+            ([-7.0, -7.0, -7.0], [-7.0, 3.0]),
+        ]) == [2, 2, 1, 1]
+
+    def test_replication_without_vus(self):
+        assert self.check([([-50.0, 30.0], []), ([20.0], [1.0]),
+                           ([1.0, 2.0], []), ([3.0], [])]) == [0, 1, 0, 0]
+
+    def test_chunk_without_vus(self):
+        assert self.check([([-50.0, 30.0], []), ([20.0], [])]) == [0, 0]
+
+    def test_typical_chunk_with_the_origin_rsu(self):
+        # the origin RSU is inserted after its replication's negative
+        # RSUs; its cell is bounded by the midpoints with its neighbours
+        assert self.check([([-300.0, 0.0, 250.0], [-150.0, -149.0, 125.0,
+                                                   126.0]),
+                           ([0.0], [-400.0]),
+                           ([0.0, 0.0, 8.0], [0.0, 4.0])]) == [2, 1, 1]
+
+    @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
+    @pytest.mark.parametrize("palm", [False, True])
+    def test_drawn_chunk(self, traffic, palm):
+        # a chunk of the engine's own draws, the origin RSU inserted
+        # without Palm conditioning
+        half = _half_width(PARAMS)
+        draws = [_draw_geometry(traffic, PARAMS, half,
+                                replication_rng(5, rep), palm)
+                 for rep in range(montecarlo.CHUNK)]
+        rsus, rep, vus, vu_rep, serving, load = _cells(traffic, PARAMS,
+                                                       half, draws, palm)
+        assert np.array_equal(load, _occupancy(rsus, rep, vus,
+                                               vu_rep)[serving])
+        assert (0.0 in rsus) != palm and load.sum() > montecarlo.CHUNK
 
 
 class TestAgainstPerReplicationOracle:
