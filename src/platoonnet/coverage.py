@@ -74,7 +74,8 @@ def _serving_integrals(lins, noises, alpha):
     past the largest float is the limit there), and the +0 written in
     place of exp's signed zero leaves every weighted sum unchanged.  The
     weighted sums are one stacked matmul over C-contiguous rows, each row
-    the dot product `_R_W @ row` of that pair alone.
+    the dot product `_R_W @ row` of that pair alone.  Its caller runs it
+    with numpy's floating-point warnings off.
     """
     rots = [cmath.exp(-1j * cmath.phase(noise) / alpha) for noise in noises]
     u0s = [1.0 / (abs(lin * rot) + abs(noise) ** (1.0 / alpha))
@@ -82,8 +83,7 @@ def _serving_integrals(lins, noises, alpha):
     slope = np.array([-lin * rot for lin, rot in zip(lins, rots)])
     decay = np.array([abs(noise) for noise in noises])
     u = np.array(u0s)[:, None] * _R_V
-    with np.errstate(over="ignore"):
-        x = slope[:, None] * u - decay[:, None] * u**alpha
+    x = slope[:, None] * u - decay[:, None] * u**alpha
     # not x.real > -746: a NaN exponent (0 * inf at a decay that
     # underflowed to 0) keeps its NaN
     e = np.exp(x, out=np.zeros_like(x), where=~(x.real <= -746.0))
@@ -173,7 +173,7 @@ class CoverageMeta:
     grouped by the shape of the inner rule, the node stages run on one
     (q x node) array per group, and each group's weighted sums are one
     stacked matmul whose rows are each q's own dot product.  So a member
-    of a batch has the bits of its one-q call, `moment(q)`.  `md` hands
+    of a batch has the bits of its one-q call, `moments([q])`.  `md` hands
     the Gil-Pelaez inversion `moments_it`, which computes a QUADPACK
     interval's 21 t in one batch.
     """
@@ -188,6 +188,9 @@ class CoverageMeta:
         self.p = active_prob(traffic, params) if p_active is None \
             else p_active
         self.eta = (1.0 + radio.alpha) / radio.alpha
+        if self.eta == 1.0:
+            raise NumericsError(f"CoverageMeta: eta = (1 + alpha)/alpha "
+                                f"rounds to 1 (alpha {radio.alpha:.3g})")
         self._coef = 2 * self.p * params.lambda_r / radio.alpha
         self._moments_it = {}  # M_it by float t
 
@@ -276,43 +279,37 @@ class CoverageMeta:
         ln CP.  Given the serving distance r, E[CP^q | r] =
         exp(-coef inner(q) r - q tau r^alpha / snr).  One batch runs the
         inner and serving-distance rules on (q x node) arrays, and each
-        value is the one moment(q) gives alone."""
+        value is the one moments([q]) gives alone.  A non-finite moment
+        raises NumericsError, with numpy's floating-point warnings off:
+        the check replaces them."""
         lr = self.params.lambda_r
         nonzero = [q for q in qs if q != 0]
-        serving = iter(_serving_integrals(
-            self._coef * self._inners(nonzero) + 2 * lr,
-            [q * self.tau / self.radio.snr for q in nonzero],
-            self.radio.alpha))
+        with np.errstate(all="ignore"):
+            serving = iter(_serving_integrals(
+                self._coef * self._inners(nonzero) + 2 * lr,
+                [q * self.tau / self.radio.snr for q in nonzero],
+                self.radio.alpha))
         out = []
         for q in qs:
             if q == 0:
                 out.append(1.0)
                 continue
             m = 2 * lr * next(serving)
+            if not cmath.isfinite(m):
+                raise NumericsError(f"CoverageMeta: the moment at q = {q} "
+                                    f"is {m}, not finite")
             out.append(m if isinstance(q, complex) else float(m.real))
         return out
 
-    def moment(self, q):
-        """q-th moment of the conditional coverage probability: one
-        member of `moments`."""
-        return self.moments([q])[0]
-
-    def moment_it(self, t):
-        if (t := float(t)) not in self._moments_it:
-            self._moments_it[t] = self.moment(1j * t)
-        return self._moments_it[t]
-
     def moments_it(self, ts):
-        """M_it at each t of ts: the t not cached yet in one batch of
-        `moments` (none when every t is cached), then every value read
-        through `moment_it`, so the cache and its calls are those of one t
-        at a time."""
-        new = [t for t in dict.fromkeys(map(float, ts))
-               if t not in self._moments_it]
+        """M_it at each t of ts, read from the cache once the t not cached
+        yet are computed in one batch of `moments` (none if all are)."""
+        ts = [float(t) for t in ts]
+        new = [t for t in dict.fromkeys(ts) if t not in self._moments_it]
         if new:
             self._moments_it.update(
                 zip(new, self.moments([1j * t for t in new])))
-        return [self.moment_it(t) for t in ts]
+        return [self._moments_it[t] for t in ts]
 
     def md_noise_bound(self, x):
         """Rigorous upper bound on P[conditional CP > x]: even with zero

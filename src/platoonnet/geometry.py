@@ -194,9 +194,11 @@ def cell_average(below, above, lambda_r, a, tagged=False):
 
 def cell_product(p, q):
     """The product of two (below, above) pairs of `cell_average`; the
-    above parts start at L^-2, so it drops the L^-4 and L^-3 terms."""
+    above parts start at L^-2, so it drops the L^-4 and L^-3 terms (an
+    above part with no term left is the zero polynomial)."""
+    above = polynomial.polymul(p[1], q[1])[2:]
     return (polynomial.polymul(p[0], q[0]),
-            polynomial.polymul(p[1], q[1])[2:])
+            above if above.size else np.zeros(1))
 
 
 def cell_value(ell, below, above, a):

@@ -255,6 +255,9 @@ def pmf_typical_npts(K, params: NetworkParams) -> DiscretePMF:
     """PMF of the N-PTS load on the typical RSU: negative binomial
     NB(2, q), q = 2 lr/(lam + 2 lr), on 0..K with its exact tail."""
     lam, lr = params.lam, params.lambda_r
+    if 4 * lr**2 == 0:
+        raise NumericsError(f"pmf_typical_npts: 4 lr**2 underflows to 0 "
+                            f"(lr {lr:.3g})")
     k = np.arange(K + 1)
     # assembled in log space so deep truncations do not overflow
     masses = np.exp(math.log(4 * lr**2) + k * math.log(lam)

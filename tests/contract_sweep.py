@@ -15,7 +15,8 @@ even after an alarm stopped a run inside `np.errstate`.
 One line is printed per breach: a traceback (an exit other than 0, 2
 or 3), more than one stderr line on an error, any stderr on success, an
 output file left on an error, or a timeout; then the counts.  A
-traceback names the last line of `platoonnet` it passed through.
+traceback names the last line of `platoonnet` it passed through.  The
+exit status is 1 if any run breached the contract, else 0.
 
 Standard library only.  The file name does not match test_*, so Tier-1
 never runs it.  A full run (16 keys x 7 values x 26 commands, 2,912
@@ -150,7 +151,8 @@ def main():
               exits.items(), key=str)))
     print(f"{sum(kinds.values())} breaches"
           + "".join(f", {n} {kind}" for kind, n in kinds.most_common()))
+    return 1 if kinds else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -201,12 +201,12 @@ def coverage_meta(name):
 
 def moments_it(name):
     meta = coverage_meta(name)
-    return np.array([meta.moment(1j * t) for t in MOMENT_T])
+    return np.array([meta.moments([1j * t])[0] for t in MOMENT_T])
 
 
 def moments_q(name):
     meta = coverage_meta(name)
-    return np.array([meta.moment(q) for q in (0.5, 1, 2, 3)])
+    return np.array([meta.moments([q])[0] for q in (0.5, 1, 2, 3)])
 
 
 def md_at(name, x):

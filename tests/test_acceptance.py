@@ -135,8 +135,8 @@ def test_criterion_3_closed_forms_vs_quadrature(capsys):
 def test_criterion_4_meta_distribution_consistency(capsys):
     meta = CoverageMeta(0.9, "PTS", FIG8, RADIO8)
     cp = coverage_prob(0.9, "PTS", FIG8, RADIO8)
-    m0_ok = meta.moment(0) == 1.0
-    m1_err = abs(meta.moment(1) / cp - 1.0)
+    m0_ok = meta.moments([0])[0] == 1.0
+    m1_err = abs(meta.moments([1])[0] / cp - 1.0)
     nodes, wts = np.polynomial.legendre.leggauss(64)
     nodes = 0.5 * (nodes + 1.0)
     wts = 0.5 * wts

@@ -429,10 +429,15 @@ class TestMain:
                              ("lambda_p_per_km", 1e-300), ("m", 1e-300),
                              ("lam_per_km", 1e-300))],
         (["figure", "4"], {"lambda_p_per_km": 1e-300}),
+        # PTS: the kappa and v_j products underflow to the zero polynomial
+        (["op", "moments_typical_pts"], {"m": 1e-300}),
+        (["op", "moments_typical_pts"], {"lambda_p_per_km": 1e-300}),
+        (["figure", "3"], {"lambda_p_per_km": 1e-300}),
+        (["op", "moments_tagged_pts"], {"m": 1e-300}),
     ])
     def test_skewness_underflow_exits_3(self, args, config, tmp_path,
                                         capsys):
-        # the N-PTS variance is near 1e-300, and its 1.5 power is 0
+        # the variance is near 1e-300, and its 1.5 power is 0
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as exc:
@@ -442,6 +447,30 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("platoonnet: error: skewness: variance**1.5 "
                               "underflows to 0 (variance ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.filterwarnings("error")  # no numpy warning either
+    @pytest.mark.parametrize("args, config, message", [
+        (["op", "pmf_typical_npts"], {"lambda_r_per_km": 1e-300},
+         "pmf_typical_npts: 4 lr**2 underflows to 0"),
+        *[(["op", op], {"alpha": 1e300},
+           "CoverageMeta: eta = (1 + alpha)/alpha rounds to 1")
+          for op in ("md_coverage_pts", "md_coverage_npts")],
+        *[(["op", op], {"tau_sinr": 1e-300},
+           "CoverageMeta: the moment at q = ")
+          for op in ("md_coverage_pts", "md_coverage_npts")],
+    ])
+    def test_unrepresentable_value_exits_3(self, args, config, message,
+                                           tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--config", str(path),
+                         "--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"platoonnet: error: {message}")
         assert err.count("\n") == 1
         assert not (tmp_path / "out.csv").exists()
 

@@ -88,7 +88,7 @@ CONTOUR_VALUES = [
 ]
 
 
-# (alpha, tau, t, real, imaginary) of M_it = moment_it(t) from the
+# (alpha, tau, t, real, imaginary) of M_it = moments_it([t])[0] from the
 # adaptive serving-distance quadrature that preceded the fixed dyadic
 # rule, at PARAMS with the PTS active probability and RADIO's p_t, sigma2
 MOMENT_IT_VALUES = [
@@ -455,19 +455,34 @@ class TestCoverageProb:
 class TestMeta:
     def test_moment_anchors(self):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
-        assert meta.moment(0) == 1.0
+        assert meta.moments([0])[0] == 1.0
         cp = coverage_prob(0.9, "PTS", PARAMS, RADIO)
-        assert meta.moment(1) == pytest.approx(cp, rel=1e-6)
+        assert meta.moments([1])[0] == pytest.approx(cp, rel=1e-6)
         # Jensen: E[CP^2] in [M1^2, M1]
-        m2 = meta.moment(2)
+        m2 = meta.moments([2])[0]
         assert cp**2 - 1e-12 <= m2 <= cp + 1e-12
 
     def test_moment_it_anchors(self):
         meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
-        assert meta.moment_it(0.0) == 1.0
-        m = meta.moment_it(1.5)
+        assert meta.moments_it([0.0])[0] == 1.0
+        m = meta.moments_it([1.5])[0]
         assert abs(m) <= 1.0 + 1e-9
-        assert meta.moment_it(-1.5) == pytest.approx(m.conjugate())
+        assert meta.moments_it([-1.5])[0] == pytest.approx(m.conjugate())
+
+    def test_eta_rounding_to_one_raises(self):
+        # at alpha = 1e300, (1 + alpha)/alpha is 1.0: the inner integral's
+        # closed form would divide by eta - 1 = 0
+        with pytest.raises(NumericsError, match="rounds to 1"):
+            CoverageMeta(0.9, "PTS", PARAMS, RadioParams(1.0, 5e-5, 1e300),
+                         p_active=1.0)
+
+    @pytest.mark.filterwarnings("error")  # and no numpy warning
+    @pytest.mark.parametrize("q", [1, 0.5j])
+    def test_nonfinite_moment_raises(self, q):
+        # at tau = 1e-300 the inner rule's f overflows and the moment is NaN
+        meta = CoverageMeta(1e-300, "PTS", PARAMS, RADIO, p_active=1.0)
+        with pytest.raises(NumericsError, match="not finite"):
+            meta.moments([0.0, q])
 
     def test_freed_without_garbage_collection(self):
         # neither the moment cache nor the Gil-Pelaez node map and batch
@@ -475,7 +490,7 @@ class TestMeta:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            for use in (lambda m: m.moment_it(1.5), lambda m: m.md(0.8)):
+            for use in (lambda m: m.moments_it([1.5]), lambda m: m.md(0.8)):
                 meta = CoverageMeta(0.9, "PTS", PARAMS, RADIO)
                 use(meta)
                 ref = weakref.ref(meta)
@@ -524,7 +539,7 @@ class TestMeta:
         rows = [r for r in MOMENT_IT_VALUES if r[:2] == (alpha, tau)]
         assert len(rows) == 7
         for _, _, t, re, im in rows:
-            assert abs(meta.moment_it(t) - complex(re, im)) <= 2e-12
+            assert abs(meta.moments_it([t])[0] - complex(re, im)) <= 2e-12
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0, 2.5, 3.5, 4.0, 5.0])
     @pytest.mark.parametrize("tau", [0.9, 11.13])
@@ -538,7 +553,7 @@ class TestMeta:
             lin = meta._coef * meta._inners([1j * t])[0] + 2 * lr
             ref = 2 * lr * serving_integral_mp(lin, 1j * t * tau / radio.snr,
                                                alpha)
-            assert abs(meta.moment(1j * t) - ref) <= 1e-12
+            assert abs(meta.moments([1j * t])[0] - ref) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0])
     @pytest.mark.parametrize("tau", [0.9, 1e3, 3.5e13, 1e16])
@@ -552,7 +567,7 @@ class TestMeta:
             lin = meta._coef * inner_hyp_mp(tau, alpha, q) + 2 * lr
             ref = 2 * lr * serving_integral_mp(lin, q * tau / radio.snr,
                                                alpha).real
-            assert meta.moment(q) == pytest.approx(ref, rel=1e-12)
+            assert meta.moments([q])[0] == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.0])
     @pytest.mark.parametrize("traffic", ["PTS", "NPTS"])
@@ -560,7 +575,7 @@ class TestMeta:
         radio = RadioParams(1.0, 5e-5, alpha)
         for tau in (0.1, 0.9, 11.13, 1e3):
             meta = CoverageMeta(tau, traffic, P35, radio)
-            assert meta.moment(1) == pytest.approx(
+            assert meta.moments([1])[0] == pytest.approx(
                 coverage_prob(tau, traffic, P35, radio), rel=1e-12)
 
     def test_noise_bound(self):
@@ -604,7 +619,7 @@ class TestMeta:
         nodes = 0.5 * (nodes + 1.0)
         wts = 0.5 * wts
         integral = float(np.dot(wts, [meta.md(float(x)) for x in nodes]))
-        assert integral == pytest.approx(meta.moment(1), abs=5e-4)
+        assert integral == pytest.approx(meta.moments([1])[0], abs=5e-4)
 
     def test_md_coverage_wrapper(self):
         val = md_coverage(0.9, 0.8, "PTS", PARAMS, RADIO)
@@ -641,7 +656,7 @@ class TestMomentBits:
         for name in META_OBJECTS:
             meta = coverage_meta(name)
             for t in MOMENT_T:
-                meta.moment(1j * t)
+                meta.moments([1j * t])
             # A = 4 periods < W = ln(1 + tau) at the largest t
             assert MOMENT_T[-1] * math.log1p(meta.tau) \
                 > coverage._PERIODS * 2 * math.pi
@@ -673,7 +688,7 @@ class TestMomentBits:
             return type(m), record(complex(m).real), record(complex(m).imag)
 
         assert [bits(m) for m in meta.moments(qs)] \
-            == [bits(meta.moment(q)) for q in qs]
+            == [bits(meta.moments([q])[0]) for q in qs]
         assert 4 in panels
 
     def test_batch_of_zero_orders(self):
@@ -681,7 +696,7 @@ class TestMomentBits:
         meta = coverage_meta("k=3")
         assert meta.moments([]) == []
         ms = meta.moments([0j, 0.0, 0, 1j * 0.0])
-        assert ms == [meta.moment(0j)] * 4 == [1.0] * 4
+        assert ms == [meta.moments([0j])[0]] * 4 == [1.0] * 4
         assert {type(m) for m in ms} == {float}
 
     @pytest.mark.parametrize("alpha", [2.5, 4.0, 300.0])
@@ -699,9 +714,9 @@ class TestMomentBits:
         with np.errstate(over="ignore"):
             _, _, exponents = serving_exponents(lins, noises, alpha)
             old = serving_integrals_unmasked(lins, noises, alpha)
+            new = coverage._serving_integrals(lins, noises, alpha)
         skipped = (exponents.real <= -746.0).any(axis=1)
         assert skipped.sum() >= len(qs) // 4
-        new = coverage._serving_integrals(lins, noises, alpha)
 
         def bits(v):
             return record(v.real), record(v.imag)
@@ -713,7 +728,7 @@ class TestMomentBits:
         # a decay that underflowed to 0 times u^alpha = inf is NaN, not an
         # underflow: exp still runs there
         lin = np.array([2 * P35.lambda_r + 0j])
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             val, = coverage._serving_integrals(lin, [0.0], 300.0)
         assert cmath.isnan(val)
 
@@ -745,26 +760,20 @@ class TestMomentBits:
         assert len(set(computed)) == len(computed) == len(asked)
         assert set(computed) == set(asked)
 
-    def test_cached_md_runs_no_kernel(self, monkeypatch):
-        # a second md on the same object finds every t cached: it reads
-        # moment_it for each, and no batch reaches the moment kernel
+    def test_cached_md_runs_no_kernel(self):
+        # a second md on the same object finds every t cached: no batch
+        # reaches the moment kernel
         meta = coverage_meta("tau=0.9 PTS")
         value = meta.md(0.9)
-        kernel, batches, reads = meta.moments, [], []
-        read = CoverageMeta.moment_it
+        kernel, batches = meta.moments, []
 
         def spy(qs):
             batches.append(list(qs))
             return kernel(qs)
 
-        def counted(self, t):
-            reads.append(t)
-            return read(self, t)
-
         meta.moments = spy
-        monkeypatch.setattr(CoverageMeta, "moment_it", counted)
         assert meta.md(0.9) == value
-        assert batches == [] and reads
+        assert batches == []
 
 
 class TestRate:

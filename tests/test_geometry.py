@@ -3,8 +3,8 @@ import pytest
 from scipy import integrate, stats
 
 from platoonnet import geometry
-from platoonnet.geometry import (NetworkParams, cell_quantile, pdf_cell,
-                                 replication_rng)
+from platoonnet.geometry import (NetworkParams, cell_average, cell_product,
+                                 cell_quantile, pdf_cell, replication_rng)
 from platoonnet.montecarlo import _draw_rsus, _draw_vus, _uniform, _vus
 
 LR = 0.002  # 2 RSU/km in per-meter units
@@ -157,6 +157,17 @@ class TestReplicationStreams:
 
 
 class TestCellLengthLaws:
+    def test_product_underflowing_to_zero(self):
+        # numpy.polynomial trims coefficients that underflowed to 0: an
+        # above part with no L^-2 term left is the zero polynomial, and a
+        # further product and its average still form
+        tiny = (np.array([0.0, 1e-200]), np.array([0.0, 0.0, 0.0, 1e-200]))
+        below, above = cell_product(tiny, tiny)
+        assert list(above) == [0.0]
+        below, above = cell_product((below, above), tiny)
+        assert list(below) == list(above) == [0.0]
+        assert cell_average(below, above, LR, 100.0) == 0.0
+
     def test_pdfs_normalize(self):
         for tagged in (False, True):
             val, _ = integrate.quad(lambda l: pdf_cell(l, LR, tagged),
